@@ -1,6 +1,7 @@
 """emgpr: two-channel surface-EMG movement recognition toolkit.
 
-Pipeline pieces, usable separately or through `emgpr.evaluate.crossvalidate`:
+Pipeline pieces, usable separately or through `emgpr.evaluate.crossvalidate`
+(whose feature table, `build_table`, can be shared by several feature sets):
 recordings (load/synthesize/mix noise) -> causal bandpass+notch -> disjoint
 windows -> time-domain features (incl. the log-compressed LMAV/NSV pair) ->
 min-max scaling -> uncorrelated LDA -> QDA / RBF-SVM / KNN -> trial-wise
@@ -57,10 +58,14 @@ from .classify import ModelSpec, model_from_dict, model_to_dict, predict, train
 from .evaluate import (
     ConfusionMatrix,
     EvalReport,
+    FeatureTable,
     Metrics,
+    build_table,
     compare_groups,
     crossvalidate,
     metrics,
+    pool_columns,
+    set_columns,
     sweep_snr,
     sweep_window,
 )

@@ -14,8 +14,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from .classify import ModelSpec
 from .dataset import (
     DatasetManifest,
@@ -29,17 +27,19 @@ from .dataset import (
 from .errors import EmgprError
 from .evaluate import (
     CSV_HEADER,
+    build_table,
     compare_groups,
     crossvalidate,
+    set_columns,
     sweep_snr,
     sweep_window,
 )
 from .features import (
     CATALOG,
     FEATURE_SET_NAMES,
+    FeatureSetSpec,
     Thresholds,
     extract,
-    extract_matrix,
     feature_column_names,
     feature_set,
 )
@@ -519,26 +519,32 @@ def _cmd_select(cfg: dict) -> int:
     return 0
 
 
-def _reduced_two_dims(cfg: dict, recordings, subject: str):
-    windows = list(
-        _pipeline_windows(cfg, [r for r in recordings if r.subject_id == subject])
+def _subject_matrices(cfg: dict):
+    """(subject, X, y) per subject, sliced from one feature table."""
+    spec = _feature_spec(cfg)
+    table = build_table(
+        _load_recordings(cfg),
+        set_columns(spec.features),
+        thresholds=spec.thresholds,
+        window_ms=cfg["window_ms"],
+        overlap_ms=cfg["overlap_ms"],
+        filter_spec=_filter_spec(cfg),
+        seed=cfg["seed"],
     )
-    X = extract_matrix(_feature_spec(cfg), windows)
-    y = np.asarray([w.meta[1] for w in windows])
+    for subject in table.subjects:
+        yield subject, table.matrix(subject, spec.features), table.labels[subject]
+
+
+def _reduced_two_dims(X, y):
     norm, _ = normalize_features(X)
-    projection = fit_ulda(norm, y)
-    reduced = project(projection, norm)
-    return reduced[:, :2], y
+    return project(fit_ulda(norm, y), norm)[:, :2]
 
 
 def _cmd_res(cfg: dict) -> int:
     out = _out_dir(cfg)
-    recordings = _load_recordings(cfg)
-    subjects = sorted({r.subject_id for r in recordings})
     values = {}
-    for subject in subjects:
-        reduced2, y = _reduced_two_dims(cfg, recordings, subject)
-        values[subject] = res_index(reduced2, y)
+    for subject, X, y in _subject_matrices(cfg):
+        values[subject] = res_index(_reduced_two_dims(X, y), y)
         print(f"{subject}: RES = {values[subject]:.4f}")
     _write_json(out / "res.json", values)
     _write_run(out, "res", cfg)
@@ -547,12 +553,9 @@ def _cmd_res(cfg: dict) -> int:
 
 def _cmd_scatter(cfg: dict) -> int:
     out = _out_dir(cfg)
-    recordings = _load_recordings(cfg)
-    subjects = sorted({r.subject_id for r in recordings})
-    for subject in subjects:
-        reduced2, y = _reduced_two_dims(cfg, recordings, subject)
+    for subject, X, y in _subject_matrices(cfg):
         path = out / f"scatter_{subject}.csv"
-        scatter_export(reduced2, y, path)
+        scatter_export(_reduced_two_dims(X, y), y, path)
         print(f"wrote {len(y)} points to {path}")
     _write_run(out, "scatter", cfg)
     return 0

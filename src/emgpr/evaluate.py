@@ -1,8 +1,11 @@
 """Trial-wise cross-validation, confusion metrics, sweeps and ANOVA.
 
-crossvalidate holds one trial of every movement out per fold; min-max bounds,
-the ULDA projection and the classifier are all fitted on the training folds
-only, so no test information leaks into the fitted pipeline.
+crossvalidate runs in two stages: build_table mixes noise, filters, segments
+and extracts every recording once into a FeatureTable, and the fold loop
+fits on a column slice of that table, so several feature sets can be scored
+against one table.  Each fold holds one trial of every movement out; min-max
+bounds, the ULDA projection and the classifier are all fitted on the
+training folds only, so no test information leaks into the fitted pipeline.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from scipy import special
 from .classify import ModelSpec, train
 from .dataset import MOVEMENTS, NO_MIX, mix_awgn
 from .errors import EmgprError, EmptyMatrix, InsufficientGroups
-from .features import FeatureSetSpec, extract_matrix
+from .features import FeatureSetSpec, Thresholds, extract_matrix
 from .preprocess import FilterSpec, apply_filters, normalize_features, segment
 from .reduce import fit_ulda, project
 from .seeding import derive_seed
@@ -277,6 +280,176 @@ def _movement_order(recordings) -> tuple:
     return tuple(m for m in MOVEMENTS if m in present)
 
 
+def _mixing_snr(snr_db):
+    """The no-mix sentinel (inf) and None both mean: mix no noise."""
+    if snr_db is None or snr_db == NO_MIX:
+        return None
+    return float(snr_db)
+
+
+# ---------------------------------------------------------------------------
+# feature table
+
+
+def set_columns(features) -> tuple:
+    """The table column each feature of a set reads, in set order.
+
+    A column is keyed (feature id, AR fit order); the order is None for
+    non-AR features.  A set reads all its AR lags off one fit at its largest
+    lag, as `extract` does.
+    """
+    lags = [int(fid[2:]) for fid in features if fid.startswith("AR")]
+    order = max(lags, default=None)
+    return tuple((fid, order if fid.startswith("AR") else None) for fid in features)
+
+
+def pool_columns(pool) -> tuple:
+    """Columns that serve every subset of `pool`: the plain features plus
+    (ARl, p) for every pair of pool lags l <= p."""
+    lags = sorted({int(fid[2:]) for fid in pool if fid.startswith("AR")})
+    plain = tuple((fid, None) for fid in dict.fromkeys(pool) if not fid.startswith("AR"))
+    return plain + tuple((f"AR{lag}", p) for p in lags for lag in lags if lag <= p)
+
+
+def _extraction_groups(columns, thresholds) -> list:
+    """(spec, column positions) per AR fit order, one `extract_matrix` each.
+
+    Plain features ride with the largest order, so a single set is extracted
+    in one pass.
+    """
+    for fid, order in columns:
+        if fid.startswith("AR") != (order is not None) or (
+            order is not None
+            and (int(fid[2:]) > order or (f"AR{order}", order) not in columns)
+        ):
+            raise ValueError(
+                f"bad feature table column {(fid, order)!r}: only AR lags take "
+                "an order p, which must be >= the lag, with (ARp, p) present"
+            )
+    orders = sorted({order for _, order in columns if order is not None})
+    top = orders[-1] if orders else None
+    groups = []
+    for group in orders or [None]:
+        positions = [
+            i for i, (_, order) in enumerate(columns)
+            if order == group or (order is None and group == top)
+        ]
+        spec = FeatureSetSpec(
+            "CUSTOM", tuple(columns[i][0] for i in positions), thresholds
+        )
+        groups.append((spec, positions))
+    return groups
+
+
+@dataclass(frozen=True, eq=False)
+class FeatureTable:
+    """Per-window features of a dataset, computed once and sliced per set.
+
+    For each subject, `values[subject]` is a (windows, channels, columns)
+    block whose last axis is keyed by `columns`, with `labels[subject]` and
+    `trials[subject]` per window.  `movements` is the class order over all
+    subjects; the remaining fields are the settings the table was built with.
+    """
+
+    values: dict
+    labels: dict
+    trials: dict
+    movements: tuple
+    columns: tuple
+    thresholds: Thresholds
+    window_ms: float
+    overlap_ms: float
+    snr_db: float  # None when no noise was mixed
+    filter_spec: FilterSpec
+    seed: int
+
+    @property
+    def subjects(self) -> tuple:
+        return tuple(sorted(self.values))
+
+    def positions(self, features) -> list:
+        """Column positions a feature list reads; ValueError if one is absent."""
+        index = {key: i for i, key in enumerate(self.columns)}
+        keys = set_columns(features)
+        for key in keys:
+            if key not in index:
+                raise ValueError(f"feature table has no column {key!r}")
+        return [index[key] for key in keys]
+
+    def matrix(self, subject, features) -> np.ndarray:
+        """Channel-major (windows, channels * features) matrix of one subject."""
+        block = self.values[subject]
+        return block[:, :, self.positions(features)].reshape(len(block), -1)
+
+
+def build_table(
+    recordings,
+    columns,
+    thresholds: Thresholds = None,
+    window_ms: float = 250.0,
+    overlap_ms: float = 0.0,
+    snr_db: float = None,
+    filter_spec: FilterSpec = None,
+    seed: int = 0,
+) -> FeatureTable:
+    """Mix noise, filter, segment and extract every recording once.
+
+    `columns` are (feature id, AR fit order) keys, see `set_columns` and
+    `pool_columns`.  When snr_db is given and finite, calibrated white noise
+    is mixed into the raw recordings (seeded per subject/movement/trial)
+    before filtering.
+    """
+    thresholds = thresholds or Thresholds()
+    filter_spec = filter_spec or FilterSpec()
+    snr_db = _mixing_snr(snr_db)
+    columns = tuple(dict.fromkeys(columns))
+    groups = _extraction_groups(columns, thresholds)
+
+    by_subject = {}
+    for rec in recordings:
+        by_subject.setdefault(rec.subject_id, []).append(rec)
+
+    values, labels, trials = {}, {}, {}
+    for subject in sorted(by_subject):
+        blocks, ys, ts = [], [], []
+        for rec in by_subject[subject]:
+            if snr_db is not None:
+                rec = mix_awgn(
+                    rec,
+                    snr_db,
+                    derive_seed(seed, "awgn", subject, rec.movement,
+                                rec.trial, snr_db),
+                )
+            rec = apply_filters(rec, filter_spec)
+            windows = segment(rec, window_ms, overlap_ms)
+            shape = (len(windows), rec.channels.shape[0])
+            block = np.empty(shape + (len(columns),))
+            for spec, positions in groups:
+                block[:, :, positions] = extract_matrix(spec, windows).reshape(
+                    shape + (len(positions),)
+                )
+            blocks.append(block)
+            ys.extend([rec.movement] * len(windows))
+            ts.extend([rec.trial] * len(windows))
+        values[subject] = np.concatenate(blocks)
+        labels[subject] = np.asarray(ys)
+        trials[subject] = np.asarray(ts)
+
+    return FeatureTable(
+        values=values,
+        labels=labels,
+        trials=trials,
+        movements=_movement_order(recordings),
+        columns=columns,
+        thresholds=thresholds,
+        window_ms=float(window_ms),
+        overlap_ms=float(overlap_ms),
+        snr_db=snr_db,
+        filter_spec=filter_spec,
+        seed=seed,
+    )
+
+
 def crossvalidate(
     recordings,
     feature_set: FeatureSetSpec,
@@ -290,40 +463,39 @@ def crossvalidate(
 ) -> EvalReport:
     """Leave-one-trial-out evaluation over every subject in the dataset.
 
-    When snr_db is given and finite, calibrated white noise is mixed into the
-    raw recordings (seeded per subject/movement/trial) before filtering.  The
+    `recordings` is either the recordings, from which a table of this set's
+    columns is built (see `build_table`), or a `FeatureTable` built with the
+    same settings and thresholds; a table whose settings differ from this
+    call's, or that lacks a column the set reads, raises ValueError.  The
     no-mix sentinel (inf) is normalized to None so the emitted report is
     identical to a plain run.
     """
-    filter_spec = filter_spec or FilterSpec()
-    labels = _movement_order(recordings)
-    if snr_db is not None and snr_db == NO_MIX:
-        snr_db = None
-    mixing = snr_db is not None
-
-    by_subject = {}
-    for rec in recordings:
-        by_subject.setdefault(rec.subject_id, []).append(rec)
+    settings = {
+        "thresholds": feature_set.thresholds,
+        "window_ms": float(window_ms),
+        "overlap_ms": float(overlap_ms),
+        "snr_db": _mixing_snr(snr_db),
+        "filter_spec": filter_spec or FilterSpec(),
+        "seed": seed,
+    }
+    if isinstance(recordings, FeatureTable):
+        table = recordings
+        for name, value in settings.items():
+            if getattr(table, name) != value:
+                raise ValueError(
+                    f"feature table was built with {name}={getattr(table, name)!r}, "
+                    f"not {value!r}"
+                )
+        table.positions(feature_set.features)  # fail before the first fold
+    else:
+        table = build_table(recordings, set_columns(feature_set.features), **settings)
+    filter_spec, snr_db, labels = table.filter_spec, table.snr_db, table.movements
 
     folds, failures = [], []
-    for subject in sorted(by_subject):
-        feats, ys, trials = [], [], []
-        for rec in by_subject[subject]:
-            if mixing:
-                rec = mix_awgn(
-                    rec,
-                    snr_db,
-                    derive_seed(seed, "awgn", subject, rec.movement,
-                                rec.trial, float(snr_db)),
-                )
-            rec = apply_filters(rec, filter_spec)
-            windows = segment(rec, window_ms, overlap_ms)
-            feats.append(extract_matrix(feature_set, windows))
-            ys.extend([rec.movement] * len(windows))
-            trials.extend([rec.trial] * len(windows))
-        X = np.vstack(feats)
-        y = np.asarray(ys)
-        trial_ids = np.asarray(trials)
+    for subject in table.subjects:
+        X = table.matrix(subject, feature_set.features)
+        y = table.labels[subject]
+        trial_ids = table.trials[subject]
 
         for held_out in sorted(set(trial_ids.tolist())):
             train_mask = trial_ids != held_out
@@ -367,7 +539,7 @@ def crossvalidate(
         classifier=model_spec.kind,
         window_ms=float(window_ms),
         overlap_ms=float(overlap_ms),
-        snr_db=None if snr_db is None else float(snr_db),
+        snr_db=snr_db,
         seed=seed,
         config={
             "feature_set": feature_set.to_dict(),

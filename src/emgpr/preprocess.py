@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +77,13 @@ class Window:
         return self.samples.shape[0]
 
 
+@functools.lru_cache(maxsize=64)
 def design_filters(spec: FilterSpec, sample_rate_hz: float):
-    """Return (bandpass sos, notch (b, a)) for the given rate."""
+    """Return (bandpass sos, notch (b, a)) for the given rate.
+
+    Memoised on (spec, rate); the returned arrays are shared between callers
+    and therefore read-only.
+    """
     nyq = sample_rate_hz / 2.0
     if spec.band_high_hz >= nyq:
         raise NyquistViolation(
@@ -90,6 +96,8 @@ def design_filters(spec: FilterSpec, sample_rate_hz: float):
         output="sos",
     )
     b_notch, a_notch = signal.iirnotch(spec.notch_hz, spec.notch_q, fs=sample_rate_hz)
+    for coefficients in (sos, b_notch, a_notch):
+        coefficients.flags.writeable = False
     return sos, (b_notch, a_notch)
 
 
@@ -97,6 +105,7 @@ def apply_filters(rec: Recording, spec: FilterSpec = None) -> Recording:
     """Causal bandpass + notch on every channel; length is preserved."""
     spec = spec or FilterSpec()
     sos, (b_notch, a_notch) = design_filters(spec, rec.sample_rate_hz)
+    sos = sos.copy()  # sosfilt rejects a read-only coefficient buffer
     out = np.empty_like(rec.channels)
     for ch in range(rec.channels.shape[0]):
         y = signal.sosfilt(sos, rec.channels[ch])

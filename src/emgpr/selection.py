@@ -1,9 +1,11 @@
 """Greedy forward feature selection over the catalog.
 
-Each step evaluates every candidate through the full cross-validation
-pipeline, keeps the best-scoring addition, and accepts it only when it
-improves the objective by at least the configured number of percentage
-points.  Ties go to the earlier pool position, so a run is deterministic
+The pool's features are extracted once into a feature table, with every AR
+lag at every pool fit order, so each candidate set reads its AR lags off a
+fit at its own largest lag, as a plain run would.  Each step cross-validates
+every candidate on a column slice of that table, keeps the best-scoring
+addition, and accepts it only when it improves the objective by at least the
+configured number of percentage points.  Ties go to the earlier pool position, so a run is deterministic
 given dataset, config and seed.
 """
 
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .classify import ModelSpec
-from .evaluate import crossvalidate
+from .evaluate import build_table, crossvalidate, pool_columns
 from .features import CATALOG, FeatureSetSpec, Thresholds
 from .preprocess import FilterSpec
 
@@ -95,20 +97,21 @@ class SelectionTrace:
 
 def forward_select(recordings, cfg: SelectionConfig) -> SelectionTrace:
     """Run the greedy loop and return the audit trace."""
+    settings = {
+        "window_ms": cfg.window_ms,
+        "overlap_ms": cfg.overlap_ms,
+        "filter_spec": cfg.filter_spec,
+        "seed": cfg.seed,
+    }
+    table = build_table(
+        recordings, pool_columns(cfg.pool), thresholds=cfg.thresholds, **settings
+    )
 
     def score(feature_ids) -> float:
         spec = FeatureSetSpec(
             name="CUSTOM", features=tuple(feature_ids), thresholds=cfg.thresholds
         )
-        report = crossvalidate(
-            recordings,
-            spec,
-            cfg.model_spec,
-            window_ms=cfg.window_ms,
-            overlap_ms=cfg.overlap_ms,
-            filter_spec=cfg.filter_spec,
-            seed=cfg.seed,
-        )
+        report = crossvalidate(table, spec, cfg.model_spec, **settings)
         return 100.0 * report.summary()[cfg.objective][0]
 
     def best_candidate(current):

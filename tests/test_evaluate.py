@@ -5,13 +5,21 @@ import numpy as np
 import pytest
 
 from emgpr import (
+    FilterSpec,
     ModelSpec,
     SyntheticSpec,
+    Thresholds,
+    apply_filters,
+    build_table,
     crossvalidate,
+    extract_matrix,
     feature_set,
     generate_synthetic,
     metrics,
+    pool_columns,
+    segment,
     separable_gain_grid,
+    set_columns,
     sweep_snr,
     sweep_window,
 )
@@ -307,3 +315,87 @@ class TestSweeps:
         )
         assert json.dumps([r.to_dict() for r in reports], sort_keys=True) == \
             json.dumps([r.to_dict() for r in again], sort_keys=True)
+
+
+@pytest.fixture(scope="module")
+def two_subject_recordings():
+    return generate_synthetic(SyntheticSpec(
+        n_subjects=2, n_channels=2, n_movements=4, n_trials=3, duration_s=1.5,
+        sample_rate_hz=2000.0, class_gain_matrix=separable_gain_grid(4, 2, 1.5),
+        seed=11,
+    ))
+
+
+REGISTRY_SETS = ("FS1", "FS2", "FS3", "FS4", "PROPOSED")
+
+
+class TestFeatureTable:
+    def test_slice_equals_direct_extraction(self, two_subject_recordings):
+        spec = feature_set("PROPOSED")
+        table = build_table(two_subject_recordings, set_columns(spec.features))
+        assert table.subjects == ("S1", "S2")
+        for subject in table.subjects:
+            recs = [r for r in two_subject_recordings if r.subject_id == subject]
+            direct = np.vstack([
+                extract_matrix(spec, segment(apply_filters(r), 250.0)) for r in recs
+            ])
+            sliced = table.matrix(subject, spec.features)
+            assert sliced.tobytes() == direct.tobytes()
+            assert sliced.shape == direct.shape
+
+    def test_shared_table_gives_the_per_set_reports(self, two_subject_recordings):
+        # one table serves every registry set at 10 dB, FS1 reading its AR
+        # lags at order 6 and PROPOSED at order 4
+        sets = [feature_set(name) for name in REGISTRY_SETS]
+        pool = [fid for spec in sets for fid in spec.features]
+        table = build_table(two_subject_recordings, pool_columns(pool),
+                            snr_db=10.0, seed=4)
+        model = ModelSpec(kind="qda")
+        for spec in sets:
+            shared = crossvalidate(table, spec, model, snr_db=10.0, seed=4)
+            plain = crossvalidate(two_subject_recordings, spec, model,
+                                  snr_db=10.0, seed=4)
+            assert shared.to_dict() == plain.to_dict(), spec.name
+            assert json.dumps(shared.to_dict()) == json.dumps(plain.to_dict())
+
+    def test_pool_columns_cover_every_fit_order(self):
+        assert pool_columns(("MAV", "AR2", "AR1", "MAV")) == (
+            ("MAV", None), ("AR1", 1), ("AR1", 2), ("AR2", 2),
+        )
+        assert set_columns(("AR1", "WL", "AR3")) == (
+            ("AR1", 3), ("WL", None), ("AR3", 3),
+        )
+
+    def test_column_without_its_fit_order_rejected(self, amplitude_recordings):
+        with pytest.raises(ValueError):
+            build_table(amplitude_recordings, [("AR1", 2)])
+        with pytest.raises(ValueError):
+            build_table(amplitude_recordings, [("AR3", 2), ("AR2", 2)])
+
+    @pytest.mark.parametrize("call, message", [
+        ({"window_ms": 200.0}, "window_ms"),
+        ({"overlap_ms": 50.0}, "overlap_ms"),
+        ({"snr_db": 5.0}, "snr_db"),
+        ({"snr_db": None}, "snr_db"),
+        ({"filter_spec": FilterSpec(notch_hz=60.0)}, "filter_spec"),
+        ({"seed": 1}, "seed"),
+        ({"thresholds": Thresholds(wamp=0.05)}, "thresholds"),
+        ({"features": ("RMS", "MAV")}, "no column"),
+        # AR1 next to AR2 is read at order 2; the table only has order 1
+        ({"features": ("AR1", "AR2")}, "no column"),
+    ])
+    def test_mismatched_table_rejected(self, amplitude_recordings, call, message):
+        table = build_table(amplitude_recordings, pool_columns(("RMS", "WL", "AR1")),
+                            snr_db=10.0)
+        call = {"features": ("RMS", "AR1"), "snr_db": 10.0, **call}
+        spec = feature_set("CUSTOM", call.pop("features"),
+                           call.pop("thresholds", Thresholds()))
+        with pytest.raises(ValueError, match=message):
+            crossvalidate(table, spec, ModelSpec(kind="qda"), **call)
+
+    def test_matching_table_accepted(self, amplitude_recordings):
+        table = build_table(amplitude_recordings, pool_columns(("RMS", "WL", "AR1")),
+                            snr_db=NO_MIX)
+        report = crossvalidate(table, feature_set("CUSTOM", ["RMS", "AR1"]),
+                               ModelSpec(kind="qda"))
+        assert report.ok and report.snr_db is None

@@ -63,6 +63,14 @@ class TestFilters:
             if low_db is not None:
                 assert mag_db >= low_db, freq
 
+    def test_designs_are_memoised_and_read_only(self):
+        sos, (b, a) = design_filters(FilterSpec(), 2000.0)
+        again, _ = design_filters(FilterSpec(), 2000.0)
+        assert again is sos
+        for coefficients in (sos, b, a):
+            with pytest.raises(ValueError):
+                coefficients[0] = 0.0
+
     def test_length_preserved_and_linear(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(4000)

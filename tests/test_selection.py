@@ -1,6 +1,18 @@
+from dataclasses import replace
+
 import pytest
 
-from emgpr import ModelSpec, SelectionConfig, forward_select
+import emgpr.evaluate
+from emgpr import (
+    ModelSpec,
+    SelectionConfig,
+    crossvalidate,
+    feature_set,
+    forward_select,
+    generate_synthetic,
+    separable_spec,
+)
+from emgpr.selection import SelectionStep, SelectionTrace
 
 AMPLITUDE_FEATURES = {"MAV", "RMS", "IEMG", "LMAV"}
 
@@ -97,3 +109,81 @@ class TestDuplicateColumnScores:
             ModelSpec(kind="qda"),
         )
         assert base.summary()["f1"] == pytest.approx(dup.summary()["f1"], abs=1e-12)
+
+
+#: AR lags read at several fit orders, a spectral-moment member and plain
+#: features; on `tilt_recordings` the greedy loop accepts AR1, M0, ZC and then
+#: AR2, so AR1 is scored both from its own fit and from order-2 and order-4 fits.
+MIXED_POOL = ("AR1", "AR2", "AR4", "M0", "ZC", "SKW")
+
+
+@pytest.fixture(scope="module")
+def tilt_recordings():
+    """Five weakly coded classes: small gain steps, spectral tilt pulled in."""
+    base = separable_spec(n_subjects=1, sample_rate_hz=2000.0, gain_ratio=1.1, seed=1)
+    tilt = tuple(
+        tuple(0.5 + 0.3 * (v - 0.5) for v in row)
+        for row in base.class_tilt_matrix[:5]
+    )
+    return generate_synthetic(replace(
+        base, n_movements=5, n_trials=3, duration_s=2.0,
+        class_gain_matrix=base.class_gain_matrix[:5], class_tilt_matrix=tilt,
+    ))
+
+
+def reference_select(recordings, cfg):
+    """The greedy loop with every candidate cross-validated from the recordings."""
+
+    def score(feature_ids):
+        report = crossvalidate(
+            recordings,
+            feature_set("CUSTOM", feature_ids, cfg.thresholds),
+            cfg.model_spec,
+            window_ms=cfg.window_ms,
+            overlap_ms=cfg.overlap_ms,
+            filter_spec=cfg.filter_spec,
+            seed=cfg.seed,
+        )
+        return 100.0 * report.summary()[cfg.objective][0]
+
+    selected, steps, current = [], [], 0.0
+    while len(selected) < len(set(cfg.pool)):
+        scores = [(score(selected + [f]), -i, f)
+                  for i, f in enumerate(cfg.pool) if f not in selected]
+        best, _, fid = max(scores)
+        accepted = not selected or best - current >= cfg.improvement_threshold
+        steps.append(SelectionStep(fid, current, best, accepted))
+        if not accepted:
+            break
+        selected.append(fid)
+        current = best
+    return SelectionTrace(tuple(steps), tuple(selected), cfg.objective)
+
+
+class TestSharedTable:
+    def test_trace_equals_per_candidate_crossvalidation(self, tilt_recordings):
+        cfg = config(MIXED_POOL, threshold=0.01)
+        trace = forward_select(tilt_recordings, cfg)
+        assert {"AR1", "AR2", "M0"} <= set(trace.selected)
+        assert trace == reference_select(tilt_recordings, cfg)
+
+    def test_each_recording_filtered_once_and_extracted_once_per_order(
+        self, tilt_recordings, monkeypatch
+    ):
+        calls = {"apply_filters": 0, "extract_matrix": 0}
+
+        def counted(name):
+            original = getattr(emgpr.evaluate, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(emgpr.evaluate, name, wrapper)
+
+        counted("apply_filters")
+        counted("extract_matrix")
+        trace = forward_select(tilt_recordings, config(MIXED_POOL, threshold=0.01))
+        assert len(trace.steps) > 2
+        n = len(tilt_recordings)
+        assert calls == {"apply_filters": n, "extract_matrix": 3 * n}  # AR orders 1, 2, 4
