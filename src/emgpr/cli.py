@@ -3,15 +3,17 @@
 Every run resolves its full configuration (defaults < --config file < flags),
 writes it to run.json in the output directory, and derives all randomness
 from the master seed, so `emgpr replay run.json` reproduces every output file
-bit for bit.
+bit for bit.  Each subcommand is a thin shell over one library entry point
+(`extract`/`res`/`scatter` slice one `build_table`, the sweeps call
+`sweep_window`/`sweep_snr`); option defaults come from the library's dataclasses.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .classify import ModelSpec
@@ -22,11 +24,15 @@ from .dataset import (
     load_dataset,
     save_dataset,
     separable_gain_grid,
+    separable_spec,
     separable_tilt_matrix,
+    separable_tilt_splits,
 )
 from .errors import EmgprError
 from .evaluate import (
     CSV_HEADER,
+    DEFAULT_SNR_GRID,
+    DEFAULT_WINDOW_SIZES,
     build_table,
     compare_groups,
     crossvalidate,
@@ -35,52 +41,49 @@ from .evaluate import (
     sweep_window,
 )
 from .features import (
-    CATALOG,
     FEATURE_SET_NAMES,
     FeatureSetSpec,
     Thresholds,
-    extract,
     feature_column_names,
     feature_set,
 )
-from .preprocess import FilterSpec, apply_filters, normalize_features, segment
+from .preprocess import FilterSpec, normalize_features
 from .reduce import fit_ulda, project, res_index, scatter_export
 from .selection import SelectionConfig, forward_select
 
 _COMMON_DEFAULTS = {
     "seed": 0,
-    "jobs": 1,
     "out_dir": "out",
 }
 
 _PIPELINE_DEFAULTS = {
-    "window_ms": 250.0,
-    "overlap_ms": 0.0,
-    "band": [20.0, 500.0],
-    "notch_hz": 50.0,
-    "notch_q": 30.0,
-    "filter_order": 4,
+    "window_ms": SelectionConfig.window_ms,
+    "overlap_ms": SelectionConfig.overlap_ms,
+    "band": [FilterSpec.band_low_hz, FilterSpec.band_high_hz],
+    "notch_hz": FilterSpec.notch_hz,
+    "notch_q": FilterSpec.notch_q,
+    "filter_order": FilterSpec.order,
     "feature_set": "PROPOSED",
     "features": None,
     "thresholds": None,
-    "classifier": "qda",
-    "qda_shrinkage": 1e-3,
-    "svm_sigma": 1.0,
-    "svm_c": 1.0,
-    "knn_k": 3,
+    "classifier": ModelSpec.kind,
+    "qda_shrinkage": ModelSpec.qda_shrinkage,
+    "svm_sigma": ModelSpec.svm_sigma,
+    "svm_c": ModelSpec.svm_c,
+    "knn_k": ModelSpec.knn_k,
 }
 
 _DEFAULTS = {
     "synth": {
         **_COMMON_DEFAULTS,
-        "n_subjects": 1,
-        "n_channels": 2,
-        "n_movements": 10,
-        "n_trials": 6,
-        "duration_s": 5.0,
-        "sample_rate_hz": 2000.0,
-        "band": [20.0, 500.0],
-        "gain_ratio": 2.0,
+        "n_subjects": SyntheticSpec.n_subjects,
+        "n_channels": SyntheticSpec.n_channels,
+        "n_movements": SyntheticSpec.n_movements,
+        "n_trials": SyntheticSpec.n_trials,
+        "duration_s": SyntheticSpec.duration_s,
+        "sample_rate_hz": SyntheticSpec.sample_rate_hz,
+        "band": list(SyntheticSpec.band),
+        "gain_ratio": inspect.signature(separable_spec).parameters["gain_ratio"].default,
         "class_gain_matrix": None,
         "amplitude_only": False,
     },
@@ -95,21 +98,21 @@ _DEFAULTS = {
         **_COMMON_DEFAULTS,
         **_PIPELINE_DEFAULTS,
         "manifest": None,
-        "sizes": [50.0, 100.0, 150.0, 200.0, 250.0, 300.0, 350.0],
+        "sizes": [float(v) for v in DEFAULT_WINDOW_SIZES],
     },
     "sweep-snr": {
         **_COMMON_DEFAULTS,
         **_PIPELINE_DEFAULTS,
         "manifest": None,
-        "snrs": [float(v) for v in range(21)],
+        "snrs": [float(v) for v in DEFAULT_SNR_GRID],
     },
     "select": {
         **_COMMON_DEFAULTS,
         **_PIPELINE_DEFAULTS,
         "manifest": None,
-        "pool": list(CATALOG),
-        "threshold": 0.25,
-        "objective": "f1",
+        "pool": list(SelectionConfig.pool),
+        "threshold": SelectionConfig.improvement_threshold,
+        "objective": SelectionConfig.objective,
     },
     "res": {**_COMMON_DEFAULTS, **_PIPELINE_DEFAULTS, "manifest": None},
     "scatter": {**_COMMON_DEFAULTS, **_PIPELINE_DEFAULTS, "manifest": None},
@@ -122,28 +125,33 @@ _DEFAULTS = {
 }
 
 
+def _help(text: str, default) -> str:
+    """Help text ending in a default as typed: 0.001, 250, 20 500."""
+    values = default if isinstance(default, list) else [default]
+    shown = " ".join(f"{v:g}" if isinstance(v, float) else str(v) for v in values)
+    return f"{text} (default {shown})"
+
+
 def _add_common(sp):
     sp.add_argument("--config", help="JSON file of saved options (a run.json works)")
     sp.add_argument("--seed", type=int, help="master seed; every random stage derives from it (default 0)")
-    sp.add_argument("--jobs", type=int, help="parallel workers for independent sweep points (default 1)")
     sp.add_argument("--out-dir", dest="out_dir", help="directory for all output files (default ./out)")
 
 
-def _add_pipeline(sp, with_manifest=True):
-    if with_manifest:
-        sp.add_argument("--manifest", help="path to a dataset manifest.json")
+def _add_pipeline(sp):
+    d = _PIPELINE_DEFAULTS
+    sp.add_argument("--manifest", help="path to a dataset manifest.json")
     sp.add_argument("--window-ms", dest="window_ms", type=float,
-                    help="analysis window length in ms (default 250)")
+                    help=_help("analysis window length in ms", d["window_ms"]))
     sp.add_argument("--overlap-ms", dest="overlap_ms", type=float,
-                    help="window overlap in ms; 0 gives disjoint windows (default 0)")
-    sp.add_argument("--band", type=float, nargs=2, metavar=("LOW", "HIGH"),
-                    help="bandpass edges in Hz (default 20 500)")
+                    help=_help("window overlap in ms; 0 gives disjoint windows", d["overlap_ms"]))
+    sp.add_argument("--band", type=float, nargs=2, metavar=("LOW", "HIGH"), help=_help("bandpass edges in Hz", d["band"]))
     sp.add_argument("--notch", dest="notch_hz", type=float,
-                    help="mains notch frequency in Hz (default 50)")
+                    help=_help("mains notch frequency in Hz", d["notch_hz"]))
     sp.add_argument("--notch-q", dest="notch_q", type=float,
-                    help="notch quality factor (default 30)")
+                    help=_help("notch quality factor", d["notch_q"]))
     sp.add_argument("--filter-order", dest="filter_order", type=int,
-                    help="bandpass Butterworth order (default 4)")
+                    help=_help("bandpass Butterworth order", d["filter_order"]))
     sp.add_argument("--feature-set", dest="feature_set",
                     choices=sorted(FEATURE_SET_NAMES),
                     help="named feature set; use CUSTOM with --features")
@@ -152,16 +160,17 @@ def _add_pipeline(sp, with_manifest=True):
 
 
 def _add_classifier(sp):
+    d = _PIPELINE_DEFAULTS
     sp.add_argument("--classifier", choices=["qda", "svm", "knn"],
-                    help="classifier kind (default qda)")
+                    help=_help("classifier kind", d["classifier"]))
     sp.add_argument("--qda-shrinkage", dest="qda_shrinkage", type=float,
-                    help="covariance shrinkage in [0,1] (default 1e-3)")
+                    help=_help("covariance shrinkage in [0,1]", d["qda_shrinkage"]))
     sp.add_argument("--svm-sigma", dest="svm_sigma", type=float,
-                    help="RBF kernel width (default 1)")
+                    help=_help("RBF kernel width", d["svm_sigma"]))
     sp.add_argument("--svm-c", dest="svm_c", type=float,
-                    help="SVM box constraint (default 1)")
+                    help=_help("SVM box constraint", d["svm_c"]))
     sp.add_argument("--knn-k", dest="knn_k", type=int,
-                    help="neighbor count, odd (default 3)")
+                    help=_help("neighbor count, odd", d["knn_k"]))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -171,17 +180,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    d = _DEFAULTS["synth"]
     sp = sub.add_parser("synth", help="generate a seeded synthetic dataset as CSV + manifest")
     _add_common(sp)
-    sp.add_argument("--n-subjects", dest="n_subjects", type=int, help="subjects to generate (default 1)")
-    sp.add_argument("--n-channels", dest="n_channels", type=int, help="channels per recording (default 2)")
-    sp.add_argument("--n-movements", dest="n_movements", type=int, help="movement classes, up to 10 (default 10)")
-    sp.add_argument("--n-trials", dest="n_trials", type=int, help="trials per movement (default 6)")
-    sp.add_argument("--duration-s", dest="duration_s", type=float, help="trial length in seconds (default 5)")
-    sp.add_argument("--sample-rate", dest="sample_rate_hz", type=float, help="sampling rate in Hz (default 2000)")
-    sp.add_argument("--band", type=float, nargs=2, metavar=("LOW", "HIGH"), help="noise band in Hz (default 20 500)")
+    sp.add_argument("--n-subjects", dest="n_subjects", type=int, help=_help("subjects to generate", d["n_subjects"]))
+    sp.add_argument("--n-channels", dest="n_channels", type=int, help=_help("channels per recording", d["n_channels"]))
+    sp.add_argument("--n-movements", dest="n_movements", type=int, help=_help("movement classes, up to 10", d["n_movements"]))
+    sp.add_argument("--n-trials", dest="n_trials", type=int, help=_help("trials per movement", d["n_trials"]))
+    sp.add_argument("--duration-s", dest="duration_s", type=float, help=_help("trial length in seconds", d["duration_s"]))
+    sp.add_argument("--sample-rate", dest="sample_rate_hz", type=float, help=_help("sampling rate in Hz", d["sample_rate_hz"]))
+    sp.add_argument("--band", type=float, nargs=2, metavar=("LOW", "HIGH"), help=_help("noise band in Hz", d["band"]))
     sp.add_argument("--gain-ratio", dest="gain_ratio", type=float,
-                    help="amplitude ratio between adjacent class gains (default 2)")
+                    help=_help("amplitude ratio between adjacent class gains", d["gain_ratio"]))
     sp.add_argument("--amplitude-only", dest="amplitude_only", action="store_const",
                     const=True,
                     help="make channel amplitude the only class cue "
@@ -203,15 +213,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pipeline(sp)
     _add_classifier(sp)
     sp.add_argument("--sizes", type=float, nargs="+",
-                    help="window lengths in ms (default 50..350 step 50)")
+                    help=_help("window lengths in ms", _DEFAULTS["sweep-window"]["sizes"]))
 
     sp = sub.add_parser("sweep-snr", help="evaluate across noise levels")
     _add_common(sp)
     _add_pipeline(sp)
     _add_classifier(sp)
     sp.add_argument("--snrs", type=float, nargs="+",
-                    help="SNR grid in dB (default 0..20 step 1)")
+                    help=_help("SNR grid in dB", _DEFAULTS["sweep-snr"]["snrs"]))
 
+    d = _DEFAULTS["select"]
     sp = sub.add_parser("select", help="greedy forward feature selection with audit trace")
     _add_common(sp)
     _add_pipeline(sp)
@@ -219,9 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pool", nargs="+", metavar="ID",
                     help="candidate feature ids (default: full catalog)")
     sp.add_argument("--threshold", type=float,
-                    help="minimum gain in percentage points to accept a feature (default 0.25)")
+                    help=_help("minimum gain in percentage points to accept a feature",
+                               d["threshold"]))
     sp.add_argument("--objective", choices=["f1", "macro_f1", "ovr_accuracy"],
-                    help="selection objective (default f1 = macro F1)")
+                    help=_help("selection objective; f1 is macro F1", d["objective"]))
 
     sp = sub.add_parser("res", help="per-subject cluster separability index")
     _add_common(sp)
@@ -296,13 +308,14 @@ def _filter_spec(cfg: dict) -> FilterSpec:
     )
 
 
+def _thresholds(cfg: dict) -> Thresholds:
+    return Thresholds.from_dict(cfg["thresholds"]) if cfg["thresholds"] else Thresholds()
+
+
 def _feature_spec(cfg: dict) -> FeatureSetSpec:
-    thresholds = (
-        Thresholds.from_dict(cfg["thresholds"]) if cfg["thresholds"] else Thresholds()
-    )
     if cfg["features"]:
-        return feature_set("CUSTOM", cfg["features"], thresholds)
-    return feature_set(cfg["feature_set"], thresholds=thresholds)
+        return feature_set("CUSTOM", cfg["features"], _thresholds(cfg))
+    return feature_set(cfg["feature_set"], thresholds=_thresholds(cfg))
 
 
 def _model_spec(cfg: dict) -> ModelSpec:
@@ -367,10 +380,7 @@ def _cmd_synth(cfg: dict) -> int:
         tilt_split_hz=(
             None
             if tilt is None
-            else tuple(
-                min(150.0 + 100.0 * c, 0.8 * cfg["sample_rate_hz"] / 2.0)
-                for c in range(cfg["n_channels"])
-            )
+            else separable_tilt_splits(cfg["n_channels"], cfg["sample_rate_hz"])
         ),
     )
     recordings = generate_synthetic(spec)
@@ -391,33 +401,22 @@ def _cmd_synth(cfg: dict) -> int:
     return 0
 
 
-def _pipeline_windows(cfg: dict, recordings):
-    fspec = _filter_spec(cfg)
-    for rec in recordings:
-        filtered = apply_filters(rec, fspec)
-        yield from segment(filtered, cfg["window_ms"], cfg["overlap_ms"])
-
-
 def _cmd_extract(cfg: dict) -> int:
     out = _out_dir(cfg)
-    recordings = _load_recordings(cfg)
     spec = _feature_spec(cfg)
-    meta_header = "subject,movement,trial,window"
-    rows = []
-    n_channels = None
-    for window in _pipeline_windows(cfg, recordings):
-        vec = extract(spec, window)
-        n_channels = window.n_channels
-        subject, movement, trial, idx = vec.meta
-        values = ",".join(repr(float(v)) for v in vec.values)
-        rows.append(f"{subject},{movement},{trial},{idx},{values}")
-    if n_channels is None:
-        lines = [meta_header]
-    else:
-        cols = ",".join(feature_column_names(spec, n_channels))
-        lines = [f"{meta_header},{cols}"]
-    lines.extend(rows)
-    (out / "features.csv").write_text("\n".join(lines) + "\n")
+    meta = "subject,movement,trial,window"
+    header, rows = meta, []
+    for subject, X, y, trials in _subject_matrices(cfg):
+        names = feature_column_names(spec, X.shape[1] // len(spec))
+        header = ",".join([meta] + names)
+        index = 0
+        for i in range(len(X)):
+            # a recording's windows are consecutive rows of its subject
+            same = i > 0 and (y[i], trials[i]) == (y[i - 1], trials[i - 1])
+            index = index + 1 if same else 0
+            values = ",".join(repr(float(v)) for v in X[i])
+            rows.append(f"{subject},{y[i]},{trials[i]},{index},{values}")
+    (out / "features.csv").write_text("\n".join([header] + rows) + "\n")
     _write_run(out, "extract", cfg)
     print(f"wrote {len(rows)} feature rows to {out / 'features.csv'}")
     return 0
@@ -447,60 +446,40 @@ def _cmd_evaluate(cfg: dict) -> int:
     return 0
 
 
-def _run_parallel(jobs, fn, items):
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+def _write_sweep(out: Path, subcommand: str, cfg: dict, reports) -> int:
+    """sweep_<kind>.json/.csv, run.json and one summary line per report."""
+    stem = subcommand.replace("-", "_")
+    _write_json(out / f"{stem}.json", [r.to_dict() for r in reports])
+    (out / f"{stem}.csv").write_text(_reports_csv(reports))
+    _write_run(out, subcommand, cfg)
+    for report in reports:
+        _print_summary(report)
+    return 0 if all(r.ok for r in reports) else 1
 
 
 def _cmd_sweep_window(cfg: dict) -> int:
     out = _out_dir(cfg)
-    recordings = _load_recordings(cfg)
-    spec, model, fspec = _feature_spec(cfg), _model_spec(cfg), _filter_spec(cfg)
-
-    def run(size):
-        return crossvalidate(
-            recordings, spec, model, window_ms=float(size),
-            overlap_ms=cfg["overlap_ms"], filter_spec=fspec, seed=cfg["seed"],
-        )
-
-    reports = _run_parallel(cfg["jobs"], run, cfg["sizes"])
-    _write_json(out / "sweep_window.json", [r.to_dict() for r in reports])
-    (out / "sweep_window.csv").write_text(_reports_csv(reports))
-    _write_run(out, "sweep-window", cfg)
-    for report in reports:
-        _print_summary(report)
-    return 0 if all(r.ok for r in reports) else 1
+    reports = sweep_window(
+        _load_recordings(cfg), _feature_spec(cfg), _model_spec(cfg),
+        sizes=cfg["sizes"], overlap_ms=cfg["overlap_ms"],
+        filter_spec=_filter_spec(cfg), seed=cfg["seed"],
+    )
+    return _write_sweep(out, "sweep-window", cfg, reports)
 
 
 def _cmd_sweep_snr(cfg: dict) -> int:
     out = _out_dir(cfg)
-    recordings = _load_recordings(cfg)
-    spec, model, fspec = _feature_spec(cfg), _model_spec(cfg), _filter_spec(cfg)
-
-    def run(snr):
-        return crossvalidate(
-            recordings, spec, model, window_ms=cfg["window_ms"],
-            overlap_ms=cfg["overlap_ms"], snr_db=float(snr),
-            filter_spec=fspec, seed=cfg["seed"],
-        )
-
-    reports = _run_parallel(cfg["jobs"], run, cfg["snrs"])
-    _write_json(out / "sweep_snr.json", [r.to_dict() for r in reports])
-    (out / "sweep_snr.csv").write_text(_reports_csv(reports))
-    _write_run(out, "sweep-snr", cfg)
-    for report in reports:
-        _print_summary(report)
-    return 0 if all(r.ok for r in reports) else 1
+    reports = sweep_snr(
+        _load_recordings(cfg), _feature_spec(cfg), _model_spec(cfg),
+        snrs=cfg["snrs"], window_ms=cfg["window_ms"], overlap_ms=cfg["overlap_ms"],
+        filter_spec=_filter_spec(cfg), seed=cfg["seed"],
+    )
+    return _write_sweep(out, "sweep-snr", cfg, reports)
 
 
 def _cmd_select(cfg: dict) -> int:
     out = _out_dir(cfg)
     recordings = _load_recordings(cfg)
-    thresholds = (
-        Thresholds.from_dict(cfg["thresholds"]) if cfg["thresholds"] else Thresholds()
-    )
     sel_cfg = SelectionConfig(
         pool=tuple(cfg["pool"]),
         improvement_threshold=cfg["threshold"],
@@ -508,7 +487,7 @@ def _cmd_select(cfg: dict) -> int:
         model_spec=_model_spec(cfg),
         window_ms=cfg["window_ms"],
         overlap_ms=cfg["overlap_ms"],
-        thresholds=thresholds,
+        thresholds=_thresholds(cfg),
         filter_spec=_filter_spec(cfg),
         seed=cfg["seed"],
     )
@@ -520,7 +499,7 @@ def _cmd_select(cfg: dict) -> int:
 
 
 def _subject_matrices(cfg: dict):
-    """(subject, X, y) per subject, sliced from one feature table."""
+    """(subject, X, y, trials) per subject, sliced from one feature table."""
     spec = _feature_spec(cfg)
     table = build_table(
         _load_recordings(cfg),
@@ -532,7 +511,8 @@ def _subject_matrices(cfg: dict):
         seed=cfg["seed"],
     )
     for subject in table.subjects:
-        yield subject, table.matrix(subject, spec.features), table.labels[subject]
+        yield (subject, table.matrix(subject, spec.features),
+               table.labels[subject], table.trials[subject])
 
 
 def _reduced_two_dims(X, y):
@@ -543,7 +523,7 @@ def _reduced_two_dims(X, y):
 def _cmd_res(cfg: dict) -> int:
     out = _out_dir(cfg)
     values = {}
-    for subject, X, y in _subject_matrices(cfg):
+    for subject, X, y, _ in _subject_matrices(cfg):
         values[subject] = res_index(_reduced_two_dims(X, y), y)
         print(f"{subject}: RES = {values[subject]:.4f}")
     _write_json(out / "res.json", values)
@@ -553,7 +533,7 @@ def _cmd_res(cfg: dict) -> int:
 
 def _cmd_scatter(cfg: dict) -> int:
     out = _out_dir(cfg)
-    for subject, X, y in _subject_matrices(cfg):
+    for subject, X, y, _ in _subject_matrices(cfg):
         path = out / f"scatter_{subject}.csv"
         scatter_export(_reduced_two_dims(X, y), y, path)
         print(f"wrote {len(y)} points to {path}")

@@ -86,8 +86,10 @@ class DatasetManifest:
     filename_template: str
 
     def __post_init__(self):
-        if self.layout not in ("two_channel_csv", "synthetic"):
-            raise ValueError(f"unknown layout {self.layout!r}")
+        if self.layout != "two_channel_csv":
+            raise ValueError(
+                f"unknown layout {self.layout!r}; only 'two_channel_csv' loads"
+            )
         if self.trials_per_movement < 2:
             raise ValueError("leave-one-trial-out needs >= 2 trials per movement")
         for m in self.movements:
@@ -129,7 +131,8 @@ class DatasetManifest:
 def _parse_csv(path: Path) -> np.ndarray:
     """Read a headerless numeric table, one column per channel.
 
-    Tolerates comma and/or whitespace separation and blank lines.
+    Tolerates comma and/or whitespace separation and blank lines; a cell that
+    is not a finite number (including nan and inf) raises MalformedRow.
     """
     rows = []
     expected = None
@@ -143,30 +146,27 @@ def _parse_csv(path: Path) -> np.ndarray:
             elif len(cells) != expected:
                 raise ChannelCountMismatch(path, line_no, expected, len(cells))
             try:
-                rows.append([float(c) for c in cells])
+                row = [float(c) for c in cells]
+                if not all(map(math.isfinite, row)):
+                    raise ValueError
             except ValueError:
-                bad = next(c for c in cells if not _is_number(c))
+                bad = next(c for c in cells if not _is_finite(c))
                 raise MalformedRow(path, line_no, bad) from None
+            rows.append(row)
     if not rows:
         raise MalformedRow(path, 1, "<empty file>")
     return np.asarray(rows, dtype=float).T  # -> (n_channels, n_samples)
 
 
-def _is_number(cell: str) -> bool:
+def _is_finite(cell: str) -> bool:
     try:
-        float(cell)
-        return True
+        return math.isfinite(float(cell))
     except ValueError:
         return False
 
 
 def load_dataset(manifest: DatasetManifest) -> list:
     """Load one Recording per (subject, movement, trial) the manifest declares."""
-    if manifest.layout != "two_channel_csv":
-        raise ValueError(
-            "only file-backed manifests can be loaded; build synthetic data "
-            "with generate_synthetic"
-        )
     recordings = []
     for subject in manifest.subjects:
         for movement in manifest.movements:
@@ -351,6 +351,13 @@ def separable_tilt_matrix(n_movements: int, n_channels: int) -> tuple:
     return tuple(rows)
 
 
+def separable_tilt_splits(n_channels: int, sample_rate_hz: float) -> tuple:
+    """Per-channel low/high sub-band split frequencies for the tilt mixture."""
+    return tuple(
+        min(150.0 + 100.0 * c, 0.8 * sample_rate_hz / 2.0) for c in range(n_channels)
+    )
+
+
 def separable_spec(
     n_subjects: int = 1,
     n_channels: int = 2,
@@ -371,10 +378,7 @@ def separable_spec(
         sample_rate_hz=sample_rate_hz,
         class_gain_matrix=separable_gain_grid(n_movements, n_channels, gain_ratio),
         class_tilt_matrix=separable_tilt_matrix(n_movements, n_channels),
-        tilt_split_hz=tuple(
-            min(150.0 + 100.0 * c, 0.8 * sample_rate_hz / 2.0)
-            for c in range(n_channels)
-        ),
+        tilt_split_hz=separable_tilt_splits(n_channels, sample_rate_hz),
         seed=seed,
     )
 

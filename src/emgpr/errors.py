@@ -13,7 +13,7 @@ class MissingFile(EmgprError):
 
 class MalformedRow(EmgprError):
     def __init__(self, path, line_no, cell):
-        super().__init__(f"{path}:{line_no}: cannot parse {cell!r} as a number")
+        super().__init__(f"{path}:{line_no}: cannot parse {cell!r} as a finite number")
         self.path = str(path)
         self.line_no = line_no
         self.cell = cell

@@ -27,6 +27,9 @@ from .seeding import derive_seed
 METRIC_NAMES = ("accuracy", "ovr_accuracy", "sensitivity", "specificity",
                 "precision", "f1")
 
+#: Analysis window length in ms wherever a caller does not name one.
+DEFAULT_WINDOW_MS = 250.0
+
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
@@ -386,7 +389,7 @@ def build_table(
     recordings,
     columns,
     thresholds: Thresholds = None,
-    window_ms: float = 250.0,
+    window_ms: float = DEFAULT_WINDOW_MS,
     overlap_ms: float = 0.0,
     snr_db: float = None,
     filter_spec: FilterSpec = None,
@@ -454,7 +457,7 @@ def crossvalidate(
     recordings,
     feature_set: FeatureSetSpec,
     model_spec: ModelSpec,
-    window_ms: float = 250.0,
+    window_ms: float = DEFAULT_WINDOW_MS,
     overlap_ms: float = 0.0,
     snr_db: float = None,
     filter_spec: FilterSpec = None,

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .classify import ModelSpec
-from .evaluate import build_table, crossvalidate, pool_columns
+from .evaluate import DEFAULT_WINDOW_MS, build_table, crossvalidate, pool_columns
 from .features import CATALOG, FeatureSetSpec, Thresholds
 from .preprocess import FilterSpec
 
@@ -25,7 +25,7 @@ class SelectionConfig:
     improvement_threshold: float = 0.25  # percentage points of the objective
     objective: str = "f1"  # macro F1; "ovr_accuracy" also supported
     model_spec: ModelSpec = field(default_factory=ModelSpec)
-    window_ms: float = 250.0
+    window_ms: float = DEFAULT_WINDOW_MS
     overlap_ms: float = 0.0
     thresholds: Thresholds = field(default_factory=Thresholds)
     filter_spec: FilterSpec = field(default_factory=FilterSpec)

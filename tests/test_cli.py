@@ -4,6 +4,9 @@ from pathlib import Path
 import pytest
 
 from emgpr.cli import main
+from emgpr.dataset import DatasetManifest, load_dataset
+from emgpr.features import extract_matrix, feature_set
+from emgpr.preprocess import FilterSpec, apply_filters, segment
 
 
 def run_cli(*argv):
@@ -60,6 +63,27 @@ class TestExtract:
         assert header[:4] == ["subject", "movement", "trial", "window"]
         assert len(header) == 4 + 26  # 13 features x 2 channels
         assert len(lines) - 1 == 9 * 4  # 9 trials x 4 windows of 250 ms in 1 s
+
+    def test_rows_equal_per_recording_extraction(self, small_dataset, tmp_path):
+        code = run_cli(
+            "extract", "--manifest", small_dataset, "--out-dir", tmp_path,
+            "--feature-set", "PROPOSED", "--overlap-ms", 50,
+        )
+        assert code == 0
+        rows = [
+            line.split(",")
+            for line in (tmp_path / "features.csv").read_text().splitlines()[1:]
+        ]
+        spec = feature_set("PROPOSED")
+        expected = []
+        for rec in load_dataset(DatasetManifest.load(small_dataset)):
+            windows = segment(apply_filters(rec, FilterSpec()), 250, 50)
+            for window, values in zip(windows, extract_matrix(spec, windows)):
+                meta = [str(v) for v in window.meta]
+                expected.append(meta + [repr(float(v)) for v in values])
+        assert len(rows) == len(expected) == 9 * 4
+        assert [r[:4] for r in rows] == [e[:4] for e in expected]
+        assert rows == expected
 
     def test_empty_manifest_header_only(self, tmp_path):
         manifest = {
@@ -162,12 +186,36 @@ class TestSweeps:
     def test_snr_sweep_default_emits_21(self, small_dataset, tmp_path):
         code = run_cli(
             "sweep-snr", "--manifest", small_dataset, "--out-dir", tmp_path,
-            "--feature-set", "FS2", "--jobs", 2,
+            "--feature-set", "FS2",
         )
         assert code == 0
         reports = json.loads((tmp_path / "sweep_snr.json").read_text())
         assert len(reports) == 21
         assert [r["snr_db"] for r in reports] == [float(v) for v in range(21)]
+
+
+class TestRecordedRuns:
+    def test_sweep_recorded_with_jobs_still_runs(self, small_dataset, tmp_path):
+        fresh = tmp_path / "fresh"
+        code = run_cli(
+            "sweep-snr", "--manifest", small_dataset, "--out-dir", fresh,
+            "--feature-set", "FS2", "--snrs", 5, 15,
+        )
+        assert code == 0
+        expected = (fresh / "sweep_snr.json").read_bytes()
+        run = json.loads((fresh / "run.json").read_text())
+        assert "jobs" not in run["config"]
+        run["config"]["jobs"] = 2  # as runs recorded with the old --jobs flag
+        recorded = tmp_path / "recorded.json"
+        recorded.write_text(json.dumps(run))
+
+        assert run_cli("replay", recorded, "--out-dir", tmp_path / "replayed") == 0
+        assert (tmp_path / "replayed" / "sweep_snr.json").read_bytes() == expected
+
+        configured = tmp_path / "configured"
+        assert run_cli("sweep-snr", "--config", recorded, "--out-dir", configured) == 0
+        assert (configured / "sweep_snr.json").read_bytes() == expected
+        assert "jobs" not in json.loads((configured / "run.json").read_text())["config"]
 
 
 class TestSelect:

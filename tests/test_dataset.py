@@ -217,6 +217,18 @@ class TestCsvIo:
         assert err.value.line_no == 2
         assert "oops" in str(err.value)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_file_and_line(self, tmp_path, cell):
+        # float() parses these spellings; they must not reach the features
+        (tmp_path / "S1_T_t1.csv").write_text(f"0.1,0.2\n\n0.3,0.4\n0.5,{cell}\n")
+        (tmp_path / "S1_T_t2.csv").write_text("0.1,0.2\n")
+        manifest = self._manifest(tmp_path, movements=("T",), trials=2)
+        with pytest.raises(MalformedRow) as err:
+            load_dataset(manifest)
+        assert err.value.line_no == 4  # blank lines still count
+        assert err.value.cell == cell
+        assert "S1_T_t1.csv" in err.value.path
+
     def test_channel_count_mismatch(self, tmp_path):
         (tmp_path / "S1_T_t1.csv").write_text("0.1,0.2\n0.3\n")
         (tmp_path / "S1_T_t2.csv").write_text("0.1,0.2\n")
@@ -256,13 +268,12 @@ class TestCsvIo:
         assert again == manifest
 
     def test_synthetic_layout_not_loadable(self, tmp_path):
-        manifest = DatasetManifest(
-            root_path=str(tmp_path), layout="synthetic", subjects=["S1"],
-            movements=["T"], trials_per_movement=2, sample_rate_hz=2000.0,
-            filename_template="{movement}{trial}.csv",
-        )
         with pytest.raises(ValueError):
-            load_dataset(manifest)
+            DatasetManifest(
+                root_path=str(tmp_path), layout="synthetic", subjects=["S1"],
+                movements=["T"], trials_per_movement=2, sample_rate_hz=2000.0,
+                filename_template="{movement}{trial}.csv",
+            )
 
 
 class TestRecording:
