@@ -14,6 +14,7 @@ import argparse
 import inspect
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .classify import ModelSpec
@@ -23,10 +24,7 @@ from .dataset import (
     generate_synthetic,
     load_dataset,
     save_dataset,
-    separable_gain_grid,
     separable_spec,
-    separable_tilt_matrix,
-    separable_tilt_splits,
 )
 from .errors import EmgprError
 from .evaluate import (
@@ -262,8 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
 # config plumbing
 
 
-def _resolve(subcommand: str, args: argparse.Namespace) -> dict:
+def _merge(subcommand: str, saved: dict) -> dict:
+    """The subcommand's defaults overlaid with the known keys of a saved config."""
     cfg = dict(_DEFAULTS[subcommand])
+    cfg.update((key, value) for key, value in saved.items() if key in cfg)
+    return cfg
+
+
+def _resolve(subcommand: str, args: argparse.Namespace) -> dict:
+    loaded = {}
     config_path = getattr(args, "config", None)
     if config_path:
         loaded = json.loads(Path(config_path).read_text())
@@ -274,9 +279,7 @@ def _resolve(subcommand: str, args: argparse.Namespace) -> dict:
                     f"not '{subcommand}'"
                 )
             loaded = loaded["config"]
-        for key, value in loaded.items():
-            if key in cfg:
-                cfg[key] = value
+    cfg = _merge(subcommand, loaded)
     for key in cfg:
         value = getattr(args, key, None)
         if value is not None:
@@ -355,34 +358,20 @@ def _print_summary(report) -> None:
 
 def _cmd_synth(cfg: dict) -> int:
     out = _out_dir(cfg)
-    if cfg["class_gain_matrix"] is not None:
-        gains = tuple(tuple(r) for r in cfg["class_gain_matrix"])
-    else:
-        gains = separable_gain_grid(
-            cfg["n_movements"], cfg["n_channels"], cfg["gain_ratio"]
-        )
-    tilt = (
-        None
-        if cfg["amplitude_only"]
-        else separable_tilt_matrix(cfg["n_movements"], cfg["n_channels"])
-    )
-    spec = SyntheticSpec(
+    spec = separable_spec(
         n_subjects=cfg["n_subjects"],
         n_channels=cfg["n_channels"],
         n_movements=cfg["n_movements"],
         n_trials=cfg["n_trials"],
         duration_s=cfg["duration_s"],
         sample_rate_hz=cfg["sample_rate_hz"],
-        band=tuple(cfg["band"]),
+        gain_ratio=cfg["gain_ratio"],
         seed=cfg["seed"],
-        class_gain_matrix=gains,
-        class_tilt_matrix=tilt,
-        tilt_split_hz=(
-            None
-            if tilt is None
-            else separable_tilt_splits(cfg["n_channels"], cfg["sample_rate_hz"])
-        ),
+        band=cfg["band"],
+        amplitude_only=cfg["amplitude_only"],
     )
+    if cfg["class_gain_matrix"] is not None:
+        spec = replace(spec, class_gain_matrix=tuple(map(tuple, cfg["class_gain_matrix"])))
     recordings = generate_synthetic(spec)
     manifest = DatasetManifest(
         root_path=str(out / "dataset"),
@@ -580,7 +569,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.subcommand == "replay":
         run = json.loads(Path(args.run_json).read_text())
-        cfg = run["config"]
+        cfg = _merge(run["subcommand"], run["config"])
         if args.out_dir is not None:
             cfg["out_dir"] = args.out_dir
         try:

@@ -351,13 +351,6 @@ def separable_tilt_matrix(n_movements: int, n_channels: int) -> tuple:
     return tuple(rows)
 
 
-def separable_tilt_splits(n_channels: int, sample_rate_hz: float) -> tuple:
-    """Per-channel low/high sub-band split frequencies for the tilt mixture."""
-    return tuple(
-        min(150.0 + 100.0 * c, 0.8 * sample_rate_hz / 2.0) for c in range(n_channels)
-    )
-
-
 def separable_spec(
     n_subjects: int = 1,
     n_channels: int = 2,
@@ -367,8 +360,18 @@ def separable_spec(
     sample_rate_hz: float = 2000.0,
     gain_ratio: float = 2.0,
     seed: int = 0,
+    band: tuple = SyntheticSpec.band,
+    amplitude_only: bool = False,
 ) -> SyntheticSpec:
-    """The canonical strongly-separable dataset spec (gains + spectral tilt)."""
+    """The canonical strongly-separable dataset spec: class gains on a
+    geometric grid plus, unless amplitude_only, a per-class spectral tilt."""
+    tilt = splits = None
+    if not amplitude_only:
+        tilt = separable_tilt_matrix(n_movements, n_channels)
+        # per-channel low/high sub-band split frequencies for the tilt mixture
+        splits = tuple(
+            min(150.0 + 100.0 * c, 0.8 * sample_rate_hz / 2.0) for c in range(n_channels)
+        )
     return SyntheticSpec(
         n_subjects=n_subjects,
         n_channels=n_channels,
@@ -377,8 +380,9 @@ def separable_spec(
         duration_s=duration_s,
         sample_rate_hz=sample_rate_hz,
         class_gain_matrix=separable_gain_grid(n_movements, n_channels, gain_ratio),
-        class_tilt_matrix=separable_tilt_matrix(n_movements, n_channels),
-        tilt_split_hz=separable_tilt_splits(n_channels, sample_rate_hz),
+        band=tuple(band),
+        class_tilt_matrix=tilt,
+        tilt_split_hz=splits,
         seed=seed,
     )
 

@@ -106,11 +106,8 @@ def apply_filters(rec: Recording, spec: FilterSpec = None) -> Recording:
     spec = spec or FilterSpec()
     sos, (b_notch, a_notch) = design_filters(spec, rec.sample_rate_hz)
     sos = sos.copy()  # sosfilt rejects a read-only coefficient buffer
-    out = np.empty_like(rec.channels)
-    for ch in range(rec.channels.shape[0]):
-        y = signal.sosfilt(sos, rec.channels[ch])
-        out[ch] = signal.lfilter(b_notch, a_notch, y)
-    return rec.with_channels(out)
+    y = signal.sosfilt(sos, rec.channels, axis=-1)
+    return rec.with_channels(signal.lfilter(b_notch, a_notch, y, axis=-1))
 
 
 def segment(rec: Recording, window_ms: float, overlap_ms: float = 0.0) -> list:

@@ -217,6 +217,24 @@ class TestRecordedRuns:
         assert (configured / "sweep_snr.json").read_bytes() == expected
         assert "jobs" not in json.loads((configured / "run.json").read_text())["config"]
 
+    def test_replay_fills_a_missing_key_with_its_default(self, tmp_path):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"per_subject": {"f1": {"S1": 0.9, "S2": 0.7}}}))
+        fresh = tmp_path / "fresh"
+        assert run_cli("compare", "--out-dir", fresh,
+                       "--group", report, "--group", report) == 0
+        run = json.loads((fresh / "run.json").read_text())
+        del run["config"]["comparisons"]
+        recorded = tmp_path / "recorded.json"
+        recorded.write_text(json.dumps(run))
+
+        replayed = tmp_path / "replayed"
+        assert run_cli("replay", recorded, "--out-dir", replayed) == 0
+        assert (replayed / "compare.json").read_bytes() == (fresh / "compare.json").read_bytes()
+        again = json.loads((replayed / "run.json").read_text())
+        assert again["config"] == {**run["config"], "comparisons": 1,
+                                   "out_dir": str(replayed)}
+
 
 class TestSelect:
     def test_selection_trace_written(self, small_dataset, tmp_path):

@@ -15,6 +15,7 @@ from emgpr.dataset import (
     mix_awgn,
     save_dataset,
     separable_gain_grid,
+    separable_spec,
 )
 from emgpr.errors import (
     ChannelCountMismatch,
@@ -159,6 +160,18 @@ class TestSynthetic:
             class_tilt_matrix=((0.1, 0.2), (0.3, 0.4), (0.5, 0.6))
         )
         assert SyntheticSpec.from_dict(spec.to_dict()) == spec
+
+    def test_separable_spec_takes_a_band(self):
+        # the default 20-500 Hz band reaches Nyquist at 800 Hz
+        with pytest.raises(InvalidBand):
+            separable_spec(n_movements=3, sample_rate_hz=800.0)
+        spec = separable_spec(n_movements=3, n_trials=1, duration_s=0.5,
+                              sample_rate_hz=800.0, band=(20.0, 300.0))
+        assert spec.band == (20.0, 300.0)
+        recordings = generate_synthetic(spec)
+        assert len(recordings) == 3
+        assert all(np.all(np.isfinite(r.channels)) for r in recordings)
+        assert separable_spec().band == SyntheticSpec().band
 
 
 class TestCsvIo:

@@ -6,10 +6,13 @@ import pytest
 from emgpr.errors import UnknownFeature, WindowTooShort
 from emgpr.features import (
     CATALOG,
+    FEATURE_SET_NAMES,
     FeatureSetSpec,
     Thresholds,
+    ar_coefficients,
     compute_feature,
     extract,
+    extract_matrix,
     feature_set,
     lmav,
     nsv,
@@ -211,3 +214,66 @@ class TestFeatureSets:
         spec = feature_set("PROPOSED", thresholds=Thresholds(wamp=0.05))
         again = FeatureSetSpec.from_dict(spec.to_dict())
         assert again == spec
+
+
+def branch_windows(count, n=256):
+    """Random windows of mixed scale with the kernels' branch cases at
+    positions 1-3: all zeros, a constant (var < EPS, so SKW, MOB and COM give
+    0) and, on channel 1, a slow ramp whose Levinson recursion stops after its
+    first step, next to a random channel 2."""
+    rng = np.random.default_rng(11)
+    ramp = 1e-6 * np.linspace(1.0, 2.0, n)
+    special = {
+        1: np.zeros((2, n)),
+        2: np.full((2, n), 0.5),
+        3: np.vstack([ramp, rng.standard_normal(n)]),
+    }
+    windows = []
+    for i in range(count):
+        samples = special.get(i)
+        if samples is None:
+            samples = 10.0 ** rng.uniform(-3, 1) * rng.standard_normal((2, n))
+        windows.append(make_window(samples, meta=("S1", "T", 1, i)))
+    return windows
+
+
+class TestBlockIndependence:
+    """A row of `extract_matrix` depends on its window only: never on the
+    other windows of its block, the block size or the row's position."""
+
+    SETS = [feature_set(name) for name in FEATURE_SET_NAMES if name != "CUSTOM"] + [
+        feature_set("CUSTOM", [fid]) for fid in CATALOG
+    ]
+
+    def test_branch_cases_are_reached(self):
+        windows = branch_windows(4)
+        coefficients = ar_coefficients(windows[3].samples[0], 4)
+        assert coefficients[0] != 0.0 and not coefficients[1:].any()
+        for fid in ("SKW", "MOB", "COM"):
+            assert compute_feature(fid, windows[2].samples[0]) == 0.0
+
+    @pytest.mark.parametrize("count", [1, 7, 300])
+    def test_rows_equal_single_window_and_cell_calls(self, count):
+        windows = branch_windows(count)
+        for spec in self.SETS:
+            th = spec.thresholds
+            order = max((int(f[2:]) for f in spec.features if f.startswith("AR")), default=0)
+            matrix = extract_matrix(spec, windows)
+            assert matrix.shape == (count, 2 * len(spec))
+            for row, window in zip(matrix, windows):
+                assert np.array_equal(row, extract(spec, window).values), spec.features
+                cells = row.reshape(2, len(spec))
+                for ch, x in enumerate(window.samples):
+                    for value, fid in zip(cells[ch], spec.features):
+                        # a set reads its AR lags off one fit at its largest lag
+                        want = (ar_coefficients(x, order)[int(fid[2:]) - 1]
+                                if fid.startswith("AR") else compute_feature(fid, x, th))
+                        assert value == want, (spec.features, fid)
+
+    def test_mixed_window_lengths(self):
+        spec = feature_set("PROPOSED")
+        windows = [w if i % 3 else make_window(w.samples[:, :100], meta=w.meta)
+                   for i, w in enumerate(branch_windows(20))]
+        matrix = extract_matrix(spec, windows)
+        for row, window in zip(matrix, windows):
+            assert np.array_equal(row, extract(spec, window).values)

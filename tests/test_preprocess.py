@@ -71,6 +71,14 @@ class TestFilters:
             with pytest.raises(ValueError):
                 coefficients[0] = 0.0
 
+    def test_channels_filtered_together_equal_per_channel_loop(self):
+        rng = np.random.default_rng(4)
+        rec = Recording("S1", "T", 1, 2000.0, rng.standard_normal((3, 3000)))
+        sos, (b, a) = design_filters(FilterSpec(), 2000.0)
+        loop = np.array([sps.lfilter(b, a, sps.sosfilt(sos.copy(), ch))
+                         for ch in rec.channels])
+        assert np.array_equal(apply_filters(rec).channels, loop)
+
     def test_length_preserved_and_linear(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(4000)
