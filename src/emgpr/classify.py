@@ -8,14 +8,18 @@ KNN memorizes the training set and votes over cityblock neighbors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import DegenerateClasses, DimensionMismatch, SingularCovariance
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
+
+#: SMO stopping rule: KKT tolerance, and the work cap in sweeps of n pair updates.
+SVM_TOL = 1e-3
+SVM_MAX_PASSES = 10
 
 _KIND_ALIASES = {"qda": "qda", "svm": "svm", "svm_rbf": "svm", "knn": "knn"}
 
@@ -24,13 +28,9 @@ _KIND_ALIASES = {"qda": "qda", "svm": "svm", "svm_rbf": "svm", "knn": "knn"}
 class ModelSpec:
     kind: str = "qda"
     qda_shrinkage: float = 1e-3
-    qda_pooled: bool = False
     svm_sigma: float = 1.0
     svm_c: float = 1.0
-    svm_tol: float = 1e-3
-    svm_max_passes: int = 10
     knn_k: int = 3
-    knn_metric: str = "cityblock"
 
     def __post_init__(self):
         kind = _KIND_ALIASES.get(self.kind.lower())
@@ -43,25 +43,9 @@ class ModelSpec:
             raise ValueError("svm_sigma and svm_c must be positive")
         if self.knn_k < 1 or self.knn_k % 2 == 0:
             raise ValueError("knn_k must be a positive odd integer")
-        if self.knn_metric not in ("cityblock", "euclidean"):
-            raise ValueError(f"unknown knn metric {self.knn_metric!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "qda_shrinkage": self.qda_shrinkage,
-            "qda_pooled": self.qda_pooled,
-            "svm_sigma": self.svm_sigma,
-            "svm_c": self.svm_c,
-            "svm_tol": self.svm_tol,
-            "svm_max_passes": self.svm_max_passes,
-            "knn_k": self.knn_k,
-            "knn_metric": self.knn_metric,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelSpec":
-        return cls(**d)
+        return asdict(self)
 
 
 def _check_classes(y, declared):
@@ -80,6 +64,16 @@ def _check_classes(y, declared):
     return classes
 
 
+def _query_rows(X, d_in: int):
+    """The predict input contract: X as float rows of width d_in, plus
+    whether X was a single vector whose one label is returned unwrapped."""
+    X = np.asarray(X, dtype=float)
+    rows = np.atleast_2d(X)
+    if rows.shape[1] != d_in:
+        raise DimensionMismatch(f"expected {d_in} features, got {rows.shape[1]}")
+    return rows, X.ndim == 1
+
+
 # ---------------------------------------------------------------------------
 # QDA
 
@@ -87,13 +81,12 @@ def _check_classes(y, declared):
 class QdaModel:
     kind = "qda"
 
-    def __init__(self, classes, priors, means, chols, logdets, pooled):
+    def __init__(self, classes, priors, means, chols, logdets):
         self.classes = classes
         self.priors = priors
         self.means = means
         self.chols = chols  # lower Cholesky factor per class
         self.logdets = logdets
-        self.pooled = pooled
 
     @property
     def d_in(self) -> int:
@@ -113,14 +106,8 @@ class QdaModel:
         return scores
 
     def predict(self, X: np.ndarray):
-        X = np.asarray(X, dtype=float)
-        one = X.ndim == 1
-        X2 = np.atleast_2d(X)
-        if X2.shape[1] != self.d_in:
-            raise DimensionMismatch(
-                f"expected {self.d_in} features, got {X2.shape[1]}"
-            )
-        labels = self.classes[np.argmax(self.decision_values(X2), axis=1)]
+        X, one = _query_rows(X, self.d_in)
+        labels = self.classes[np.argmax(self.decision_values(X), axis=1)]
         return labels[0] if one else labels
 
     def to_dict(self) -> dict:
@@ -132,7 +119,6 @@ class QdaModel:
             "means": self.means.tolist(),
             "chols": [c.tolist() for c in self.chols],
             "logdets": [float(v) for v in self.logdets],
-            "pooled": self.pooled,
         }
 
     @classmethod
@@ -143,7 +129,6 @@ class QdaModel:
             means=np.asarray(d["means"], dtype=float),
             chols=[np.asarray(c, dtype=float) for c in d["chols"]],
             logdets=list(d["logdets"]),
-            pooled=bool(d["pooled"]),
         )
 
 
@@ -153,19 +138,12 @@ def _shrink(cov: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def _train_qda(spec: ModelSpec, X, y, classes) -> QdaModel:
-    n, d = X.shape
-    means, covs, priors = [], [], []
+    means, priors, chols, logdets = [], [], [], []
     for c in classes:
         Xk = X[y == c]
         means.append(Xk.mean(axis=0))
-        covs.append(np.atleast_2d(np.cov(Xk, rowvar=False, ddof=1)))
-        priors.append(len(Xk) / n)
-    if spec.qda_pooled:
-        weights = [p * n - 1 for p in priors]
-        pooled = sum(w * c for w, c in zip(weights, covs)) / sum(weights)
-        covs = [pooled] * len(classes)
-    chols, logdets = [], []
-    for c, cov in zip(classes, covs):
+        priors.append(len(Xk) / len(X))
+        cov = np.atleast_2d(np.cov(Xk, rowvar=False, ddof=1))
         cov = _shrink(cov, spec.qda_shrinkage)
         try:
             chol = np.linalg.cholesky(cov)
@@ -182,7 +160,6 @@ def _train_qda(spec: ModelSpec, X, y, classes) -> QdaModel:
         means=np.asarray(means),
         chols=chols,
         logdets=logdets,
-        pooled=spec.qda_pooled,
     )
 
 
@@ -257,30 +234,20 @@ class SvmModel:
         self.converged = converged
         self.d_in = d_in
 
-    def _pair_decision(self, machine, X):
-        sv, coef, b = machine
-        return rbf_kernel(X, sv, self.sigma) @ coef + b
-
     def predict(self, X: np.ndarray):
-        X = np.asarray(X, dtype=float)
-        one = X.ndim == 1
-        X2 = np.atleast_2d(X)
-        if X2.shape[1] != self.d_in:
-            raise DimensionMismatch(
-                f"expected {self.d_in} features, got {X2.shape[1]}"
-            )
+        X, one = _query_rows(X, self.d_in)
         k = len(self.classes)
-        votes = np.zeros((X2.shape[0], k), dtype=int)
-        scores = np.zeros((X2.shape[0], k))
-        for (i, j), machine in self.machines.items():
-            f = self._pair_decision(machine, X2)
+        votes = np.zeros((X.shape[0], k), dtype=int)
+        scores = np.zeros((X.shape[0], k))
+        for (i, j), (sv, coef, b) in self.machines.items():
+            f = rbf_kernel(X, sv, self.sigma) @ coef + b
             winner_i = f > 0
             votes[:, i] += winner_i
             votes[:, j] += ~winner_i
             scores[:, i] += f
             scores[:, j] -= f
-        labels = np.empty(X2.shape[0], dtype=self.classes.dtype)
-        for row in range(X2.shape[0]):
+        labels = np.empty(X.shape[0], dtype=self.classes.dtype)
+        for row in range(X.shape[0]):
             leaders = np.flatnonzero(votes[row] == votes[row].max())
             if len(leaders) > 1:
                 # vote tie: decide by the summed decision values
@@ -335,7 +302,7 @@ def _train_svm(spec: ModelSpec, X, y, classes) -> SvmModel:
             Xp = X[mask]
             yp = np.where(y[mask] == classes[i], 1.0, -1.0)
             K = rbf_kernel(Xp, Xp, spec.svm_sigma)
-            alpha, b, ok = _smo(K, yp, spec.svm_c, spec.svm_tol, spec.svm_max_passes)
+            alpha, b, ok = _smo(K, yp, spec.svm_c, SVM_TOL, SVM_MAX_PASSES)
             converged = converged and ok
             keep = alpha > 1e-12
             machines[(i, j)] = (Xp[keep], alpha[keep] * yp[keep], b)
@@ -355,30 +322,20 @@ def _train_svm(spec: ModelSpec, X, y, classes) -> SvmModel:
 class KnnModel:
     kind = "knn"
 
-    def __init__(self, X, y, k, metric):
+    def __init__(self, X, y, k):
         self.X = X
         self.y = y
         self.k = k
-        self.metric = metric
 
     @property
     def d_in(self) -> int:
         return self.X.shape[1]
 
     def predict(self, X: np.ndarray):
-        X = np.asarray(X, dtype=float)
-        one = X.ndim == 1
-        X2 = np.atleast_2d(X)
-        if X2.shape[1] != self.d_in:
-            raise DimensionMismatch(
-                f"expected {self.d_in} features, got {X2.shape[1]}"
-            )
-        labels = np.empty(X2.shape[0], dtype=self.y.dtype)
-        for row, x in enumerate(X2):
-            if self.metric == "cityblock":
-                dists = np.sum(np.abs(self.X - x), axis=1)
-            else:
-                dists = np.sqrt(np.sum((self.X - x) ** 2, axis=1))
+        X, one = _query_rows(X, self.d_in)
+        labels = np.empty(X.shape[0], dtype=self.y.dtype)
+        for row, x in enumerate(X):
+            dists = np.sum(np.abs(self.X - x), axis=1)
             order = np.argsort(dists, kind="stable")[: self.k]
             nearest_labels = self.y[order]
             uniq, counts = np.unique(nearest_labels, return_counts=True)
@@ -395,7 +352,6 @@ class KnnModel:
             "X": self.X.tolist(),
             "y": [str(v) for v in self.y],
             "k": self.k,
-            "metric": self.metric,
         }
 
     @classmethod
@@ -404,12 +360,22 @@ class KnnModel:
             X=np.asarray(d["X"], dtype=float),
             y=np.asarray(d["y"]),
             k=int(d["k"]),
-            metric=d["metric"],
         )
+
+
+def _train_knn(spec: ModelSpec, X, y, classes) -> KnnModel:
+    return KnnModel(X=X.copy(), y=y.copy(), k=spec.knn_k)
 
 
 # ---------------------------------------------------------------------------
 # public interface
+
+#: kind -> (trainer, model class)
+_KINDS = {
+    "qda": (_train_qda, QdaModel),
+    "svm": (_train_svm, SvmModel),
+    "knn": (_train_knn, KnnModel),
+}
 
 
 def train(spec: ModelSpec, X: np.ndarray, y, classes=None):
@@ -418,12 +384,8 @@ def train(spec: ModelSpec, X: np.ndarray, y, classes=None):
     y = np.asarray(y)
     if X.ndim != 2 or len(X) != len(y):
         raise ValueError("X must be (n_samples, d) aligned with y")
-    cls = _check_classes(y, classes)
-    if spec.kind == "qda":
-        return _train_qda(spec, X, y, cls)
-    if spec.kind == "svm":
-        return _train_svm(spec, X, y, cls)
-    return KnnModel(X=X.copy(), y=y.copy(), k=spec.knn_k, metric=spec.knn_metric)
+    trainer, _ = _KINDS[spec.kind]
+    return trainer(spec, X, y, _check_classes(y, classes))
 
 
 def predict(model, x):
@@ -438,11 +400,7 @@ def model_to_dict(model) -> dict:
 def model_from_dict(d: dict):
     if d.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format {d.get('format_version')!r}")
-    kind = d["kind"]
-    if kind == "qda":
-        return QdaModel.from_dict(d)
-    if kind == "svm":
-        return SvmModel.from_dict(d)
-    if kind == "knn":
-        return KnnModel.from_dict(d)
-    raise ValueError(f"unknown model kind {kind!r}")
+    if d.get("kind") not in _KINDS:
+        raise ValueError(f"unknown model kind {d.get('kind')!r}")
+    _, model_class = _KINDS[d["kind"]]
+    return model_class.from_dict(d)

@@ -38,7 +38,6 @@ class Recording:
     trial: int
     sample_rate_hz: float
     channels: np.ndarray  # (n_channels, n_samples)
-    units: str = "V"
 
     def __post_init__(self):
         if self.movement not in MOVEMENTS:
@@ -222,7 +221,8 @@ class SyntheticSpec:
     class-specific mixture of a low and a high sub-band (weight = tilt), so
     classes also differ spectrally, the way distinct movements recruit
     different motor-unit populations; leave it None for classes whose only
-    cue is channel amplitude.
+    cue is channel amplitude.  tilt_split_hz defaults to 150 + 100 c Hz for
+    channel c, capped at 0.8 of Nyquist.
     """
 
     n_subjects: int = 1
@@ -268,10 +268,11 @@ class SyntheticSpec:
                 raise ValueError("tilt weights must lie in [0, 1]")
             splits = self.tilt_split_hz
             if splits is None:
-                step = (high - low) / (self.n_channels + 1)
-                splits = tuple(low + step * (c + 1) for c in range(self.n_channels))
-            else:
-                splits = tuple(float(v) for v in splits)
+                splits = tuple(
+                    min(150.0 + 100.0 * c, 0.8 * self.sample_rate_hz / 2.0)
+                    for c in range(self.n_channels)
+                )
+            splits = tuple(float(v) for v in splits)
             if len(splits) != self.n_channels or any(
                 not low < v < high for v in splits
             ):
@@ -352,26 +353,20 @@ def separable_tilt_matrix(n_movements: int, n_channels: int) -> tuple:
 
 
 def separable_spec(
-    n_subjects: int = 1,
-    n_channels: int = 2,
-    n_movements: int = 10,
-    n_trials: int = 6,
-    duration_s: float = 5.0,
-    sample_rate_hz: float = 2000.0,
+    n_subjects: int = SyntheticSpec.n_subjects,
+    n_channels: int = SyntheticSpec.n_channels,
+    n_movements: int = SyntheticSpec.n_movements,
+    n_trials: int = SyntheticSpec.n_trials,
+    duration_s: float = SyntheticSpec.duration_s,
+    sample_rate_hz: float = SyntheticSpec.sample_rate_hz,
     gain_ratio: float = 2.0,
-    seed: int = 0,
+    seed: int = SyntheticSpec.seed,
     band: tuple = SyntheticSpec.band,
     amplitude_only: bool = False,
 ) -> SyntheticSpec:
     """The canonical strongly-separable dataset spec: class gains on a
     geometric grid plus, unless amplitude_only, a per-class spectral tilt."""
-    tilt = splits = None
-    if not amplitude_only:
-        tilt = separable_tilt_matrix(n_movements, n_channels)
-        # per-channel low/high sub-band split frequencies for the tilt mixture
-        splits = tuple(
-            min(150.0 + 100.0 * c, 0.8 * sample_rate_hz / 2.0) for c in range(n_channels)
-        )
+    tilt = None if amplitude_only else separable_tilt_matrix(n_movements, n_channels)
     return SyntheticSpec(
         n_subjects=n_subjects,
         n_channels=n_channels,
@@ -382,7 +377,6 @@ def separable_spec(
         class_gain_matrix=separable_gain_grid(n_movements, n_channels, gain_ratio),
         band=tuple(band),
         class_tilt_matrix=tilt,
-        tilt_split_hz=splits,
         seed=seed,
     )
 
@@ -455,10 +449,13 @@ def mix_awgn(rec: Recording, snr_db: float, seed: int) -> Recording:
 
     The noise power is derived from the measured power of each channel
     (noise_power = mean(x^2) / 10^(snr_db/10)), matching the convention of
-    the usual 'measured'-mode mixer.  snr_db = inf returns the input as is.
+    the usual 'measured'-mode mixer.  snr_db = inf returns the input as is;
+    NaN and -inf raise ValueError.
     """
     if snr_db == NO_MIX:
         return rec
+    if not math.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite or inf, got {snr_db!r}")
     rng = np.random.default_rng(seed)
     out = np.empty_like(rec.channels)
     for ch in range(rec.n_channels):

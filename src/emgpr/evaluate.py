@@ -213,9 +213,7 @@ class EvalReport:
             "classifier": self.classifier,
             "window_ms": self.window_ms,
             "overlap_ms": self.overlap_ms,
-            "snr_db": None if self.snr_db is None else (
-                "inf" if math.isinf(self.snr_db) else self.snr_db
-            ),
+            "snr_db": self.snr_db,
             "seed": self.seed,
             "config": self.config,
             "summary": {
@@ -398,7 +396,7 @@ def build_table(
     """Mix noise, filter, segment and extract every recording once.
 
     `columns` are (feature id, AR fit order) keys, see `set_columns` and
-    `pool_columns`.  When snr_db is given and finite, calibrated white noise
+    `pool_columns`.  When snr_db is given and not inf, calibrated white noise
     is mixed into the raw recordings (seeded per subject/movement/trial)
     before filtering.
     """
@@ -550,9 +548,7 @@ def crossvalidate(
             "filter": filter_spec.to_dict(),
             "window_ms": float(window_ms),
             "overlap_ms": float(overlap_ms),
-            "snr_db": None if snr_db is None else (
-                "inf" if math.isinf(snr_db) else float(snr_db)
-            ),
+            "snr_db": snr_db,
             "seed": seed,
         },
         folds=tuple(folds),

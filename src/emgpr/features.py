@@ -409,10 +409,6 @@ def compute_feature(fid: str, x: np.ndarray, thresholds: Thresholds = None) -> f
     return float(_evaluate((fid,), thresholds or Thresholds(), _row(x))[0, 0])
 
 
-def mav(x: np.ndarray) -> float:
-    return compute_feature("MAV", x)
-
-
 def lmav(x: np.ndarray) -> float:
     """Log-compressed mean absolute value: ln sqrt(MAV), clamped at EPS."""
     return compute_feature("LMAV", x)

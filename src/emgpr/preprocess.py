@@ -46,10 +46,6 @@ class FilterSpec:
             "order": self.order,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FilterSpec":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class Window:

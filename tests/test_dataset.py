@@ -16,6 +16,7 @@ from emgpr.dataset import (
     save_dataset,
     separable_gain_grid,
     separable_spec,
+    separable_tilt_matrix,
 )
 from emgpr.errors import (
     ChannelCountMismatch,
@@ -172,6 +173,12 @@ class TestSynthetic:
         assert len(recordings) == 3
         assert all(np.all(np.isfinite(r.channels)) for r in recordings)
         assert separable_spec().band == SyntheticSpec().band
+
+    def test_separable_spec_defaults_are_the_dataclass_defaults(self):
+        # tilt splits included: a tilted spec without splits gets the same ones
+        assert separable_spec() == SyntheticSpec(
+            class_tilt_matrix=separable_tilt_matrix(10, 2)
+        )
 
 
 class TestCsvIo:

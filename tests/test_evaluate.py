@@ -16,6 +16,7 @@ from emgpr import (
     feature_set,
     generate_synthetic,
     metrics,
+    mix_awgn,
     pool_columns,
     segment,
     separable_gain_grid,
@@ -187,6 +188,18 @@ class TestCrossvalidate:
         assert json.dumps(plain.to_dict(), sort_keys=True) == json.dumps(
             sentinel.to_dict(), sort_keys=True
         )
+
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    def test_non_finite_snr_rejected(self, snr_db):
+        recs = quick_dataset(n_movements=2, n_trials=2, duration_s=0.5)
+        args = (feature_set("FS2"), ModelSpec(kind="qda"))
+        for call in (
+            lambda: mix_awgn(recs[0], snr_db, seed=0),
+            lambda: crossvalidate(recs, *args, snr_db=snr_db),
+            lambda: sweep_snr(recs, *args, snrs=(snr_db,)),
+        ):
+            with pytest.raises(ValueError, match="snr_db"):
+                call()
 
     def test_leak_freedom_fitted_params_ignore_test_trial(self):
         recs = quick_dataset()
