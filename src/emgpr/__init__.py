@@ -1,7 +1,8 @@
 """emgpr: two-channel surface-EMG movement recognition toolkit.
 
 Pipeline pieces, usable separately or through `emgpr.evaluate.crossvalidate`
-(whose feature table, `build_table`, can be shared by several feature sets):
+(whose feature table, `build_table`, can be shared by several feature sets,
+and whose folds each fit one `Pipeline` with `fit_pipeline`):
 recordings (load/synthesize/mix noise) -> causal bandpass+notch -> disjoint
 windows -> time-domain features (incl. the log-compressed LMAV/NSV pair) ->
 min-max scaling -> uncorrelated LDA -> QDA / RBF-SVM / KNN -> trial-wise
@@ -43,7 +44,6 @@ from .features import (
     feature_set,
     lmav,
     nsv,
-    tdpsd,
     with_lmav_nsv,
 )
 from .reduce import (
@@ -54,15 +54,17 @@ from .reduce import (
     res_index_general,
     scatter_export,
 )
-from .classify import ModelSpec, model_from_dict, model_to_dict, predict, train
+from .classify import ModelSpec, predict, train
 from .evaluate import (
     ConfusionMatrix,
     EvalReport,
     FeatureTable,
     Metrics,
+    Pipeline,
     build_table,
     compare_groups,
     crossvalidate,
+    fit_pipeline,
     metrics,
     pool_columns,
     set_columns,

@@ -15,8 +15,6 @@ from scipy.linalg import solve_triangular
 
 from .errors import DegenerateClasses, DimensionMismatch, SingularCovariance
 
-MODEL_FORMAT_VERSION = 2
-
 #: SMO stopping rule: KKT tolerance, and the work cap in sweeps of n pair updates.
 SVM_TOL = 1e-3
 SVM_MAX_PASSES = 10
@@ -79,8 +77,6 @@ def _query_rows(X, d_in: int):
 
 
 class QdaModel:
-    kind = "qda"
-
     def __init__(self, classes, priors, means, chols, logdets):
         self.classes = classes
         self.priors = priors
@@ -109,27 +105,6 @@ class QdaModel:
         X, one = _query_rows(X, self.d_in)
         labels = self.classes[np.argmax(self.decision_values(X), axis=1)]
         return labels[0] if one else labels
-
-    def to_dict(self) -> dict:
-        return {
-            "format_version": MODEL_FORMAT_VERSION,
-            "kind": self.kind,
-            "classes": [str(c) for c in self.classes],
-            "priors": self.priors.tolist(),
-            "means": self.means.tolist(),
-            "chols": [c.tolist() for c in self.chols],
-            "logdets": [float(v) for v in self.logdets],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QdaModel":
-        return cls(
-            classes=np.asarray(d["classes"]),
-            priors=np.asarray(d["priors"], dtype=float),
-            means=np.asarray(d["means"], dtype=float),
-            chols=[np.asarray(c, dtype=float) for c in d["chols"]],
-            logdets=list(d["logdets"]),
-        )
 
 
 def _shrink(cov: np.ndarray, gamma: float) -> np.ndarray:
@@ -225,8 +200,6 @@ def _smo(K: np.ndarray, y: np.ndarray, c: float, tol: float, max_passes: int):
 
 
 class SvmModel:
-    kind = "svm"
-
     def __init__(self, classes, sigma, machines, converged, d_in):
         self.classes = classes
         self.sigma = sigma
@@ -254,43 +227,6 @@ class SvmModel:
                 leaders = leaders[[np.argmax(scores[row, leaders])]]
             labels[row] = self.classes[leaders[0]]
         return labels[0] if one else labels
-
-    def to_dict(self) -> dict:
-        return {
-            "format_version": MODEL_FORMAT_VERSION,
-            "kind": self.kind,
-            "classes": [str(c) for c in self.classes],
-            "sigma": self.sigma,
-            "d_in": self.d_in,
-            "converged": self.converged,
-            "machines": [
-                {
-                    "pair": [int(i), int(j)],
-                    "support_vectors": sv.tolist(),
-                    "dual_coef": coef.tolist(),
-                    "bias": float(b),
-                }
-                for (i, j), (sv, coef, b) in sorted(self.machines.items())
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SvmModel":
-        machines = {
-            tuple(m["pair"]): (
-                np.asarray(m["support_vectors"], dtype=float),
-                np.asarray(m["dual_coef"], dtype=float),
-                float(m["bias"]),
-            )
-            for m in d["machines"]
-        }
-        return cls(
-            classes=np.asarray(d["classes"]),
-            sigma=float(d["sigma"]),
-            machines=machines,
-            converged=bool(d["converged"]),
-            d_in=int(d["d_in"]),
-        )
 
 
 def _train_svm(spec: ModelSpec, X, y, classes) -> SvmModel:
@@ -320,8 +256,6 @@ def _train_svm(spec: ModelSpec, X, y, classes) -> SvmModel:
 
 
 class KnnModel:
-    kind = "knn"
-
     def __init__(self, X, y, k):
         self.X = X
         self.y = y
@@ -345,23 +279,6 @@ class KnnModel:
             labels[row] = leaders[0] if len(leaders) == 1 else nearest_labels[0]
         return labels[0] if one else labels
 
-    def to_dict(self) -> dict:
-        return {
-            "format_version": MODEL_FORMAT_VERSION,
-            "kind": self.kind,
-            "X": self.X.tolist(),
-            "y": [str(v) for v in self.y],
-            "k": self.k,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "KnnModel":
-        return cls(
-            X=np.asarray(d["X"], dtype=float),
-            y=np.asarray(d["y"]),
-            k=int(d["k"]),
-        )
-
 
 def _train_knn(spec: ModelSpec, X, y, classes) -> KnnModel:
     return KnnModel(X=X.copy(), y=y.copy(), k=spec.knn_k)
@@ -370,12 +287,8 @@ def _train_knn(spec: ModelSpec, X, y, classes) -> KnnModel:
 # ---------------------------------------------------------------------------
 # public interface
 
-#: kind -> (trainer, model class)
-_KINDS = {
-    "qda": (_train_qda, QdaModel),
-    "svm": (_train_svm, SvmModel),
-    "knn": (_train_knn, KnnModel),
-}
+#: kind -> trainer
+_KINDS = {"qda": _train_qda, "svm": _train_svm, "knn": _train_knn}
 
 
 def train(spec: ModelSpec, X: np.ndarray, y, classes=None):
@@ -384,23 +297,9 @@ def train(spec: ModelSpec, X: np.ndarray, y, classes=None):
     y = np.asarray(y)
     if X.ndim != 2 or len(X) != len(y):
         raise ValueError("X must be (n_samples, d) aligned with y")
-    trainer, _ = _KINDS[spec.kind]
-    return trainer(spec, X, y, _check_classes(y, classes))
+    return _KINDS[spec.kind](spec, X, y, _check_classes(y, classes))
 
 
 def predict(model, x):
     """Predict label(s) for one vector or a matrix of samples."""
     return model.predict(x)
-
-
-def model_to_dict(model) -> dict:
-    return model.to_dict()
-
-
-def model_from_dict(d: dict):
-    if d.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format {d.get('format_version')!r}")
-    if d.get("kind") not in _KINDS:
-        raise ValueError(f"unknown model kind {d.get('kind')!r}")
-    _, model_class = _KINDS[d["kind"]]
-    return model_class.from_dict(d)

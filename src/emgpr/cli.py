@@ -374,7 +374,7 @@ def _cmd_synth(cfg: dict) -> int:
         spec = replace(spec, class_gain_matrix=tuple(map(tuple, cfg["class_gain_matrix"])))
     recordings = generate_synthetic(spec)
     manifest = DatasetManifest(
-        root_path=str(out / "dataset"),
+        root_path=str((out / "dataset").absolute()),
         layout="two_channel_csv",
         subjects=sorted({r.subject_id for r in recordings}),
         movements=[m for m in dict.fromkeys(r.movement for r in recordings)],
@@ -569,18 +569,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.subcommand == "replay":
         run = json.loads(Path(args.run_json).read_text())
-        cfg = _merge(run["subcommand"], run["config"])
+        subcommand = run["subcommand"]
+        cfg = _merge(subcommand, run["config"])
         if args.out_dir is not None:
             cfg["out_dir"] = args.out_dir
-        try:
-            return _HANDLERS[run["subcommand"]](cfg)
-        except EmgprError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    cfg = _resolve(args.subcommand, args)
+    else:
+        subcommand = args.subcommand
+        cfg = _resolve(subcommand, args)
     try:
-        return _HANDLERS[args.subcommand](cfg)
-    except EmgprError as exc:
+        return _HANDLERS[subcommand](cfg)
+    except (EmgprError, ValueError) as exc:
+        # a library error, or a library validation of a configured value
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,9 +3,10 @@
 crossvalidate runs in two stages: build_table mixes noise, filters, segments
 and extracts every recording once into a FeatureTable, and the fold loop
 fits on a column slice of that table, so several feature sets can be scored
-against one table.  Each fold holds one trial of every movement out; min-max
-bounds, the ULDA projection and the classifier are all fitted on the
-training folds only, so no test information leaks into the fitted pipeline.
+against one table.  Each fold holds one trial of every movement out and
+fits one Pipeline (min-max bounds, the ULDA projection and the classifier)
+with fit_pipeline on the training folds only, so no test information leaks
+into the fitted chain.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .classify import ModelSpec, train
 from .dataset import MOVEMENTS, NO_MIX, mix_awgn
 from .errors import EmgprError, EmptyMatrix, InsufficientGroups
 from .features import FeatureSetSpec, Thresholds, extract_matrix
-from .preprocess import FilterSpec, apply_filters, normalize_features, segment
-from .reduce import fit_ulda, project
+from .preprocess import FilterSpec, MinMax, apply_filters, normalize_features, segment
+from .reduce import UldaProjection, fit_ulda, project
 from .seeding import derive_seed
 
 METRIC_NAMES = ("accuracy", "ovr_accuracy", "sensitivity", "specificity",
@@ -155,6 +156,35 @@ def metrics(cm: ConfusionMatrix) -> Metrics:
 
 
 # ---------------------------------------------------------------------------
+# fitted chain
+
+
+@dataclass(frozen=True)
+class Pipeline:
+    """The chain fitted on training rows: min-max bounds, then the ULDA
+    projection, then the classifier (a QDA, SVM or KNN model)."""
+
+    bounds: MinMax
+    projection: UldaProjection
+    model: object
+
+    def predict(self, rows: np.ndarray) -> np.ndarray:
+        """Labels of a (rows, features) matrix scaled, clipped and projected
+        with the training fit."""
+        norm, _ = normalize_features(rows, self.bounds)
+        return self.model.predict(project(self.projection, norm))
+
+
+def fit_pipeline(X: np.ndarray, y, model_spec: ModelSpec, classes=None) -> Pipeline:
+    """Fit min-max bounds, ULDA and the classifier on training rows only;
+    `classes` is the label order handed to `train`."""
+    norm, bounds = normalize_features(X)
+    projection = fit_ulda(norm, y)
+    model = train(model_spec, project(projection, norm), y, classes=classes)
+    return Pipeline(bounds=bounds, projection=projection, model=model)
+
+
+# ---------------------------------------------------------------------------
 # cross-validation
 
 
@@ -164,7 +194,6 @@ class FoldEval:
     fold_trial: int
     confusion: ConfusionMatrix
     scores: Metrics
-    fitted: dict = None  # minmax bounds + projection when requested; not serialized
 
 
 @dataclass(frozen=True)
@@ -460,7 +489,6 @@ def crossvalidate(
     snr_db: float = None,
     filter_spec: FilterSpec = None,
     seed: int = 0,
-    keep_fitted: bool = False,
 ) -> EvalReport:
     """Leave-one-trial-out evaluation over every subject in the dataset.
 
@@ -502,16 +530,10 @@ def crossvalidate(
             train_mask = trial_ids != held_out
             test_mask = ~train_mask
             try:
-                norm_train, bounds = normalize_features(X[train_mask])
-                norm_test, _ = normalize_features(X[test_mask], bounds)
-                projection = fit_ulda(norm_train, y[train_mask])
-                model = train(
-                    model_spec,
-                    project(projection, norm_train),
-                    y[train_mask],
-                    classes=labels,
+                pipeline = fit_pipeline(
+                    X[train_mask], y[train_mask], model_spec, classes=labels
                 )
-                predicted = model.predict(project(projection, norm_test))
+                predicted = pipeline.predict(X[test_mask])
                 cm = ConfusionMatrix.from_predictions(y[test_mask], predicted, labels)
                 folds.append(
                     FoldEval(
@@ -519,11 +541,6 @@ def crossvalidate(
                         fold_trial=int(held_out),
                         confusion=cm,
                         scores=metrics(cm),
-                        fitted=(
-                            {"minmax": bounds, "projection": projection}
-                            if keep_fitted
-                            else None
-                        ),
                     )
                 )
             except EmgprError as exc:

@@ -39,7 +39,8 @@ _TDPSD_IDS = ("M0", "M2", "M4", "SPARSENESS", "IRREGULARITY_FACTOR", "WL_RATIO")
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Gate levels for the counting features, in signal units."""
+    """Gate levels for the counting features, in signal units; the SSC level
+    is in squared units, since it gates a product of two differences."""
 
     zc: float = 1e-4
     ssc: float = 1e-4
@@ -428,13 +429,6 @@ def ar_coefficients(x: np.ndarray, order: int) -> np.ndarray:
     if x.shape[1] < 2 * order + 1:
         raise WindowTooShort(f"AR{order}", x.shape[1], 2 * order + 1)
     return _levinson(x, order)[0]
-
-
-def tdpsd(x: np.ndarray) -> dict:
-    """The six spectral-moment descriptors (M0, M2, M4, SPARSENESS,
-    IRREGULARITY_FACTOR, WL_RATIO) of one window channel."""
-    values = _evaluate(_TDPSD_IDS, Thresholds(), _row(x))[0]
-    return dict(zip(_TDPSD_IDS, values.tolist()))
 
 
 # ---------------------------------------------------------------------------

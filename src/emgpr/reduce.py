@@ -9,7 +9,6 @@ output dimension is at most n_classes - 1.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,28 +25,6 @@ class UldaProjection:
     mean: np.ndarray  # (d_in,)
     matrix: np.ndarray  # (d_in, d_out)
     d_out: int
-
-    def to_dict(self) -> dict:
-        return {
-            "mean": [float(v) for v in self.mean],
-            "matrix": [[float(v) for v in row] for row in self.matrix],
-            "d_out": self.d_out,
-        }
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True))
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "UldaProjection":
-        return cls(
-            mean=np.asarray(d["mean"], dtype=float),
-            matrix=np.asarray(d["matrix"], dtype=float),
-            d_out=int(d["d_out"]),
-        )
-
-    @classmethod
-    def load(cls, path) -> "UldaProjection":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 def fit_ulda(X: np.ndarray, y) -> UldaProjection:

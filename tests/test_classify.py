@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from emgpr.classify import (
-    ModelSpec,
-    model_from_dict,
-    model_to_dict,
-    predict,
-    rbf_kernel,
-    train,
-)
+from emgpr.classify import ModelSpec, predict, rbf_kernel, train
 from emgpr.errors import DegenerateClasses, DimensionMismatch, SingularCovariance
 
 
@@ -57,24 +50,6 @@ class TestTrainPredict:
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateClasses):
             train(ModelSpec(kind="knn"), np.ones((5, 2)), ["a"] * 5)
-
-    @pytest.mark.parametrize("kind", ["qda", "svm", "knn"])
-    def test_serialization_roundtrip(self, kind):
-        rng = np.random.default_rng(4)
-        X, y = blobs(rng, CENTERS3)
-        Xt, _ = blobs(rng, CENTERS3, n=10)
-        model = train(ModelSpec(kind=kind), X, y)
-        clone = model_from_dict(model_to_dict(model))
-        assert np.array_equal(predict(model, Xt), predict(clone, Xt))
-
-    def test_model_dict_version_and_kind_checked(self):
-        rng = np.random.default_rng(4)
-        X, y = blobs(rng, CENTERS3)
-        d = model_to_dict(train(ModelSpec(kind="knn"), X, y))
-        with pytest.raises(ValueError, match="format"):
-            model_from_dict({**d, "format_version": 1})
-        with pytest.raises(ValueError, match="kind"):
-            model_from_dict({**d, "kind": "tree"})
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,28 @@ class TestSynth:
         assert code == 0
         run = json.loads((tmp_path / "run.json").read_text())
         assert run["config"]["amplitude_only"] is True
+
+    def test_relative_out_dir_loads_from_any_directory(
+        self, tmp_path, monkeypatch, small_dataset
+    ):
+        # an absolute --out-dir is written as typed
+        root = json.loads(small_dataset.read_text())["root_path"]
+        assert root == str(small_dataset.parent)
+        (tmp_path / "c").mkdir()
+        monkeypatch.chdir(tmp_path / "c")
+        assert run_cli(
+            "synth", "--out-dir", "d1", "--n-movements", 3, "--n-trials", 3,
+            "--duration-s", 1.0,
+        ) == 0
+        monkeypatch.chdir(tmp_path)
+        manifest = Path("c") / "d1" / "dataset" / "manifest.json"
+        assert json.loads(manifest.read_text())["root_path"] == str(
+            tmp_path / "c" / "d1" / "dataset"
+        )
+        assert run_cli(
+            "evaluate", "--manifest", manifest, "--out-dir", "ev",
+            "--feature-set", "FS2",
+        ) == 0
 
 
 class TestExtract:
@@ -158,6 +181,32 @@ class TestEvaluate:
         assert code == 1
         report = json.loads((out / "report.json").read_text())
         assert report["failures"]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--snr-db", "nan"), ("--classifier", "knn", "--knn-k", 4)],
+        ids=["snr-nan", "even-knn-k"],
+    )
+    def test_library_value_error_exits_2(self, small_dataset, tmp_path, capsys, flags):
+        code = run_cli(
+            "evaluate", "--manifest", small_dataset, "--out-dir", tmp_path / "out",
+            *flags,
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
+        # a recorded run.json holding the same value fails the same way
+        config = {"manifest": str(small_dataset), "out_dir": str(tmp_path / "again")}
+        config.update(
+            {"snr_db": math.nan}
+            if flags[0] == "--snr-db"
+            else {"classifier": "knn", "knn_k": 4}
+        )
+        recorded = tmp_path / "run.json"
+        recorded.write_text(json.dumps({"subcommand": "evaluate", "config": config}))
+        assert run_cli("replay", recorded) == 2
+        assert capsys.readouterr().err == err
 
     def test_config_file_with_flag_override(self, small_dataset, tmp_path):
         cfg = tmp_path / "cfg.json"

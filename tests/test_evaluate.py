@@ -26,7 +26,8 @@ from emgpr import (
 )
 from emgpr.dataset import NO_MIX
 from emgpr.errors import EmptyMatrix, InsufficientGroups
-from emgpr.evaluate import CSV_HEADER, ConfusionMatrix, compare_groups
+from emgpr import evaluate as evaluate_module
+from emgpr.evaluate import CSV_HEADER, ConfusionMatrix, compare_groups, fit_pipeline
 
 
 def binary_cm(tp, fn, fp, tn):
@@ -201,36 +202,59 @@ class TestCrossvalidate:
             with pytest.raises(ValueError, match="snr_db"):
                 call()
 
-    def test_leak_freedom_fitted_params_ignore_test_trial(self):
+    def test_leak_freedom_fitted_params_ignore_test_trial(self, monkeypatch):
         recs = quick_dataset()
         poisoned = [
             rec.with_channels(rec.channels * 1000.0) if rec.trial == 2 else rec
             for rec in recs
         ]
-        clean = crossvalidate(
-            recs, feature_set("FS2"), ModelSpec(kind="qda"), keep_fitted=True
-        )
-        dirty = crossvalidate(
-            poisoned, feature_set("FS2"), ModelSpec(kind="qda"), keep_fitted=True
-        )
-        fold_clean = next(f for f in clean.folds if f.fold_trial == 2)
-        fold_dirty = next(f for f in dirty.folds if f.fold_trial == 2)
-        assert np.array_equal(
-            fold_clean.fitted["minmax"].mins, fold_dirty.fitted["minmax"].mins
-        )
-        assert np.array_equal(
-            fold_clean.fitted["minmax"].maxs, fold_dirty.fitted["minmax"].maxs
-        )
-        assert np.array_equal(
-            fold_clean.fitted["projection"].matrix,
-            fold_dirty.fitted["projection"].matrix,
-        )
-        # other folds trained on the poisoned trial must differ
-        other_clean = next(f for f in clean.folds if f.fold_trial == 1)
-        other_dirty = next(f for f in dirty.folds if f.fold_trial == 1)
-        assert not np.array_equal(
-            other_clean.fitted["minmax"].maxs, other_dirty.fitted["minmax"].maxs
-        )
+        spec, model_spec = feature_set("FS2"), ModelSpec(kind="qda")
+
+        def fitted_chains(recordings):
+            """The report and the Pipeline of each fold, in fold order."""
+            chains = []
+
+            def recording_fit(*args, **kwargs):
+                chains.append(fit_pipeline(*args, **kwargs))
+                return chains[-1]
+
+            monkeypatch.setattr(evaluate_module, "fit_pipeline", recording_fit)
+            report = crossvalidate(recordings, spec, model_spec)
+            monkeypatch.undo()
+            assert not report.failures and len(chains) == len(report.folds)
+            return report, dict(zip((f.fold_trial for f in report.folds), chains))
+
+        def same_chain(a, b):
+            return all(
+                np.array_equal(u, v)
+                for u, v in (
+                    (a.bounds.mins, b.bounds.mins),
+                    (a.bounds.maxs, b.bounds.maxs),
+                    (a.projection.mean, b.projection.mean),
+                    (a.projection.matrix, b.projection.matrix),
+                )
+            )
+
+        report, dirty = fitted_chains(poisoned)
+        # each fold's chain and scores come from its training rows alone
+        table = build_table(poisoned, set_columns(spec.features))
+        X = table.matrix("S1", spec.features)
+        y, trials = table.labels["S1"], table.trials["S1"]
+        for fold in report.folds:
+            train_rows = trials != fold.fold_trial
+            alone = fit_pipeline(
+                X[train_rows], y[train_rows], model_spec, classes=table.movements
+            )
+            assert same_chain(dirty[fold.fold_trial], alone)
+            cm = ConfusionMatrix.from_predictions(
+                y[~train_rows], alone.predict(X[~train_rows]), table.movements
+            )
+            assert np.array_equal(fold.confusion.counts, cm.counts)
+        # the poisoned trial reaches exactly the chains fitted on it
+        _, clean = fitted_chains(recs)
+        assert same_chain(clean[2], dirty[2])
+        assert not same_chain(clean[1], dirty[1])
+        assert not same_chain(clean[3], dirty[3])
 
     def test_csv_rows_shape(self):
         recs = quick_dataset()

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from emgpr.errors import UnknownFeature, WindowTooShort
 from emgpr.features import (
@@ -277,3 +280,38 @@ class TestBlockIndependence:
         matrix = extract_matrix(spec, windows)
         for row, window in zip(matrix, windows):
             assert np.array_equal(row, extract(spec, window).values)
+
+
+#: Window channels of 8-64 samples.  Magnitudes below 1e-100 are set to 0,
+#: so no product of two scaled samples or differences underflows.
+channels = arrays(
+    np.float64,
+    st.integers(8, 64),
+    elements=st.floats(-1e3, 1e3, allow_subnormal=False).map(
+        lambda v: v if abs(v) > 1e-100 else 0.0
+    ),
+)
+#: Powers of two: scaling by one is exact in floating point.
+power_of_two = st.integers(-20, 20).map(lambda k: 2.0 ** k)
+gate = st.floats(1e-6, 10.0)
+
+
+class TestProperties:
+    @settings(derandomize=True, deadline=None)
+    @given(x=channels, c=st.floats(1e-3, 1e3))
+    def test_lmav_shifts_by_half_log_of_scale(self, x, c):
+        mav = float(np.mean(np.abs(x)))
+        assume(mav >= 1e-3 and c * mav >= 1e-3)  # far above the EPS clamp
+        assert lmav(c * x) - lmav(x) == pytest.approx(0.5 * math.log(c), abs=1e-12)
+
+    @settings(derandomize=True, deadline=None)
+    @given(x=channels, c=power_of_two, zc=gate, ssc=gate, wamp=gate, myop=gate)
+    def test_counts_unchanged_when_window_and_thresholds_scale(
+        self, x, c, zc, ssc, wamp, myop
+    ):
+        th = Thresholds(zc=zc, ssc=ssc, wamp=wamp, myop=myop)
+        # SSC gates a product of two differences, so its level is in squared units
+        scaled = Thresholds(zc=c * zc, ssc=c * c * ssc, wamp=c * wamp, myop=c * myop)
+        for fid in ("ZC", "SSC", "WAMP", "MYOP"):
+            assert compute_feature(fid, c * x, scaled) == compute_feature(fid, x, th), fid
+

@@ -10,7 +10,6 @@ from emgpr.errors import (
     ZeroDispersion,
 )
 from emgpr.reduce import (
-    UldaProjection,
     fit_ulda,
     project,
     res_index,
@@ -101,16 +100,6 @@ class TestFitUlda:
         p = fit_ulda(X, y)
         with pytest.raises(DimensionMismatch):
             project(p, np.ones((3, 5)))
-
-    def test_json_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(7)
-        X, y = two_blobs(rng)
-        p = fit_ulda(X, y)
-        p.save(tmp_path / "proj.json")
-        q = UldaProjection.load(tmp_path / "proj.json")
-        assert np.array_equal(p.matrix, q.matrix)
-        assert np.array_equal(p.mean, q.mean)
-        assert p.d_out == q.d_out
 
 
 class TestResIndex:
