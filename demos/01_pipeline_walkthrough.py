@@ -43,14 +43,14 @@ for rec in filtered:
         trials.append(rec.trial)
 labels = np.asarray(labels)
 trials = np.asarray(trials)
-print(f"windows: {len(windows)} of {windows[0].samples.shape[1]} samples "
+print(f"windows: {len(windows)} of {windows[0].shape[1]} samples "
       f"(20 per 5 s trial)")
 
 # stage 3: the 13-feature combined set on both channels
 spec = feature_set("PROPOSED")
 X = extract_matrix(spec, windows)
 print(f"features: {X.shape[1]} per window "
-      f"({len(spec.features)} x {windows[0].n_channels} channels)")
+      f"({len(spec.features)} x {windows[0].shape[0]} channels)")
 
 # stage 4+5: scale on the training trials only, then reduce
 held_out = 6

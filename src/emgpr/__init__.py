@@ -28,7 +28,6 @@ from .dataset import (
 from .preprocess import (
     FilterSpec,
     MinMax,
-    Window,
     apply_filters,
     normalize_features,
     segment,

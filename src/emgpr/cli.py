@@ -569,7 +569,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.subcommand == "replay":
         run = json.loads(Path(args.run_json).read_text())
-        subcommand = run["subcommand"]
+        subcommand = run.get("subcommand")
+        if subcommand not in _HANDLERS:
+            print(f"error: unknown subcommand {subcommand!r} in {args.run_json}",
+                  file=sys.stderr)
+            return 2
         cfg = _merge(subcommand, run["config"])
         if args.out_dir is not None:
             cfg["out_dir"] = args.out_dir

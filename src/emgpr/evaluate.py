@@ -169,8 +169,8 @@ class Pipeline:
     model: object
 
     def predict(self, rows: np.ndarray) -> np.ndarray:
-        """Labels of a (rows, features) matrix scaled, clipped and projected
-        with the training fit."""
+        """Labels of a (rows, features) matrix, or the label of one feature
+        vector, scaled, clipped and projected with the training fit."""
         norm, _ = normalize_features(rows, self.bounds)
         return self.model.predict(project(self.projection, norm))
 
@@ -452,7 +452,7 @@ def build_table(
                 )
             rec = apply_filters(rec, filter_spec)
             windows = segment(rec, window_ms, overlap_ms)
-            shape = (len(windows), rec.channels.shape[0])
+            shape = windows.shape[:2]
             block = np.empty(shape + (len(columns),))
             for spec, positions in groups:
                 block[:, :, positions] = extract_matrix(spec, windows).reshape(

@@ -21,7 +21,6 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import UnknownFeature, WindowTooShort
-from .preprocess import Window
 
 EPS = 1e-12
 
@@ -443,44 +442,34 @@ _CHUNK_SAMPLES = 1 << 15
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """Channel-major feature values for one window plus its provenance."""
+    """Channel-major feature values of one window."""
 
     values: np.ndarray
-    meta: tuple  # (subject, movement, trial, window_index)
-    set_name: str
 
 
-def extract(set_spec: FeatureSetSpec, window: Window) -> FeatureVector:
-    """Extract a feature set from every channel of a window (channel-major)."""
-    x = np.ascontiguousarray(window.samples, dtype=float)
-    return FeatureVector(
-        values=_evaluate(set_spec.features, set_spec.thresholds, x).reshape(-1),
-        meta=window.meta,
-        set_name=set_spec.name,
-    )
+def extract(set_spec: FeatureSetSpec, window: np.ndarray) -> FeatureVector:
+    """Extract a feature set from every channel of a (channels, n) window
+    (channel-major)."""
+    x = np.ascontiguousarray(window, dtype=float)
+    return FeatureVector(_evaluate(set_spec.features, set_spec.thresholds, x).reshape(-1))
 
 
 def extract_matrix(set_spec: FeatureSetSpec, windows) -> np.ndarray:
-    """Stack `extract` over many windows into an (n_windows, d) matrix.
+    """`extract` of every window of a (windows, channels, n) array, or of a
+    list of same-shape windows, as an (n_windows, d) matrix.
 
-    Consecutive windows of one shape are evaluated together, in blocks of
-    about `_CHUNK_SAMPLES` samples; every row equals `extract` of its window
-    alone.
+    The windows are evaluated in blocks of about `_CHUNK_SAMPLES` samples;
+    every row equals `extract` of its window alone.
     """
-    parts = []
-    start = 0
-    while start < len(windows):
-        shape = windows[start].samples.shape
-        group = []
-        for w in windows[start : start + max(1, _CHUNK_SAMPLES // (shape[0] * shape[1]))]:
-            if w.samples.shape != shape:
-                break
-            group.append(w.samples)
-        block = np.stack(group).astype(float, copy=False).reshape(-1, shape[1])
-        values = _evaluate(set_spec.features, set_spec.thresholds, block)
-        parts.append(values.reshape(len(group), -1))
-        start += len(group)
-    return np.concatenate(parts)
+    windows = np.ascontiguousarray(windows, dtype=float)
+    count, channels, n = windows.shape
+    rows = windows.reshape(-1, n)
+    step = channels * max(1, _CHUNK_SAMPLES // (channels * n))
+    values = [
+        _evaluate(set_spec.features, set_spec.thresholds, rows[start : start + step])
+        for start in range(0, len(rows), step)
+    ]
+    return np.concatenate(values).reshape(count, -1)
 
 
 def feature_column_names(set_spec: FeatureSetSpec, n_channels: int) -> list:

@@ -47,32 +47,6 @@ class FilterSpec:
         }
 
 
-@dataclass(frozen=True)
-class Window:
-    """One fixed-length analysis segment with provenance.
-
-    samples: (n_channels, n) array
-    meta: (subject_id, movement, trial, window_index)
-    """
-
-    samples: np.ndarray
-    meta: tuple
-    window_ms: float
-
-    def __post_init__(self):
-        if self.samples.ndim != 2:
-            raise ValueError("window samples must be (n_channels, n)")
-        if self.samples.shape[1] < MIN_WINDOW_SAMPLES:
-            raise ValueError(
-                f"window needs >= {MIN_WINDOW_SAMPLES} samples, "
-                f"got {self.samples.shape[1]}"
-            )
-
-    @property
-    def n_channels(self) -> int:
-        return self.samples.shape[0]
-
-
 @functools.lru_cache(maxsize=64)
 def design_filters(spec: FilterSpec, sample_rate_hz: float):
     """Return (bandpass sos, notch (b, a)) for the given rate.
@@ -106,11 +80,11 @@ def apply_filters(rec: Recording, spec: FilterSpec = None) -> Recording:
     return rec.with_channels(signal.lfilter(b_notch, a_notch, y, axis=-1))
 
 
-def segment(rec: Recording, window_ms: float, overlap_ms: float = 0.0) -> list:
-    """Slice a recording into fixed-length windows.
+def segment(rec: Recording, window_ms: float, overlap_ms: float = 0.0) -> np.ndarray:
+    """Slice a recording into a C-contiguous (windows, channels, n) array.
 
     Disjoint when overlap_ms = 0; a trailing remainder shorter than one
-    window is dropped.  Each window carries (subject, movement, trial, index).
+    window is dropped.  Window i starts at sample i * (n - overlap samples).
     """
     if window_ms <= 0:
         raise ValueError("window_ms must be positive")
@@ -123,18 +97,10 @@ def segment(rec: Recording, window_ms: float, overlap_ms: float = 0.0) -> list:
         raise WindowLongerThanTrial(
             f"{window_ms} ms window ({n} samples) exceeds trial length {n_samples}"
         )
-    windows = []
+    if n < MIN_WINDOW_SAMPLES:
+        raise ValueError(f"window needs >= {MIN_WINDOW_SAMPLES} samples, got {n}")
     count = (n_samples - n) // step + 1
-    for i in range(count):
-        start = i * step
-        windows.append(
-            Window(
-                samples=rec.channels[:, start : start + n].copy(),
-                meta=(rec.subject_id, rec.movement, rec.trial, i),
-                window_ms=window_ms,
-            )
-        )
-    return windows
+    return np.stack([rec.channels[:, s : s + n] for s in range(0, count * step, step)])
 
 
 @dataclass(frozen=True)
@@ -150,19 +116,21 @@ def normalize_features(matrix: np.ndarray, fitted: MinMax = None):
 
     With fitted bounds (train-time fit) the same bounds are reused and the
     result is clipped to [0, 1]; a degenerate column (max == min) maps to 0.
+    A 1-D input is one row and gives a 1-D result.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.size == 0:
         raise ValueError("empty feature matrix")
     if fitted is None:
-        fitted = MinMax(mins=matrix.min(axis=0), maxs=matrix.max(axis=0))
+        rows = np.atleast_2d(matrix)
+        fitted = MinMax(mins=rows.min(axis=0), maxs=rows.max(axis=0))
         clip = False
     else:
         clip = True
     span = fitted.maxs - fitted.mins
     safe = np.where(span > 0, span, 1.0)
     out = (matrix - fitted.mins) / safe
-    out[:, span <= 0] = 0.0
+    out[..., span <= 0] = 0.0
     if clip:
         out = np.clip(out, 0.0, 1.0)
     return out, fitted

@@ -101,8 +101,8 @@ class TestExtract:
         expected = []
         for rec in load_dataset(DatasetManifest.load(small_dataset)):
             windows = segment(apply_filters(rec, FilterSpec()), 250, 50)
-            for window, values in zip(windows, extract_matrix(spec, windows)):
-                meta = [str(v) for v in window.meta]
+            for index, values in enumerate(extract_matrix(spec, windows)):
+                meta = [rec.subject_id, rec.movement, str(rec.trial), str(index)]
                 expected.append(meta + [repr(float(v)) for v in values])
         assert len(rows) == len(expected) == 9 * 4
         assert [r[:4] for r in rows] == [e[:4] for e in expected]
@@ -283,6 +283,14 @@ class TestRecordedRuns:
         again = json.loads((replayed / "run.json").read_text())
         assert again["config"] == {**run["config"], "comparisons": 1,
                                    "out_dir": str(replayed)}
+
+    def test_replay_of_unknown_subcommand_exits_2(self, tmp_path, capsys):
+        recorded = tmp_path / "run.json"
+        recorded.write_text(json.dumps({"subcommand": "evalaute", "config": {}}))
+        assert run_cli("replay", recorded) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'evalaute'" in err
+        assert "Traceback" not in err
 
 
 class TestSelect:

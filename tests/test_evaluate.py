@@ -256,6 +256,15 @@ class TestCrossvalidate:
         assert not same_chain(clean[1], dirty[1])
         assert not same_chain(clean[3], dirty[3])
 
+    @pytest.mark.parametrize("kind", ["qda", "svm", "knn"])
+    def test_pipeline_predicts_one_vector(self, kind):
+        spec = feature_set("FS2")
+        table = build_table(quick_dataset(), set_columns(spec.features))
+        X, y = table.matrix("S1", spec.features), table.labels["S1"]
+        pipeline = fit_pipeline(X, y, ModelSpec(kind=kind))
+        for i in (0, len(X) // 2, len(X) - 1):
+            assert pipeline.predict(X[i]) == pipeline.predict(X[i : i + 1])[0]
+
     def test_csv_rows_shape(self):
         recs = quick_dataset()
         report = crossvalidate(recs, feature_set("FS2"), ModelSpec(kind="qda"))

@@ -21,16 +21,14 @@ from emgpr.features import (
     nsv,
     with_lmav_nsv,
 )
-from emgpr.preprocess import Window
 
 from reference_features import ref_feature
 
 E2 = math.e ** 2
 
 
-def make_window(samples, meta=("S1", "T", 1, 0), window_ms=250.0):
-    return Window(samples=np.asarray(samples, dtype=float), meta=meta,
-                  window_ms=window_ms)
+def make_window(samples):
+    return np.asarray(samples, dtype=float)
 
 
 def random_windows(n, rng):
@@ -236,7 +234,7 @@ def branch_windows(count, n=256):
         samples = special.get(i)
         if samples is None:
             samples = 10.0 ** rng.uniform(-3, 1) * rng.standard_normal((2, n))
-        windows.append(make_window(samples, meta=("S1", "T", 1, i)))
+        windows.append(make_window(samples))
     return windows
 
 
@@ -250,10 +248,10 @@ class TestBlockIndependence:
 
     def test_branch_cases_are_reached(self):
         windows = branch_windows(4)
-        coefficients = ar_coefficients(windows[3].samples[0], 4)
+        coefficients = ar_coefficients(windows[3][0], 4)
         assert coefficients[0] != 0.0 and not coefficients[1:].any()
         for fid in ("SKW", "MOB", "COM"):
-            assert compute_feature(fid, windows[2].samples[0]) == 0.0
+            assert compute_feature(fid, windows[2][0]) == 0.0
 
     @pytest.mark.parametrize("count", [1, 7, 300])
     def test_rows_equal_single_window_and_cell_calls(self, count):
@@ -263,23 +261,17 @@ class TestBlockIndependence:
             order = max((int(f[2:]) for f in spec.features if f.startswith("AR")), default=0)
             matrix = extract_matrix(spec, windows)
             assert matrix.shape == (count, 2 * len(spec))
+            # a stacked (count, 2, n) array, as `segment` returns, gives the same rows
+            assert np.array_equal(extract_matrix(spec, np.stack(windows)), matrix)
             for row, window in zip(matrix, windows):
                 assert np.array_equal(row, extract(spec, window).values), spec.features
                 cells = row.reshape(2, len(spec))
-                for ch, x in enumerate(window.samples):
+                for ch, x in enumerate(window):
                     for value, fid in zip(cells[ch], spec.features):
                         # a set reads its AR lags off one fit at its largest lag
                         want = (ar_coefficients(x, order)[int(fid[2:]) - 1]
                                 if fid.startswith("AR") else compute_feature(fid, x, th))
                         assert value == want, (spec.features, fid)
-
-    def test_mixed_window_lengths(self):
-        spec = feature_set("PROPOSED")
-        windows = [w if i % 3 else make_window(w.samples[:, :100], meta=w.meta)
-                   for i, w in enumerate(branch_windows(20))]
-        matrix = extract_matrix(spec, windows)
-        for row, window in zip(matrix, windows):
-            assert np.array_equal(row, extract(spec, window).values)
 
 
 #: Window channels of 8-64 samples.  Magnitudes below 1e-100 are set to 0,

@@ -106,20 +106,19 @@ class TestSegment:
         return Recording("S2", "I", 3, fs, np.arange(2 * n, dtype=float).reshape(2, n))
 
     def test_reference_window_counts(self):
-        assert len(segment(self._rec(5.0, 4000.0), 250.0)) == 20
+        assert segment(self._rec(5.0, 4000.0), 250.0).shape == (20, 2, 1000)
         assert len(segment(self._rec(5.0, 4000.0), 50.0)) == 100
         assert len(segment(self._rec(5.1, 4000.0), 250.0)) == 20
-
-    def test_provenance_meta(self):
-        wins = segment(self._rec(1.0), 250.0)
-        assert [w.meta for w in wins] == [("S2", "I", 3, i) for i in range(4)]
-        assert all(w.window_ms == 250.0 for w in wins)
 
     def test_disjoint_windows_tile_the_signal(self):
         rec = self._rec(1.0)
         wins = segment(rec, 250.0)
-        stitched = np.concatenate([w.samples for w in wins], axis=1)
-        assert np.array_equal(stitched, rec.channels)
+        assert np.array_equal(np.concatenate(wins, axis=1), rec.channels)
+        # one C-contiguous array that owns its samples
+        assert wins.flags.c_contiguous and wins.flags.owndata
+        before = rec.channels.copy()
+        wins[:] = -1.0
+        assert np.array_equal(rec.channels, before)
 
     def test_count_formula_property(self):
         rng = np.random.default_rng(1)
@@ -133,8 +132,16 @@ class TestSegment:
             step = nwin - int(round(overlap_ms * fs / 1000.0))
             if nwin < 8 or step < 1 or nwin > n:
                 continue
-            got = len(segment(rec, window_ms, overlap_ms))
-            assert got == (n - nwin) // step + 1
+            wins = segment(rec, window_ms, overlap_ms)
+            assert wins.shape == ((n - nwin) // step + 1, 1, nwin)
+            for i, window in enumerate(wins):
+                assert np.array_equal(window, rec.channels[:, i * step : i * step + nwin])
+
+    def test_window_below_min_samples(self):
+        rec = self._rec(1.0, fs=1000.0)
+        assert segment(rec, 8.0).shape == (125, 2, 8)
+        with pytest.raises(ValueError, match=">= 8 samples, got 7"):
+            segment(rec, 7.0)
 
     def test_window_longer_than_trial(self):
         with pytest.raises(WindowLongerThanTrial):
@@ -161,6 +168,12 @@ class TestNormalize:
         _, bounds = normalize_features(train)
         out, _ = normalize_features(np.array([[-5.0, 15.0], [20.0, 25.0]]), bounds)
         assert np.allclose(out, [[0.0, 0.5], [1.0, 1.0]])
+        # a 1-D vector is one row, with bounds given or fitted on it
+        out, _ = normalize_features(np.array([-5.0, 15.0]), bounds)
+        assert out.shape == (2,) and np.allclose(out, [0.0, 0.5])
+        out, alone = normalize_features(np.array([-5.0, 15.0]))
+        assert np.array_equal(out, [0.0, 0.0])
+        assert np.array_equal(alone.mins, [-5.0, 15.0]) and np.array_equal(alone.maxs, [-5.0, 15.0])
 
     def test_fit_output_in_unit_interval_and_idempotent(self):
         rng = np.random.default_rng(2)
