@@ -3,6 +3,13 @@
 QDA fits class-conditional Gaussians with a shrinkage-regularized covariance,
 the SVM trains one-vs-one RBF machines with a deterministic SMO solver, and
 KNN memorizes the training set and votes over cityblock neighbors.
+
+The SVM computes one kernel matrix over all training rows and runs the SMO
+problems of all class pairs in lockstep, one padded row of state per pair;
+each pair's result is bit-identical to solving it alone on its own kernel.
+Prediction evaluates one kernel against the union of the machines' support
+vectors and one product with a (support vectors, machines) coefficient
+matrix, then counts the pairwise votes.
 """
 
 from __future__ import annotations
@@ -148,100 +155,179 @@ def rbf_kernel(A: np.ndarray, B: np.ndarray, sigma: float) -> np.ndarray:
         + np.sum(B * B, axis=1)[None, :]
         - 2.0 * A @ B.T
     )
-    return np.exp(-np.maximum(sq, 0.0) / (2.0 * sigma * sigma))
+    # in place from here: a training kernel holds one (n, n) buffer
+    np.maximum(sq, 0.0, out=sq)
+    np.negative(sq, out=sq)
+    sq /= 2.0 * sigma * sigma
+    return np.exp(sq, out=sq)
 
 
-def _smo(K: np.ndarray, y: np.ndarray, c: float, tol: float, max_passes: int):
-    """SMO on a precomputed kernel matrix, maximal-violating-pair selection.
+def _smo(K: np.ndarray, rows, ys, c: float, tol: float, max_passes: int):
+    """SMO with maximal-violating-pair selection, for several binary
+    problems in lockstep.
 
-    Each iteration updates the pair that violates the KKT conditions the
-    most, which is deterministic (numpy argmax tie-breaks on the first
-    index) and converges monotonically.  Work is capped at max_passes
-    sweeps' worth of pair updates (max_passes * n); hitting the cap returns
-    the best-so-far state with converged=False.  On exit the duality gap is
-    at most tol, so every training point satisfies KKT within tol.
+    Problem p trains on the points rows[p] (indices into the symmetric
+    kernel matrix K) with labels ys[p] in {+1, -1}; one (alpha, b,
+    converged) is returned per problem.  Each iteration updates, in every
+    problem still running, the pair that violates the KKT conditions the
+    most, which is deterministic (argmax tie-breaks on the first index) and
+    converges monotonically.  A problem stops once its duality gap is at
+    most tol, so every point satisfies KKT within tol, or after
+    max(max_passes * n, 100) pair updates with converged=False and the
+    best-so-far state.  The problems share no arithmetic: each result is
+    the one the problem would reach alone on the kernel K[rows, rows].
     """
-    n = len(y)
-    alpha = np.zeros(n)
-    f = np.zeros(n)  # sum_j alpha_j y_j K(x_t, x_j), bias excluded
+    sizes = np.array([len(r) for r in rows])
+    n_prob, width = len(rows), int(sizes.max())
+    valid = np.arange(width) < sizes[:, None]  # False on padding
+    idx = np.zeros((n_prob, width), dtype=np.intp)
+    idx[valid] = np.concatenate(rows)
+    y = np.zeros((n_prob, width))
+    y[valid] = np.concatenate(ys)
     pos = y > 0
-    max_iter = max(max_passes * n, 100)
-    converged = False
-    m = top = 1.0
-    bottom = -1.0
+    cap = np.maximum(max_passes * sizes, 100)
+    alpha, f = np.zeros((n_prob, width)), np.zeros((n_prob, width))
+    top, bottom = np.ones(n_prob), -np.ones(n_prob)
+    converged = np.zeros(n_prob, dtype=bool)
+    # a problem's kernel column at point k is the contiguous run K[k, rows]
+    flat, stride = np.ascontiguousarray(K).ravel(), K.shape[1]
 
-    for _ in range(max_iter):
-        grad = y - f
-        in_up = (pos & (alpha < c)) | (~pos & (alpha > 0.0))
-        in_low = (pos & (alpha > 0.0)) | (~pos & (alpha < c))
-        up_vals = np.where(in_up, grad, -np.inf)
-        low_vals = np.where(in_low, grad, np.inf)
-        i = int(np.argmax(up_vals))
-        j = int(np.argmin(low_vals))
-        top, bottom = up_vals[i], low_vals[j]
-        if top - bottom <= tol:
-            converged = True
-            break
-        quad = max(K[i, i] + K[j, j] - 2.0 * K[i, j], 1e-12)
-        step = (top - bottom) / quad
-        step = min(step, c - alpha[i] if pos[i] else alpha[i])
-        step = min(step, alpha[j] if pos[j] else c - alpha[j])
-        alpha[i] += step if pos[i] else -step
-        alpha[j] -= step if pos[j] else -step
-        np.clip(alpha, 0.0, c, out=alpha)
-        f += step * (K[:, i] - K[:, j])
+    def working_sets(a, p):
+        """The sets a pair is chosen from, at alpha a and y > 0 p, as masks
+        to add to the gradient: 0 in the set, -inf (up) or +inf (low) out."""
+        below, above = a < c, a > 0.0
+        return (np.where(np.where(p, below, above), 0.0, -np.inf),
+                np.where(np.where(p, above, below), 0.0, np.inf))
 
-    free = (alpha > 1e-9 * c) & (alpha < c * (1.0 - 1e-9))
-    if free.any():
-        b = float(np.mean((y - f)[free]))
-    else:
-        b = 0.5 * (float(top) + float(bottom))
-    return alpha, b, converged
+    up_mask, low_mask = working_sets(alpha, pos)
+    low_mask[~valid] = np.inf  # padding is in neither set
+
+    # One row per problem still running: its number, alpha, f (sum_j
+    # alpha_j y_j K(x_t, x_j), bias excluded), y, y > 0, kernel indices and
+    # working-set masks.  A problem leaves when it stops, and its alpha and
+    # f are written back.
+    state = [np.arange(n_prob), alpha.copy(), f.copy(), y, pos, idx, up_mask, low_mask]
+
+    def leave(stopped):
+        live, a, g = state[:3]
+        alpha[live[stopped]], f[live[stopped]] = a[stopped], g[stopped]
+        return [v[~stopped] for v in state]
+
+    it = 0
+    while len(state[0]):
+        live, a, g, yl, pl, il, up_mask, low_mask = state
+        # y - f is never -0.0, so adding a mask selects what np.where would
+        grad = yl - g
+        up_vals, low_vals = grad + up_mask, grad + low_mask
+        r = np.arange(len(live))
+        i, j = np.argmax(up_vals, axis=1), np.argmin(low_vals, axis=1)
+        hi, lo = up_vals[r, i], low_vals[r, j]
+        top[live], bottom[live] = hi, lo
+        done = hi - lo <= tol
+        if done.any():
+            converged[live[done]] = True
+            state = leave(done)
+            live, a, g, yl, pl, il, up_mask, low_mask = state
+            run = ~done
+            r, i, j, hi, lo = r[: len(live)], i[run], j[run], hi[run], lo[run]
+
+        ki, kj = il[r, i], il[r, j]
+        quad = np.maximum(K[ki, ki] + K[kj, kj] - 2.0 * K[ki, kj], 1e-12)
+        step = (hi - lo) / quad
+        ai, aj, pi, pj = a[r, i], a[r, j], pl[r, i], pl[r, j]
+        step = np.minimum(step, np.where(pi, c - ai, ai))
+        step = np.minimum(step, np.where(pj, aj, c - aj))
+        # np.clip(alpha, 0, c) after both updates, on the two that moved
+        a[r, i] = ai = np.minimum(np.maximum(ai + np.where(pi, step, -step), 0.0), c)
+        a[r, j] = aj = np.minimum(np.maximum(aj - np.where(pj, step, -step), 0.0), c)
+        up_mask[r, i], low_mask[r, i] = working_sets(ai, pi)
+        up_mask[r, j], low_mask[r, j] = working_sets(aj, pj)
+        g += step[:, None] * (
+            flat.take(ki[:, None] * stride + il) - flat.take(kj[:, None] * stride + il))
+
+        it += 1
+        capped = cap[live] <= it
+        if capped.any():
+            state = leave(capped)
+
+    solutions = []
+    for p, n in enumerate(sizes):
+        ap, fp, yp = alpha[p, :n], f[p, :n], y[p, :n]
+        free = (ap > 1e-9 * c) & (ap < c * (1.0 - 1e-9))
+        if free.any():
+            b = float(np.mean((yp - fp)[free]))
+        else:
+            b = 0.5 * (float(top[p]) + float(bottom[p]))
+        solutions.append((ap, b, bool(converged[p])))
+    return solutions
 
 
 class SvmModel:
+    """One-vs-one RBF machines, predicted against their union.
+
+    `machines` maps each class pair (i, j), i < j, to (sv, coef, b) with +1
+    meaning class i.  The distinct support vectors of all machines are
+    stacked once into `support`, with one column of dual coefficients per
+    machine in `coef` (zero where a machine does not use a vector) and the
+    biases in `bias`, so all decision values come from one kernel and one
+    product.
+    """
+
     def __init__(self, classes, sigma, machines, converged, d_in):
         self.classes = classes
         self.sigma = sigma
-        self.machines = machines  # {(i, j): (sv, coef, b)} with +1 = class i
+        self.machines = machines
         self.converged = converged
         self.d_in = d_in
+        pairs = np.array(list(machines), dtype=np.intp).reshape(-1, 2)
+        self._first, self._second = pairs[:, 0], pairs[:, 1]
+        svs = [sv for sv, _, _ in machines.values()]
+        self.support, where = np.unique(np.vstack(svs), axis=0, return_inverse=True)
+        self.coef = np.zeros((len(self.support), len(machines)))
+        column = np.repeat(np.arange(len(machines)), [len(sv) for sv in svs])
+        # a vector repeated within one machine adds up, as in a per-machine sum
+        np.add.at(self.coef, (where.reshape(-1), column),
+                  np.concatenate([coef for _, coef, _ in machines.values()]))
+        self.bias = np.array([b for _, _, b in machines.values()], dtype=float)
+
+    def decision_values(self, X: np.ndarray) -> np.ndarray:
+        """(rows, machines) decision values; > 0 votes for the pair's first class."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        return rbf_kernel(X, self.support, self.sigma) @ self.coef + self.bias
 
     def predict(self, X: np.ndarray):
         X, one = _query_rows(X, self.d_in)
-        k = len(self.classes)
-        votes = np.zeros((X.shape[0], k), dtype=int)
-        scores = np.zeros((X.shape[0], k))
-        for (i, j), (sv, coef, b) in self.machines.items():
-            f = rbf_kernel(X, sv, self.sigma) @ coef + b
-            winner_i = f > 0
-            votes[:, i] += winner_i
-            votes[:, j] += ~winner_i
-            scores[:, i] += f
-            scores[:, j] -= f
-        labels = np.empty(X.shape[0], dtype=self.classes.dtype)
-        for row in range(X.shape[0]):
-            leaders = np.flatnonzero(votes[row] == votes[row].max())
-            if len(leaders) > 1:
-                # vote tie: decide by the summed decision values
-                leaders = leaders[[np.argmax(scores[row, leaders])]]
-            labels[row] = self.classes[leaders[0]]
+        f = self.decision_values(X)
+        n, k = f.shape[0], len(self.classes)
+        winners = np.where(f > 0, self._first, self._second)
+        votes = np.bincount((winners + k * np.arange(n)[:, None]).ravel(),
+                            minlength=n * k).reshape(n, k)
+        leaders = votes == votes.max(axis=1, keepdims=True)
+        best = np.argmax(votes, axis=1)
+        tied = np.flatnonzero(leaders.sum(axis=1) > 1)
+        if len(tied):
+            # vote tie: decide by the decision values summed in machine order
+            scores = np.zeros((len(tied), k))
+            for m, (i, j) in enumerate(zip(self._first, self._second)):
+                scores[:, i] += f[tied, m]
+                scores[:, j] -= f[tied, m]
+            best[tied] = np.argmax(np.where(leaders[tied], scores, -np.inf), axis=1)
+        labels = self.classes[best]
         return labels[0] if one else labels
 
 
 def _train_svm(spec: ModelSpec, X, y, classes) -> SvmModel:
+    pairs = [(i, j) for i in range(len(classes)) for j in range(i + 1, len(classes))]
+    rows = [np.flatnonzero((y == classes[i]) | (y == classes[j])) for i, j in pairs]
+    ys = [np.where(y[r] == classes[i], 1.0, -1.0) for r, (i, _) in zip(rows, pairs)]
+    K = rbf_kernel(X, X, spec.svm_sigma)  # each pair's kernel is a gather of it
     machines = {}
     converged = True
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            mask = (y == classes[i]) | (y == classes[j])
-            Xp = X[mask]
-            yp = np.where(y[mask] == classes[i], 1.0, -1.0)
-            K = rbf_kernel(Xp, Xp, spec.svm_sigma)
-            alpha, b, ok = _smo(K, yp, spec.svm_c, SVM_TOL, SVM_MAX_PASSES)
-            converged = converged and ok
-            keep = alpha > 1e-12
-            machines[(i, j)] = (Xp[keep], alpha[keep] * yp[keep], b)
+    solutions = _smo(K, rows, ys, spec.svm_c, SVM_TOL, SVM_MAX_PASSES)
+    for pair, r, yp, (alpha, b, ok) in zip(pairs, rows, ys, solutions):
+        converged = converged and ok
+        keep = alpha > 1e-12
+        machines[pair] = (X[r[keep]], alpha[keep] * yp[keep], b)
     return SvmModel(
         classes=classes,
         sigma=spec.svm_sigma,

@@ -91,7 +91,14 @@ def segment(rec: Recording, window_ms: float, overlap_ms: float = 0.0) -> np.nda
     if not 0 <= overlap_ms < window_ms:
         raise ValueError("need 0 <= overlap_ms < window_ms")
     n = int(round(window_ms * rec.sample_rate_hz / 1000.0))
-    step = n - int(round(overlap_ms * rec.sample_rate_hz / 1000.0))
+    n_overlap = int(round(overlap_ms * rec.sample_rate_hz / 1000.0))
+    if n_overlap >= n:
+        raise ValueError(
+            f"{window_ms} ms window and {overlap_ms} ms overlap round to "
+            f"{n} and {n_overlap} samples at {rec.sample_rate_hz} Hz; "
+            "the overlap must be shorter than the window"
+        )
+    step = n - n_overlap
     n_samples = rec.channels.shape[1]
     if n > n_samples:
         raise WindowLongerThanTrial(

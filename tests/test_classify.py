@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from emgpr.classify import ModelSpec, predict, rbf_kernel, train
+from emgpr.classify import ModelSpec, SvmModel, predict, rbf_kernel, train
 from emgpr.errors import DegenerateClasses, DimensionMismatch, SingularCovariance
+from emgpr.evaluate import build_table, fit_pipeline, set_columns
+from emgpr.features import feature_set
+from emgpr.preprocess import normalize_features
+from emgpr.reduce import project
+
+from reference_svm import ref_predict_svm, ref_train_svm
 
 
 def blobs(rng, centers, sigma=0.2, n=60):
@@ -123,7 +129,7 @@ class TestSvm:
         y = np.where(np.arange(160) < 80, 1.0, -1.0)
         K = rbf_kernel(X, X, 1.0)
         tol, c = 1e-3, 1.0
-        alpha, b, converged = _smo(K, y, c, tol, max_passes=10)
+        [(alpha, b, converged)] = _smo(K, [np.arange(160)], [y], c, tol, max_passes=10)
         assert converged
         f = (alpha * y) @ K + b
         margin = y * f
@@ -151,6 +157,122 @@ class TestSvm:
         model = train(spec, X, y)
         for sv, coef, b in model.machines.values():
             assert np.all(np.abs(coef) <= 0.7 + 1e-12)
+
+
+def assert_trains_like_reference(model, X, y, spec):
+    """machines (support vectors, coefficients, bias) and converged equal
+    the per-pair scalar trainer's, bit for bit."""
+    machines, converged = ref_train_svm(X, y, model.classes, spec.svm_sigma, spec.svm_c)
+    assert model.converged == converged
+    assert list(model.machines) == list(machines)
+    for pair, (sv, coef, b) in machines.items():
+        got_sv, got_coef, got_b = model.machines[pair]
+        assert np.array_equal(got_sv, sv), pair
+        assert np.array_equal(got_coef, coef), pair
+        assert got_b == b, pair
+
+
+class TestSvmMatchesReference:
+    def test_two_classes_one_machine(self):
+        rng = np.random.default_rng(20)
+        X, y = blobs(rng, [(0.0, 0.0), (1.0, 0.5)], sigma=0.6, n=40)
+        spec = ModelSpec(kind="svm")
+        model = train(spec, X, y)
+        assert list(model.machines) == [(0, 1)]
+        assert_trains_like_reference(model, X, y, spec)
+
+    def test_unequal_class_sizes(self):
+        # pairs of 35 to 100 points share one padded state
+        rng = np.random.default_rng(21)
+        sizes = [40, 25, 60, 10]
+        centers = [(0.0, 0.0), (1.5, 0.0), (0.0, 1.5), (1.5, 1.5)]
+        X = np.vstack([rng.normal(c, 0.6, (n, 2)) for c, n in zip(centers, sizes)])
+        y = np.repeat(["a", "b", "c", "d"], sizes)
+        spec = ModelSpec(kind="svm", svm_sigma=0.7)
+        model = train(spec, X, y)
+        assert model.converged
+        assert_trains_like_reference(model, X, y, spec)
+
+    def test_pair_at_the_iteration_cap(self):
+        # a and b overlap and stop at the cap; the pairs with c converge
+        rng = np.random.default_rng(1)
+        X = np.vstack([rng.normal(0.0, 1.0, (30, 2)), rng.normal(0.2, 1.0, (25, 2)),
+                       rng.normal(6.0, 0.3, (12, 2))])
+        y = np.repeat(["a", "b", "c"], [30, 25, 12])
+        spec = ModelSpec(kind="svm", svm_sigma=0.3, svm_c=100.0)
+        model = train(spec, X, y)
+        assert not model.converged
+        assert_trains_like_reference(model, X, y, spec)
+
+    @pytest.mark.parametrize("set_name", ["FS2", "PROPOSED"])
+    def test_every_fold_of_the_sanity_data(self, separable_recordings, set_name):
+        fs = feature_set(set_name)
+        table = build_table(separable_recordings, set_columns(fs.features))
+        spec = ModelSpec(kind="svm")
+        for subject in table.subjects:
+            X = table.matrix(subject, fs.features)
+            y = table.labels[subject]
+            trials = table.trials[subject]
+            for held_out in sorted(set(trials.tolist())):
+                train_rows = trials != held_out
+                pipeline = fit_pipeline(X[train_rows], y[train_rows], spec,
+                                        classes=table.movements)
+                reduced = project(pipeline.projection,
+                                  normalize_features(X[train_rows])[0])
+                assert_trains_like_reference(pipeline.model, reduced, y[train_rows], spec)
+                model = pipeline.model
+                test = project(pipeline.projection,
+                               normalize_features(X[~train_rows], pipeline.bounds)[0])
+                assert np.array_equal(
+                    model.predict(test),
+                    ref_predict_svm(model.machines, model.classes, model.sigma, test))
+
+
+def hand_model(names, biases):
+    """A model over the classes in `names` whose decision values are its
+    biases: every machine has one support vector with a zero coefficient."""
+    classes = np.array(list(names))
+    pairs = [(i, j) for i in range(len(names)) for j in range(i + 1, len(names))]
+    machines = {pair: (np.zeros((1, 2)), np.zeros(1), b) for pair, b in zip(pairs, biases)}
+    return SvmModel(classes, 1.0, machines, True, 2)
+
+
+class TestSvmUnionPredict:
+    @pytest.mark.parametrize("data", ["random", "blobs"])
+    def test_labels_equal_per_machine_predict(self, data):
+        rng = np.random.default_rng(30)
+        if data == "random":
+            X = rng.uniform(0.0, 1.0, (150, 3))
+            y = rng.choice(["p", "q", "r", "s", "t"], 150)
+            queries = rng.uniform(-0.2, 1.2, (400, 3))
+        else:
+            X, y = blobs(rng, CENTERS3, sigma=0.8)
+            queries = rng.uniform(-2.0, 6.0, (400, 2))
+        model = train(ModelSpec(kind="svm", svm_sigma=0.3), X, y)
+        expected = ref_predict_svm(model.machines, model.classes, model.sigma, queries)
+        assert np.array_equal(model.predict(queries), expected)
+
+    def test_three_way_vote_tie(self):
+        # a beats b, c beats a, b beats c: one vote each
+        model = hand_model("abc", [0.5, -0.2, 0.1])  # sums a 0.3, b -0.4, c 0.1
+        assert model.predict(np.zeros(2)) == "a"
+        model = hand_model("abc", [0.1, -0.5, 0.1])  # sums a -0.4, b 0.0, c 0.4
+        assert model.predict(np.zeros(2)) == "c"
+
+    def test_tie_only_among_leaders(self):
+        # votes a 2, b 2, c 1, d 1; d has the largest sum but is no leader
+        biases = [0.1, -0.1, 0.1, 0.1, 0.2, -5.0]  # ab ac ad bc bd cd
+        model = hand_model("abcd", biases)
+        rows = np.zeros((3, 2))
+        assert list(model.predict(rows)) == ["b"] * 3
+        assert list(ref_predict_svm(model.machines, model.classes, 1.0, rows)) == ["b"] * 3
+
+    def test_one_vector_one_label(self):
+        model = hand_model("abc", [0.5, -0.2, 0.1])
+        label = model.predict(np.array([0.3, -0.1]))
+        assert np.ndim(label) == 0
+        assert label == model.predict(np.array([[0.3, -0.1]]))[0] == "a"
+        assert model.decision_values(np.array([0.3, -0.1])).shape == (1, 3)
 
 
 class TestKnn:

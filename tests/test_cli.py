@@ -208,6 +208,17 @@ class TestEvaluate:
         assert run_cli("replay", recorded) == 2
         assert capsys.readouterr().err == err
 
+    def test_overlap_rounding_to_the_window_exits_2(self, small_dataset, tmp_path, capsys):
+        # at 2 kHz both lengths round to 500 samples
+        code = run_cli(
+            "evaluate", "--manifest", small_dataset, "--out-dir", tmp_path / "out",
+            "--window-ms", 250.1, "--overlap-ms", 250.0,
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "500 and 500 samples" in err
+        assert "Traceback" not in err
+
     def test_config_file_with_flag_override(self, small_dataset, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"feature_set": "FS1", "classifier": "knn"}))

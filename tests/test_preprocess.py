@@ -151,6 +151,11 @@ class TestSegment:
         with pytest.raises(ValueError):
             segment(self._rec(1.0), 100.0, 100.0)
 
+    def test_overlap_rounding_to_the_window_length(self):
+        # 250.1 ms and 250.0 ms are both 250 samples at 1 kHz: the step is 0
+        with pytest.raises(ValueError, match="round to 250 and 250 samples"):
+            segment(self._rec(1.0, fs=1000.0), 250.1, 250.0)
+
 
 class TestNormalize:
     def test_endpoint_examples(self):
