@@ -4,6 +4,11 @@ QDA fits class-conditional Gaussians with a shrinkage-regularized covariance,
 the SVM trains one-vs-one RBF machines with a deterministic SMO solver, and
 KNN memorizes the training set and votes over cityblock neighbors.
 
+Training encodes the labels as integer class codes once.  QDA groups the rows
+by class with one stable sort, then shrinks and factors every class
+covariance in one batched step; it predicts all classes' Mahalanobis terms
+from one stacked product with the inverse Cholesky factors.
+
 The SVM computes one kernel matrix over all training rows and runs the SMO
 problems of all class pairs in lockstep, one padded row of state per pair;
 each pair's result is bit-identical to solving it alone on its own kernel.
@@ -18,9 +23,9 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DegenerateClasses, DimensionMismatch, SingularCovariance
+from .reduce import group_rows
 
 #: SMO stopping rule: KKT tolerance, and the work cap in sweeps of n pair updates.
 SVM_TOL = 1e-3
@@ -54,19 +59,26 @@ class ModelSpec:
 
 
 def _check_classes(y, declared):
-    y = np.asarray(y)
-    present = np.unique(y)
+    """The class order (declared, else sorted) and each row's class code: the
+    index of its label in that order, or len(classes) for a label that is
+    not declared."""
+    present, codes = np.unique(y, return_inverse=True)
     if declared is not None:
-        declared = list(declared)
-        missing = [c for c in declared if c not in present]
+        declared, known = list(declared), set(present.tolist())
+        missing = [c for c in declared if c not in known]
         if missing:
             raise DegenerateClasses(f"declared classes with no samples: {missing}")
         classes = np.asarray(declared)
+        index = {c: i for i, c in enumerate(classes.tolist())}
+        if len(index) < len(classes):
+            raise DegenerateClasses(f"declared classes repeat: {declared}")
+        recode = [index.get(c, len(classes)) for c in present.tolist()]
+        codes = np.asarray(recode, dtype=np.intp)[codes]
     else:
         classes = present
     if len(classes) < 2:
         raise DegenerateClasses("need at least two classes")
-    return classes
+    return classes, codes
 
 
 def _query_rows(X, d_in: int):
@@ -84,12 +96,19 @@ def _query_rows(X, d_in: int):
 
 
 class QdaModel:
+    """Per-class Gaussians: `means` (k, d), lower Cholesky factors `chols`
+    (k, d, d) of the shrunk covariances and their `logdets` (k,)."""
+
     def __init__(self, classes, priors, means, chols, logdets):
         self.classes = classes
         self.priors = priors
         self.means = means
-        self.chols = chols  # lower Cholesky factor per class
+        self.chols = chols
         self.logdets = logdets
+        # transposed inverse factors: (x - mu_k) @ inv_t[k] whitens class k
+        self.inv_t = np.linalg.inv(chols).transpose(0, 2, 1).copy()
+        self.offsets = (np.array([math.log(p) for p in priors])
+                        - 0.5 * np.asarray(logdets))
 
     @property
     def d_in(self) -> int:
@@ -98,15 +117,8 @@ class QdaModel:
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         """Per-class log-density scores ln pi_k - logdet/2 - maha/2."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        scores = np.empty((X.shape[0], len(self.classes)))
-        for k in range(len(self.classes)):
-            diff = X - self.means[k]
-            z = solve_triangular(self.chols[k], diff.T, lower=True)
-            maha = np.sum(z * z, axis=0)
-            scores[:, k] = (
-                math.log(self.priors[k]) - 0.5 * self.logdets[k] - 0.5 * maha
-            )
-        return scores
+        z = (X - self.means[:, None, :]) @ self.inv_t  # (k, rows, d)
+        return self.offsets - 0.5 * np.einsum("knd,knd->nk", z, z)
 
     def predict(self, X: np.ndarray):
         X, one = _query_rows(X, self.d_in)
@@ -114,32 +126,42 @@ class QdaModel:
         return labels[0] if one else labels
 
 
-def _shrink(cov: np.ndarray, gamma: float) -> np.ndarray:
-    d = cov.shape[0]
-    return (1.0 - gamma) * cov + gamma * (np.trace(cov) / d) * np.eye(d)
+def _cholesky(covs: np.ndarray, classes) -> np.ndarray:
+    """Lower Cholesky factors of a (k, d, d) stack, or SingularCovariance
+    naming the first class, in classes order, that has none."""
+    try:
+        return np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError:
+        for c, cov in zip(classes, covs):
+            try:
+                np.linalg.cholesky(cov)
+            except np.linalg.LinAlgError:
+                raise SingularCovariance(
+                    f"covariance of class {c!r} is singular; "
+                    "enable qda_shrinkage to regularize"
+                ) from None
+        raise
 
 
-def _train_qda(spec: ModelSpec, X, y, classes) -> QdaModel:
-    means, priors, chols, logdets = [], [], [], []
-    for c in classes:
-        Xk = X[y == c]
-        means.append(Xk.mean(axis=0))
-        priors.append(len(Xk) / len(X))
-        cov = np.atleast_2d(np.cov(Xk, rowvar=False, ddof=1))
-        cov = _shrink(cov, spec.qda_shrinkage)
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            raise SingularCovariance(
-                f"covariance of class {c!r} is singular; "
-                "enable qda_shrinkage to regularize"
-            ) from None
-        chols.append(chol)
-        logdets.append(2.0 * float(np.sum(np.log(np.diag(chol)))))
+def _train_qda(spec: ModelSpec, X, y, classes, codes) -> QdaModel:
+    k, d = len(classes), X.shape[1]
+    rows, bounds, means = group_rows(X, codes, k)
+    counts = np.diff(bounds)
+    # np.cov's arithmetic per class: centre, Gram product, times 1/(n - 1)
+    centred = rows[: bounds[-1]] - np.repeat(means, counts, axis=0)
+    covs = np.array([centred[a:b].T @ centred[a:b]
+                     for a, b in zip(bounds[:-1], bounds[1:])])
+    covs *= (1.0 / (counts - 1))[:, None, None]
+    # shrink toward the scaled identity: (1 - g) cov + g tr(cov)/d I
+    g = spec.qda_shrinkage
+    scale = g * (np.trace(covs, axis1=1, axis2=2) / d)
+    covs = (1.0 - g) * covs + scale[:, None, None] * np.eye(d)
+    chols = _cholesky(covs, classes)
+    logdets = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
     return QdaModel(
         classes=classes,
-        priors=np.asarray(priors),
-        means=np.asarray(means),
+        priors=counts / len(X),
+        means=means,
         chols=chols,
         logdets=logdets,
     )
@@ -316,10 +338,10 @@ class SvmModel:
         return labels[0] if one else labels
 
 
-def _train_svm(spec: ModelSpec, X, y, classes) -> SvmModel:
+def _train_svm(spec: ModelSpec, X, y, classes, codes) -> SvmModel:
     pairs = [(i, j) for i in range(len(classes)) for j in range(i + 1, len(classes))]
-    rows = [np.flatnonzero((y == classes[i]) | (y == classes[j])) for i, j in pairs]
-    ys = [np.where(y[r] == classes[i], 1.0, -1.0) for r, (i, _) in zip(rows, pairs)]
+    rows = [np.flatnonzero((codes == i) | (codes == j)) for i, j in pairs]
+    ys = [np.where(codes[r] == i, 1.0, -1.0) for r, (i, _) in zip(rows, pairs)]
     K = rbf_kernel(X, X, spec.svm_sigma)  # each pair's kernel is a gather of it
     machines = {}
     converged = True
@@ -366,7 +388,7 @@ class KnnModel:
         return labels[0] if one else labels
 
 
-def _train_knn(spec: ModelSpec, X, y, classes) -> KnnModel:
+def _train_knn(spec: ModelSpec, X, y, classes, codes) -> KnnModel:
     return KnnModel(X=X.copy(), y=y.copy(), k=spec.knn_k)
 
 
@@ -383,7 +405,7 @@ def train(spec: ModelSpec, X: np.ndarray, y, classes=None):
     y = np.asarray(y)
     if X.ndim != 2 or len(X) != len(y):
         raise ValueError("X must be (n_samples, d) aligned with y")
-    return _KINDS[spec.kind](spec, X, y, _check_classes(y, classes))
+    return _KINDS[spec.kind](spec, X, y, *_check_classes(y, classes))
 
 
 def predict(model, x):

@@ -12,7 +12,7 @@ into the fitted chain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -50,11 +50,27 @@ class ConfusionMatrix:
 
     @classmethod
     def from_predictions(cls, y_true, y_pred, labels) -> "ConfusionMatrix":
+        """Counts of (true, predicted) label pairs; ValueError when the two
+        differ in length or hold a label outside `labels`."""
         labels = tuple(labels)
+        if len(y_true) != len(y_pred):
+            raise ValueError(
+                f"y_true has {len(y_true)} labels but y_pred has {len(y_pred)}"
+            )
         index = {label: i for i, label in enumerate(labels)}
-        counts = np.zeros((len(labels), len(labels)), dtype=int)
-        for t, p in zip(y_true, y_pred):
-            counts[index[t], index[p]] += 1
+
+        def codes(values):
+            present, inverse = np.unique(np.asarray(values), return_inverse=True)
+            try:
+                return np.array([index[v] for v in present.tolist()], dtype=np.intp)[inverse]
+            except KeyError as unknown:
+                raise ValueError(
+                    f"label {unknown.args[0]!r} is not one of {labels!r}"
+                ) from None
+
+        k = len(labels)
+        pairs = codes(y_true) * k + codes(y_pred)
+        counts = np.bincount(pairs, minlength=k * k).reshape(k, k)
         return cls(counts=counts, labels=labels)
 
     @property
@@ -70,6 +86,13 @@ class ConfusionMatrix:
         return tp, tn, fp, fn
 
 
+#: Metrics fields holding the macro means of its five per-class arrays
+_MACRO_FIELDS = ("ovr_accuracy", "macro_sensitivity", "macro_specificity",
+                 "macro_precision", "macro_f1")
+#: Metrics field of each name in METRIC_NAMES
+_SCALAR_FIELDS = dict(zip(METRIC_NAMES, ("accuracy",) + _MACRO_FIELDS))
+
+
 @dataclass(frozen=True)
 class Metrics:
     """Per-class one-vs-rest scores plus their unweighted macro averages.
@@ -78,6 +101,7 @@ class Metrics:
     average of per-class accuracies is reported separately as `ovr_accuracy`
     since the two conventions differ a lot on many-class problems.  0/0 cells
     are defined as 0 and listed in `undefined` as (metric, class_index) pairs.
+    The macro averages are computed once, at construction.
     """
 
     accuracy: float
@@ -87,71 +111,57 @@ class Metrics:
     precision: np.ndarray
     f1: np.ndarray
     undefined: tuple = ()
+    ovr_accuracy: float = field(init=False)
+    macro_sensitivity: float = field(init=False)
+    macro_specificity: float = field(init=False)
+    macro_precision: float = field(init=False)
+    macro_f1: float = field(init=False)
 
-    @property
-    def ovr_accuracy(self) -> float:
-        return float(self.per_class_accuracy.mean())
-
-    @property
-    def macro_sensitivity(self) -> float:
-        return float(self.sensitivity.mean())
-
-    @property
-    def macro_specificity(self) -> float:
-        return float(self.specificity.mean())
-
-    @property
-    def macro_precision(self) -> float:
-        return float(self.precision.mean())
-
-    @property
-    def macro_f1(self) -> float:
-        return float(self.f1.mean())
+    def __post_init__(self):
+        per_class = np.stack([self.per_class_accuracy, self.sensitivity,
+                              self.specificity, self.precision, self.f1])
+        # each row's mean equals the 1-D per_class.mean() bit for bit
+        for name, mean in zip(_MACRO_FIELDS, per_class.mean(axis=1).tolist()):
+            object.__setattr__(self, name, mean)
 
     def scalar(self, name: str) -> float:
-        return {
-            "accuracy": self.accuracy,
-            "ovr_accuracy": self.ovr_accuracy,
-            "sensitivity": self.macro_sensitivity,
-            "specificity": self.macro_specificity,
-            "precision": self.macro_precision,
-            "f1": self.macro_f1,
-        }[name]
+        """The score reported under a METRIC_NAMES name."""
+        return getattr(self, _SCALAR_FIELDS[name])
+
+
+#: The per-class ratios in the order `undefined` lists them within a class.
+_RATIO_NAMES = ("sensitivity", "specificity", "precision", "f1")
+
+
+def _ratios(num: np.ndarray, den: np.ndarray):
+    """num / den per class, with 0 where den == 0, and that mask."""
+    zero = den == 0
+    return np.divide(num, den, out=np.zeros(len(num)), where=~zero), zero
 
 
 def metrics(cm: ConfusionMatrix) -> Metrics:
     """Reduce a confusion matrix to the five scores, per class and macro."""
     if cm.total == 0:
         raise EmptyMatrix("confusion matrix has no observations")
-    k = len(cm.labels)
-    acc = np.empty(k)
-    sens = np.empty(k)
-    spec = np.empty(k)
-    prec = np.empty(k)
-    f1 = np.empty(k)
-    undefined = []
-
-    def ratio(num, den, metric, idx):
-        if den == 0:
-            undefined.append((metric, idx))
-            return 0.0
-        return num / den
-
-    for i in range(k):
-        tp, tn, fp, fn = cm.ovr(i)
-        acc[i] = (tp + tn) / cm.total
-        sens[i] = ratio(tp, tp + fn, "sensitivity", i)
-        spec[i] = ratio(tn, tn + fp, "specificity", i)
-        prec[i] = ratio(tp, tp + fp, "precision", i)
-        f1[i] = ratio(2.0 * prec[i] * sens[i], prec[i] + sens[i], "f1", i)
+    counts, total = cm.counts, cm.total
+    tp = np.diagonal(counts)
+    fn = counts.sum(axis=1) - tp
+    fp = counts.sum(axis=0) - tp
+    tn = total - tp - fn - fp
+    sens, no_sens = _ratios(tp, tp + fn)
+    spec, no_spec = _ratios(tn, tn + fp)
+    prec, no_prec = _ratios(tp, tp + fp)
+    f1, no_f1 = _ratios(2.0 * prec * sens, prec + sens)
+    # per class, in _RATIO_NAMES order
+    flagged = np.stack([no_sens, no_spec, no_prec, no_f1], axis=1)
     return Metrics(
-        accuracy=float(np.trace(cm.counts)) / cm.total,
-        per_class_accuracy=acc,
+        accuracy=float(np.trace(counts)) / total,
+        per_class_accuracy=(tp + tn) / total,
         sensitivity=sens,
         specificity=spec,
         precision=prec,
         f1=f1,
-        undefined=tuple(undefined),
+        undefined=tuple((_RATIO_NAMES[j], int(i)) for i, j in zip(*np.nonzero(flagged))),
     )
 
 

@@ -3,7 +3,8 @@
 The projection is built by two SVD stages: whiten the total scatter, then
 diagonalize the between-class scatter in the whitened space.  Projected
 training features come out mutually uncorrelated with unit variance, and the
-output dimension is at most n_classes - 1.
+output dimension is at most n_classes - 1.  The class means come from one
+grouped pass (`group_rows`), which QDA training shares.
 """
 
 from __future__ import annotations
@@ -18,6 +19,24 @@ import numpy as np
 from .errors import DegenerateClasses, DimensionMismatch, RankZero, ZeroDispersion
 
 RANK_TOL = 1e-10
+
+
+def group_rows(X: np.ndarray, codes: np.ndarray, k: int):
+    """Rows of X grouped by integer class code with one stable sort.
+
+    Returns (rows, bounds, means): class i is rows[bounds[i]:bounds[i + 1]],
+    which holds the rows of X[codes == i] in the same order, and means[i] is
+    that slice's mean, equal to X[codes == i].mean(axis=0) bit for bit.
+    `bounds` is a list of k + 1 ints.  Codes of k or more sort after the
+    last class and belong to none.
+    """
+    rows = X[np.argsort(codes, kind="stable")]
+    counts = np.bincount(codes, minlength=k)[:k]
+    bounds = [0] + np.cumsum(counts).tolist()
+    # add.reduce of each slice is the sum ndarray.mean takes, in its order
+    sums = np.array([np.add.reduce(rows[a:b], axis=0)
+                     for a, b in zip(bounds[:-1], bounds[1:])])
+    return rows, bounds, sums / counts[:, None]
 
 
 @dataclass(frozen=True)
@@ -37,7 +56,7 @@ def fit_ulda(X: np.ndarray, y) -> UldaProjection:
     y = np.asarray(y)
     if X.ndim != 2 or X.shape[1] < 1:
         raise ValueError("X must be (n_samples, d_in)")
-    classes, counts = np.unique(y, return_counts=True)
+    classes, codes, counts = np.unique(y, return_inverse=True, return_counts=True)
     if len(classes) < 2:
         raise DegenerateClasses("need at least two classes")
     if counts.min() < 2:
@@ -55,14 +74,10 @@ def fit_ulda(X: np.ndarray, y) -> UldaProjection:
         raise RankZero("all features are constant")
     whiten = Vt[keep].T / svals[keep]  # (d_in, r)
 
-    # between-class scatter factor: columns sqrt(n_k/n) * (mu_k - mu)
-    Hb = np.stack(
-        [
-            math.sqrt(counts[i] / n) * (X[y == c].mean(axis=0) - mean)
-            for i, c in enumerate(classes)
-        ],
-        axis=1,
-    )
+    # between-class scatter factor: columns sqrt(n_k/n) * (mu_k - mu), in
+    # sorted-label order
+    _, _, means = group_rows(X, codes, len(classes))
+    Hb = np.ascontiguousarray((np.sqrt(counts / n)[:, None] * (means - mean)).T)
     P, sb, _ = np.linalg.svd(whiten.T @ Hb, full_matrices=False)
     keep_b = sb > RANK_TOL * sb[0] if sb[0] > 0 else np.zeros_like(sb, bool)
     d_out = min(int(keep_b.sum()), len(classes) - 1)

@@ -8,6 +8,7 @@ from emgpr.features import feature_set
 from emgpr.preprocess import normalize_features
 from emgpr.reduce import project
 
+from reference_qda import ref_decision_values, ref_train_qda
 from reference_svm import ref_predict_svm, ref_train_svm
 
 
@@ -52,6 +53,13 @@ class TestTrainPredict:
         y = np.repeat(["a", "b"], 5)
         with pytest.raises(DegenerateClasses):
             train(ModelSpec(kind="qda"), X, y, classes=["a", "b", "c"])
+
+    @pytest.mark.parametrize("kind", ["qda", "svm", "knn"])
+    def test_declared_class_repeated(self, kind):
+        X = np.vstack([np.zeros((5, 2)), np.ones((5, 2))])
+        y = np.repeat(["a", "b"], 5)
+        with pytest.raises(DegenerateClasses, match="repeat"):
+            train(ModelSpec(kind=kind), X, y, classes=["a", "b", "a"])
 
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateClasses):
@@ -100,6 +108,100 @@ class TestQda:
         with pytest.raises(SingularCovariance):
             train(ModelSpec(kind="qda", qda_shrinkage=0.0), X, y)
         train(ModelSpec(kind="qda", qda_shrinkage=1e-3), X, y)  # shrinkage saves it
+
+        # the error names the first singular class in the declared order,
+        # also when the batched factorization fails on a later class: b and
+        # c each have one constant column, a has full rank
+        zeros = np.zeros((15, 1))
+        X = np.vstack([rng.normal(0, 1, (15, 2)), np.hstack([base[:15], zeros]),
+                       np.hstack([zeros, base[15:]])])
+        y = np.repeat(["a", "b", "c"], 15)
+        spec = ModelSpec(kind="qda", qda_shrinkage=0.0)
+        with pytest.raises(SingularCovariance, match=r"class (np\.str_\()?'b'"):
+            train(spec, X, y)
+        with pytest.raises(SingularCovariance, match=r"class (np\.str_\()?'c'"):
+            train(spec, X, y, classes=["a", "c", "b"])
+
+
+def assert_qda_like_reference(model, X, y, spec, queries):
+    """Means, Cholesky factors and log-determinants equal the per-class
+    reference bit for bit; decision values agree to 1e-12 relative, with
+    the same labels."""
+    priors, means, chols, logdets = ref_train_qda(X, y, model.classes,
+                                                  spec.qda_shrinkage)
+    assert np.array_equal(model.priors, priors)
+    assert np.array_equal(model.means, means)
+    assert np.array_equal(model.chols, np.stack(chols))
+    assert np.array_equal(model.logdets, np.asarray(logdets))
+    expected = ref_decision_values(priors, means, chols, logdets, queries)
+    got = model.decision_values(queries)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+    labels = model.classes[np.argmax(expected, axis=1)]
+    predicted = model.predict(queries)
+    assert np.array_equal(np.atleast_1d(predicted), labels)
+
+
+class TestQdaMatchesReference:
+    def test_random_blobs(self):
+        rng = np.random.default_rng(40)
+        centers = [rng.normal(0.0, 2.0, 4) for _ in range(6)]
+        X, y = blobs(rng, centers, sigma=0.7, n=50)
+        order = rng.permutation(len(X))  # classes interleaved in row order
+        X, y = X[order], y[order]
+        spec = ModelSpec(kind="qda")
+        model = train(spec, X, y)
+        assert_qda_like_reference(model, X, y, spec, rng.normal(0.0, 3.0, (300, 4)))
+
+    def test_unequal_class_sizes(self):
+        rng = np.random.default_rng(41)
+        sizes = [40, 5, 120, 9, 25]  # every class has full-rank scatter in d = 3
+        X = np.vstack([rng.normal(i, 0.5 + 0.2 * i, (n, 3)) for i, n in enumerate(sizes)])
+        y = np.repeat(["a", "b", "c", "d", "e"], sizes)
+        order = rng.permutation(len(X))
+        X, y = X[order], y[order]
+        for shrinkage in (0.0, 1e-3, 0.5):
+            spec = ModelSpec(kind="qda", qda_shrinkage=shrinkage)
+            model = train(spec, X, y)
+            assert_qda_like_reference(model, X, y, spec, rng.normal(2.0, 2.0, (200, 3)))
+
+    def test_declared_order_differs_from_sorted(self):
+        rng = np.random.default_rng(42)
+        X, y = blobs(rng, CENTERS3 + [(4.0, 4.0)], sigma=0.6, n=30)
+        y = np.array(["w", "z", "x", "y"])[np.searchsorted(["c0", "c1", "c2", "c3"], y)]
+        spec = ModelSpec(kind="qda")
+        model = train(spec, X, y, classes=["z", "x", "w", "y"])
+        assert list(model.classes) == ["z", "x", "w", "y"]
+        assert_qda_like_reference(model, X, y, spec, rng.uniform(-2.0, 6.0, (150, 2)))
+
+    def test_one_dimensional_query(self):
+        rng = np.random.default_rng(43)
+        X, y = blobs(rng, CENTERS3, sigma=0.5)
+        spec = ModelSpec(kind="qda")
+        model = train(spec, X, y)
+        query = np.array([1.0, 2.5])
+        assert np.ndim(model.predict(query)) == 0
+        assert model.decision_values(query).shape == (1, 3)
+        assert_qda_like_reference(model, X, y, spec, query)
+
+    @pytest.mark.parametrize("set_name", ["FS2", "PROPOSED"])
+    def test_every_fold_of_the_sanity_data(self, separable_recordings, set_name):
+        fs = feature_set(set_name)
+        table = build_table(separable_recordings, set_columns(fs.features))
+        spec = ModelSpec(kind="qda")
+        for subject in table.subjects:
+            X = table.matrix(subject, fs.features)
+            y = table.labels[subject]
+            trials = table.trials[subject]
+            for held_out in sorted(set(trials.tolist())):
+                train_rows = trials != held_out
+                pipeline = fit_pipeline(X[train_rows], y[train_rows], spec,
+                                        classes=table.movements)
+                reduced = project(pipeline.projection,
+                                  normalize_features(X[train_rows])[0])
+                test = project(pipeline.projection,
+                               normalize_features(X[~train_rows], pipeline.bounds)[0])
+                assert_qda_like_reference(pipeline.model, reduced, y[train_rows],
+                                          spec, test)
 
 
 class TestSvm:

@@ -1,8 +1,11 @@
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emgpr import (
     FilterSpec,
@@ -87,6 +90,78 @@ class TestMetrics:
         cm = binary_cm(8, 2, 3, 7)
         assert cm.ovr(0) == (8, 7, 3, 2)
         assert cm.ovr(1) == (7, 8, 2, 3)
+
+    def test_undefined_listed_per_class_in_metric_order(self):
+        # class 1 is never true nor predicted; class 2 is never predicted
+        counts = np.array([[5, 0, 0], [0, 0, 0], [3, 0, 0]])
+        m = metrics(ConfusionMatrix(counts, ("a", "b", "c")))
+        assert m.undefined == (("sensitivity", 1), ("precision", 1), ("f1", 1),
+                               ("precision", 2), ("f1", 2))
+        assert all(type(i) is int for _, i in m.undefined)
+
+    def test_equals_per_class_loop(self):
+        # the one-vs-rest counts and 0/0 rule of a scalar loop, bit for bit
+        rng = np.random.default_rng(8)
+        for k in (2, 5, 10, 11):
+            counts = rng.integers(0, 4, size=(k, k)) * (rng.random((k, k)) < 0.4)
+            counts[0, 0] += 1
+            cm = ConfusionMatrix(counts, tuple(range(k)))
+            m = metrics(cm)
+            undefined = []
+
+            def ratio(num, den, name, i):
+                if den == 0:
+                    undefined.append((name, i))
+                    return 0.0
+                return num / den
+
+            for i in range(k):
+                tp, tn, fp, fn = cm.ovr(i)
+                assert m.per_class_accuracy[i] == (tp + tn) / cm.total
+                sens = ratio(tp, tp + fn, "sensitivity", i)
+                spec = ratio(tn, tn + fp, "specificity", i)
+                prec = ratio(tp, tp + fp, "precision", i)
+                f1 = ratio(2.0 * prec * sens, prec + sens, "f1", i)
+                assert (m.sensitivity[i], m.specificity[i], m.precision[i],
+                        m.f1[i]) == (sens, spec, prec, f1)
+            assert m.undefined == tuple(undefined)
+            for name, values in (("ovr_accuracy", m.per_class_accuracy),
+                                 ("sensitivity", m.sensitivity),
+                                 ("specificity", m.specificity),
+                                 ("precision", m.precision), ("f1", m.f1)):
+                assert m.scalar(name) == float(values.mean())
+            assert m.scalar("accuracy") == m.accuracy
+            assert m.scalar("f1") == m.macro_f1
+
+
+class TestConfusionMatrix:
+    def test_counts_in_label_order(self):
+        cm = ConfusionMatrix.from_predictions(
+            ["b", "a", "b", "c", "b"], ["b", "b", "a", "c", "b"], ("c", "b", "a"))
+        assert cm.labels == ("c", "b", "a")
+        assert cm.counts.tolist() == [[1, 0, 0], [0, 2, 1], [0, 1, 0]]
+
+    def test_counts_equal_pair_loop(self):
+        rng = np.random.default_rng(9)
+        labels = ("m3", "m1", "m2", "m0")
+        y_true, y_pred = rng.choice(labels, 300), rng.choice(labels, 300)
+        cm = ConfusionMatrix.from_predictions(y_true, y_pred, labels)
+        expected = np.zeros((4, 4), dtype=int)
+        for t, p in zip(y_true, y_pred):
+            expected[labels.index(t), labels.index(p)] += 1
+        assert np.array_equal(cm.counts, expected)
+        empty = ConfusionMatrix.from_predictions([], [], labels)
+        assert empty.total == 0 and empty.counts.shape == (4, 4)
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="2 labels but y_pred has 1"):
+            ConfusionMatrix.from_predictions(["a", "b"], ["a"], ["a", "b"])
+
+    def test_unknown_label_rejected(self):
+        with pytest.raises(ValueError, match="label 'c' is not one of"):
+            ConfusionMatrix.from_predictions(["a", "c"], ["a", "a"], ["a", "b"])
+        with pytest.raises(ValueError, match="label 'd' is not one of"):
+            ConfusionMatrix.from_predictions(["a", "b"], ["d", "a"], ["a", "b"])
 
 
 class TestAnova:
@@ -290,6 +365,43 @@ class TestCrossvalidate:
                 f.scores.macro_f1 for f in report.folds if f.subject == subject
             ]
             assert value == pytest.approx(np.mean(fold_vals), abs=1e-12)
+
+
+#: 2 subjects x 4 movements x 3 trials
+N_SHUFFLED = 24
+
+
+@functools.lru_cache(maxsize=None)
+def shuffle_recordings() -> tuple:
+    spec = SyntheticSpec(
+        n_subjects=2, n_channels=2, n_movements=4, n_trials=3,
+        duration_s=1.0, sample_rate_hz=2000.0,
+        class_gain_matrix=separable_gain_grid(4, 2, 2.0), seed=4,
+    )
+    recordings = tuple(generate_synthetic(spec))
+    assert len(recordings) == N_SHUFFLED
+    return recordings
+
+
+def qda_report_json(recordings) -> str:
+    report = crossvalidate(recordings, feature_set("FS2"), ModelSpec(kind="qda"),
+                           seed=2)
+    return json.dumps(report.to_dict(), sort_keys=True)
+
+
+@functools.lru_cache(maxsize=None)
+def sorted_report_json() -> str:
+    return qda_report_json(sorted(shuffle_recordings(),
+                                  key=lambda r: (r.subject_id, r.movement, r.trial)))
+
+
+class TestCrossvalidateProperties:
+    @settings(derandomize=True, deadline=None, max_examples=12)
+    @given(order=st.permutations(range(N_SHUFFLED)))
+    def test_recording_order_does_not_matter(self, order):
+        recordings = shuffle_recordings()
+        shuffled = [recordings[i] for i in order]
+        assert qda_report_json(shuffled) == sorted_report_json()
 
 
 class TestSweeps:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emgpr.errors import (
     DegenerateClasses,
@@ -60,6 +62,27 @@ class TestFitUlda:
         scatter = Zc.T @ Zc / len(Z)
         assert np.allclose(scatter, np.eye(Z.shape[1]), atol=1e-6)
         assert np.allclose(np.var(Z, axis=0), 1.0, atol=1e-6)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 8),
+           d=st.integers(1, 10), per_class=st.integers(2, 40))
+    def test_total_scatter_is_identity_on_random_inputs(self, seed, k, d, per_class):
+        # full-rank Gaussian rows, unequal class sizes, labels interleaved
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(2, per_class + 1, size=k)
+        if sizes.sum() <= d:
+            sizes[0] += d
+        centers = rng.normal(0.0, 3.0, size=(k, d))
+        scales = rng.uniform(0.1, 10.0, size=d)
+        X = np.vstack([rng.normal(c, 1.0, (n, d)) for c, n in zip(centers, sizes)])
+        X = X * scales
+        y = np.repeat([f"c{i}" for i in range(k)], sizes)
+        order = rng.permutation(len(X))
+        X, y = X[order], y[order]
+        Z = project(fit_ulda(X, y), X)
+        Zc = Z - Z.mean(axis=0)
+        scatter = Zc.T @ Zc / len(Z)
+        assert np.allclose(scatter, np.eye(Z.shape[1]), rtol=0.0, atol=1e-8)
 
     def test_duplicated_column_tolerated(self):
         rng = np.random.default_rng(3)
