@@ -60,8 +60,7 @@ class ModelSpec:
 
 def _check_classes(y, declared):
     """The class order (declared, else sorted) and each row's class code: the
-    index of its label in that order, or len(classes) for a label that is
-    not declared."""
+    index of its label in that order.  Every label in y must be declared."""
     present, codes = np.unique(y, return_inverse=True)
     if declared is not None:
         declared, known = list(declared), set(present.tolist())
@@ -72,8 +71,10 @@ def _check_classes(y, declared):
         index = {c: i for i, c in enumerate(classes.tolist())}
         if len(index) < len(classes):
             raise DegenerateClasses(f"declared classes repeat: {declared}")
-        recode = [index.get(c, len(classes)) for c in present.tolist()]
-        codes = np.asarray(recode, dtype=np.intp)[codes]
+        undeclared = [c for c in present.tolist() if c not in index]
+        if undeclared:
+            raise DegenerateClasses(f"labels not among the declared classes: {undeclared}")
+        codes = np.asarray([index[c] for c in present.tolist()], dtype=np.intp)[codes]
     else:
         classes = present
     if len(classes) < 2:
@@ -148,7 +149,7 @@ def _train_qda(spec: ModelSpec, X, y, classes, codes) -> QdaModel:
     rows, bounds, means = group_rows(X, codes, k)
     counts = np.diff(bounds)
     # np.cov's arithmetic per class: centre, Gram product, times 1/(n - 1)
-    centred = rows[: bounds[-1]] - np.repeat(means, counts, axis=0)
+    centred = rows - np.repeat(means, counts, axis=0)
     covs = np.array([centred[a:b].T @ centred[a:b]
                      for a, b in zip(bounds[:-1], bounds[1:])])
     covs *= (1.0 / (counts - 1))[:, None, None]

@@ -5,7 +5,9 @@ writes it to run.json in the output directory, and derives all randomness
 from the master seed, so `emgpr replay run.json` reproduces every output file
 bit for bit.  Each subcommand is a thin shell over one library entry point
 (`extract`/`res`/`scatter` slice one `build_table`, the sweeps call
-`sweep_window`/`sweep_snr`); option defaults come from the library's dataclasses.
+`sweep_window`/`sweep_snr`).  Every option is declared once, in a table of
+flag, default and help; the parser and the defaults are both read from those
+tables, and `main` alone creates the output directory and records run.json.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .classify import ModelSpec
 from .dataset import (
@@ -49,126 +52,89 @@ from .preprocess import FilterSpec, normalize_features
 from .reduce import fit_ulda, project, res_index, scatter_export
 from .selection import SelectionConfig, forward_select
 
-_COMMON_DEFAULTS = {
-    "seed": 0,
-    "out_dir": "out",
+
+class _Option(NamedTuple):
+    flag: str | None  # None: set only through --config
+    default: object
+    text: str | None
+    keywords: dict  # for argparse's add_argument
+
+
+def _opt(flag, default, text=None, **keywords) -> _Option:
+    return _Option(flag, default, text, keywords)
+
+
+#: dest -> option, one table per group of options that subcommands share
+_COMMON = {
+    "seed": _opt("--seed", 0, "master seed; every random stage derives from it", type=int),
+    "out_dir": _opt("--out-dir", "out", "directory for all output files"),
 }
 
-_PIPELINE_DEFAULTS = {
-    "window_ms": SelectionConfig.window_ms,
-    "overlap_ms": SelectionConfig.overlap_ms,
-    "band": [FilterSpec.band_low_hz, FilterSpec.band_high_hz],
-    "notch_hz": FilterSpec.notch_hz,
-    "notch_q": FilterSpec.notch_q,
-    "filter_order": FilterSpec.order,
-    "feature_set": "PROPOSED",
-    "features": None,
-    "thresholds": None,
-    "classifier": ModelSpec.kind,
-    "qda_shrinkage": ModelSpec.qda_shrinkage,
-    "svm_sigma": ModelSpec.svm_sigma,
-    "svm_c": ModelSpec.svm_c,
-    "knn_k": ModelSpec.knn_k,
+_PIPELINE = {
+    "manifest": _opt("--manifest", None, "path to a dataset manifest.json"),
+    "window_ms": _opt("--window-ms", SelectionConfig.window_ms,
+                      "analysis window length in ms", type=float),
+    "overlap_ms": _opt("--overlap-ms", SelectionConfig.overlap_ms,
+                       "window overlap in ms; 0 gives disjoint windows", type=float),
+    "band": _opt("--band", [FilterSpec.band_low_hz, FilterSpec.band_high_hz],
+                 "bandpass edges in Hz", type=float, nargs=2, metavar=("LOW", "HIGH")),
+    "notch_hz": _opt("--notch", FilterSpec.notch_hz, "mains notch frequency in Hz", type=float),
+    "notch_q": _opt("--notch-q", FilterSpec.notch_q, "notch quality factor", type=float),
+    "filter_order": _opt("--filter-order", FilterSpec.order,
+                         "bandpass Butterworth order", type=int),
+    "feature_set": _opt("--feature-set", "PROPOSED",
+                        "named feature set; use CUSTOM with --features",
+                        choices=sorted(FEATURE_SET_NAMES)),
+    "features": _opt("--features", None, "explicit feature ids for a CUSTOM set",
+                     nargs="+", metavar="ID"),
+    "thresholds": _opt(None, None),
 }
 
-_DEFAULTS = {
-    "synth": {
-        **_COMMON_DEFAULTS,
-        "n_subjects": SyntheticSpec.n_subjects,
-        "n_channels": SyntheticSpec.n_channels,
-        "n_movements": SyntheticSpec.n_movements,
-        "n_trials": SyntheticSpec.n_trials,
-        "duration_s": SyntheticSpec.duration_s,
-        "sample_rate_hz": SyntheticSpec.sample_rate_hz,
-        "band": list(SyntheticSpec.band),
-        "gain_ratio": inspect.signature(separable_spec).parameters["gain_ratio"].default,
-        "class_gain_matrix": None,
-        "amplitude_only": False,
-    },
-    "extract": {**_COMMON_DEFAULTS, **_PIPELINE_DEFAULTS, "manifest": None},
-    "evaluate": {
-        **_COMMON_DEFAULTS,
-        **_PIPELINE_DEFAULTS,
-        "manifest": None,
-        "snr_db": None,
-    },
-    "sweep-window": {
-        **_COMMON_DEFAULTS,
-        **_PIPELINE_DEFAULTS,
-        "manifest": None,
-        "sizes": [float(v) for v in DEFAULT_WINDOW_SIZES],
-    },
-    "sweep-snr": {
-        **_COMMON_DEFAULTS,
-        **_PIPELINE_DEFAULTS,
-        "manifest": None,
-        "snrs": [float(v) for v in DEFAULT_SNR_GRID],
-    },
-    "select": {
-        **_COMMON_DEFAULTS,
-        **_PIPELINE_DEFAULTS,
-        "manifest": None,
-        "pool": list(SelectionConfig.pool),
-        "threshold": SelectionConfig.improvement_threshold,
-        "objective": SelectionConfig.objective,
-    },
-    "res": {**_COMMON_DEFAULTS, **_PIPELINE_DEFAULTS, "manifest": None},
-    "scatter": {**_COMMON_DEFAULTS, **_PIPELINE_DEFAULTS, "manifest": None},
-    "compare": {
-        **_COMMON_DEFAULTS,
-        "groups": None,
-        "metric": "f1",
-        "comparisons": 1,
-    },
+_CLASSIFIER = {
+    "classifier": _opt("--classifier", ModelSpec.kind, "classifier kind",
+                       choices=["qda", "svm", "knn"]),
+    "qda_shrinkage": _opt("--qda-shrinkage", ModelSpec.qda_shrinkage,
+                          "covariance shrinkage in [0,1]", type=float),
+    "svm_sigma": _opt("--svm-sigma", ModelSpec.svm_sigma, "RBF kernel width", type=float),
+    "svm_c": _opt("--svm-c", ModelSpec.svm_c, "SVM box constraint", type=float),
+    "knn_k": _opt("--knn-k", ModelSpec.knn_k, "neighbor count, odd", type=int),
+}
+
+_SYNTH = {
+    "n_subjects": _opt("--n-subjects", SyntheticSpec.n_subjects, "subjects to generate", type=int),
+    "n_channels": _opt("--n-channels", SyntheticSpec.n_channels,
+                       "channels per recording", type=int),
+    "n_movements": _opt("--n-movements", SyntheticSpec.n_movements,
+                        "movement classes, up to 10", type=int),
+    "n_trials": _opt("--n-trials", SyntheticSpec.n_trials, "trials per movement", type=int),
+    "duration_s": _opt("--duration-s", SyntheticSpec.duration_s,
+                       "trial length in seconds", type=float),
+    "sample_rate_hz": _opt("--sample-rate", SyntheticSpec.sample_rate_hz,
+                           "sampling rate in Hz", type=float),
+    "band": _opt("--band", list(SyntheticSpec.band), "noise band in Hz",
+                 type=float, nargs=2, metavar=("LOW", "HIGH")),
+    "gain_ratio": _opt("--gain-ratio",
+                       inspect.signature(separable_spec).parameters["gain_ratio"].default,
+                       "amplitude ratio between adjacent class gains", type=float),
+    "class_gain_matrix": _opt(None, None),
+    "amplitude_only": _opt("--amplitude-only", False,
+                           "make channel amplitude the only class cue; "
+                           "otherwise classes also differ in spectral tilt",
+                           action="store_const", const=True),
 }
 
 
 def _help(text: str, default) -> str:
-    """Help text ending in a default as typed: 0.001, 250, 20 500."""
+    """Help text ending in its default as typed: 0.001, 250, 20 500, none."""
     values = default if isinstance(default, list) else [default]
-    shown = " ".join(f"{v:g}" if isinstance(v, float) else str(v) for v in values)
+    shown = " ".join("none" if v is None else f"{v:g}" if isinstance(v, float) else str(v)
+                     for v in values)
     return f"{text} (default {shown})"
 
 
-def _add_common(sp):
-    sp.add_argument("--config", help="JSON file of saved options (a run.json works)")
-    sp.add_argument("--seed", type=int, help="master seed; every random stage derives from it (default 0)")
-    sp.add_argument("--out-dir", dest="out_dir", help="directory for all output files (default ./out)")
-
-
-def _add_pipeline(sp):
-    d = _PIPELINE_DEFAULTS
-    sp.add_argument("--manifest", help="path to a dataset manifest.json")
-    sp.add_argument("--window-ms", dest="window_ms", type=float,
-                    help=_help("analysis window length in ms", d["window_ms"]))
-    sp.add_argument("--overlap-ms", dest="overlap_ms", type=float,
-                    help=_help("window overlap in ms; 0 gives disjoint windows", d["overlap_ms"]))
-    sp.add_argument("--band", type=float, nargs=2, metavar=("LOW", "HIGH"), help=_help("bandpass edges in Hz", d["band"]))
-    sp.add_argument("--notch", dest="notch_hz", type=float,
-                    help=_help("mains notch frequency in Hz", d["notch_hz"]))
-    sp.add_argument("--notch-q", dest="notch_q", type=float,
-                    help=_help("notch quality factor", d["notch_q"]))
-    sp.add_argument("--filter-order", dest="filter_order", type=int,
-                    help=_help("bandpass Butterworth order", d["filter_order"]))
-    sp.add_argument("--feature-set", dest="feature_set",
-                    choices=sorted(FEATURE_SET_NAMES),
-                    help="named feature set; use CUSTOM with --features")
-    sp.add_argument("--features", nargs="+", metavar="ID",
-                    help="explicit feature ids for a CUSTOM set")
-
-
-def _add_classifier(sp):
-    d = _PIPELINE_DEFAULTS
-    sp.add_argument("--classifier", choices=["qda", "svm", "knn"],
-                    help=_help("classifier kind", d["classifier"]))
-    sp.add_argument("--qda-shrinkage", dest="qda_shrinkage", type=float,
-                    help=_help("covariance shrinkage in [0,1]", d["qda_shrinkage"]))
-    sp.add_argument("--svm-sigma", dest="svm_sigma", type=float,
-                    help=_help("RBF kernel width", d["svm_sigma"]))
-    sp.add_argument("--svm-c", dest="svm_c", type=float,
-                    help=_help("SVM box constraint", d["svm_c"]))
-    sp.add_argument("--knn-k", dest="knn_k", type=int,
-                    help=_help("neighbor count, odd", d["knn_k"]))
+def _options(subcommand: str) -> dict:
+    """dest -> option for every option of a subcommand."""
+    return {dest: opt for group in _SUBCOMMANDS[subcommand][2] for dest, opt in group.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -177,77 +143,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="EMG movement-recognition experiments with reproducible outputs",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    d = _DEFAULTS["synth"]
-    sp = sub.add_parser("synth", help="generate a seeded synthetic dataset as CSV + manifest")
-    _add_common(sp)
-    sp.add_argument("--n-subjects", dest="n_subjects", type=int, help=_help("subjects to generate", d["n_subjects"]))
-    sp.add_argument("--n-channels", dest="n_channels", type=int, help=_help("channels per recording", d["n_channels"]))
-    sp.add_argument("--n-movements", dest="n_movements", type=int, help=_help("movement classes, up to 10", d["n_movements"]))
-    sp.add_argument("--n-trials", dest="n_trials", type=int, help=_help("trials per movement", d["n_trials"]))
-    sp.add_argument("--duration-s", dest="duration_s", type=float, help=_help("trial length in seconds", d["duration_s"]))
-    sp.add_argument("--sample-rate", dest="sample_rate_hz", type=float, help=_help("sampling rate in Hz", d["sample_rate_hz"]))
-    sp.add_argument("--band", type=float, nargs=2, metavar=("LOW", "HIGH"), help=_help("noise band in Hz", d["band"]))
-    sp.add_argument("--gain-ratio", dest="gain_ratio", type=float,
-                    help=_help("amplitude ratio between adjacent class gains", d["gain_ratio"]))
-    sp.add_argument("--amplitude-only", dest="amplitude_only", action="store_const",
-                    const=True,
-                    help="make channel amplitude the only class cue "
-                         "(default: classes also differ in spectral tilt)")
-
-    sp = sub.add_parser("extract", help="write the per-window feature matrix as CSV")
-    _add_common(sp)
-    _add_pipeline(sp)
-
-    sp = sub.add_parser("evaluate", help="leave-one-trial-out evaluation report")
-    _add_common(sp)
-    _add_pipeline(sp)
-    _add_classifier(sp)
-    sp.add_argument("--snr-db", dest="snr_db", type=float,
-                    help="mix calibrated white noise into the raw signal at this SNR")
-
-    sp = sub.add_parser("sweep-window", help="evaluate across window lengths")
-    _add_common(sp)
-    _add_pipeline(sp)
-    _add_classifier(sp)
-    sp.add_argument("--sizes", type=float, nargs="+",
-                    help=_help("window lengths in ms", _DEFAULTS["sweep-window"]["sizes"]))
-
-    sp = sub.add_parser("sweep-snr", help="evaluate across noise levels")
-    _add_common(sp)
-    _add_pipeline(sp)
-    _add_classifier(sp)
-    sp.add_argument("--snrs", type=float, nargs="+",
-                    help=_help("SNR grid in dB", _DEFAULTS["sweep-snr"]["snrs"]))
-
-    d = _DEFAULTS["select"]
-    sp = sub.add_parser("select", help="greedy forward feature selection with audit trace")
-    _add_common(sp)
-    _add_pipeline(sp)
-    _add_classifier(sp)
-    sp.add_argument("--pool", nargs="+", metavar="ID",
-                    help="candidate feature ids (default: full catalog)")
-    sp.add_argument("--threshold", type=float,
-                    help=_help("minimum gain in percentage points to accept a feature",
-                               d["threshold"]))
-    sp.add_argument("--objective", choices=["f1", "macro_f1", "ovr_accuracy"],
-                    help=_help("selection objective; f1 is macro F1", d["objective"]))
-
-    sp = sub.add_parser("res", help="per-subject cluster separability index")
-    _add_common(sp)
-    _add_pipeline(sp)
-
-    sp = sub.add_parser("scatter", help="per-subject 2-D reduced-feature scatter CSV")
-    _add_common(sp)
-    _add_pipeline(sp)
-
-    sp = sub.add_parser("compare", help="one-way ANOVA across report groups")
-    _add_common(sp)
-    sp.add_argument("--group", dest="groups", action="append", metavar="REPORTS",
-                    help="comma-separated report.json paths forming one group; repeat per group")
-    sp.add_argument("--metric", help="summary metric to compare (default f1)")
-    sp.add_argument("--comparisons", type=int,
-                    help="comparison count for the Bonferroni correction (default 1)")
+    for subcommand, (_, text, _) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(subcommand, help=text)
+        sp.add_argument("--config", help="JSON file of saved options (a run.json works)")
+        for dest, opt in _options(subcommand).items():
+            if opt.flag is not None:
+                sp.add_argument(opt.flag, dest=dest, help=_help(opt.text, opt.default),
+                                **opt.keywords)
 
     sp = sub.add_parser("replay", help="re-run a recorded run.json bit-identically")
     sp.add_argument("run_json", help="path to a run.json written by a previous run")
@@ -262,16 +164,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _merge(subcommand: str, saved: dict) -> dict:
     """The subcommand's defaults overlaid with the known keys of a saved config."""
-    cfg = dict(_DEFAULTS[subcommand])
+    cfg = {dest: opt.default for dest, opt in _options(subcommand).items()}
     cfg.update((key, value) for key, value in saved.items() if key in cfg)
     return cfg
 
 
 def _resolve(subcommand: str, args: argparse.Namespace) -> dict:
     loaded = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        loaded = json.loads(Path(config_path).read_text())
+    if args.config:
+        loaded = json.loads(Path(args.config).read_text())
         if "subcommand" in loaded:  # a run.json
             if loaded["subcommand"] != subcommand:
                 raise SystemExit(
@@ -287,18 +188,8 @@ def _resolve(subcommand: str, args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _out_dir(cfg: dict) -> Path:
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _write_run(out: Path, subcommand: str, cfg: dict) -> None:
-    _write_json(out / "run.json", {"subcommand": subcommand, "config": cfg})
 
 
 def _filter_spec(cfg: dict) -> FilterSpec:
@@ -356,20 +247,10 @@ def _print_summary(report) -> None:
 # subcommands
 
 
-def _cmd_synth(cfg: dict) -> int:
-    out = _out_dir(cfg)
-    spec = separable_spec(
-        n_subjects=cfg["n_subjects"],
-        n_channels=cfg["n_channels"],
-        n_movements=cfg["n_movements"],
-        n_trials=cfg["n_trials"],
-        duration_s=cfg["duration_s"],
-        sample_rate_hz=cfg["sample_rate_hz"],
-        gain_ratio=cfg["gain_ratio"],
-        seed=cfg["seed"],
-        band=cfg["band"],
-        amplitude_only=cfg["amplitude_only"],
-    )
+def _cmd_synth(cfg: dict, out: Path) -> int:
+    # each flagged synth option is the separable_spec parameter of its name
+    given = {dest: cfg[dest] for dest, opt in _SYNTH.items() if opt.flag is not None}
+    spec = separable_spec(seed=cfg["seed"], **given)
     if cfg["class_gain_matrix"] is not None:
         spec = replace(spec, class_gain_matrix=tuple(map(tuple, cfg["class_gain_matrix"])))
     recordings = generate_synthetic(spec)
@@ -385,13 +266,11 @@ def _cmd_synth(cfg: dict) -> int:
     save_dataset(recordings, manifest)
     manifest.save(out / "dataset" / "manifest.json")
     cfg["class_gain_matrix"] = [list(r) for r in spec.class_gain_matrix]
-    _write_run(out, "synth", cfg)
     print(f"wrote {len(recordings)} recordings under {out / 'dataset'}")
     return 0
 
 
-def _cmd_extract(cfg: dict) -> int:
-    out = _out_dir(cfg)
+def _cmd_extract(cfg: dict, out: Path) -> int:
     spec = _feature_spec(cfg)
     meta = "subject,movement,trial,window"
     header, rows = meta, []
@@ -406,13 +285,11 @@ def _cmd_extract(cfg: dict) -> int:
             values = ",".join(repr(float(v)) for v in X[i])
             rows.append(f"{subject},{y[i]},{trials[i]},{index},{values}")
     (out / "features.csv").write_text("\n".join([header] + rows) + "\n")
-    _write_run(out, "extract", cfg)
     print(f"wrote {len(rows)} feature rows to {out / 'features.csv'}")
     return 0
 
 
-def _cmd_evaluate(cfg: dict) -> int:
-    out = _out_dir(cfg)
+def _cmd_evaluate(cfg: dict, out: Path) -> int:
     report = crossvalidate(
         _load_recordings(cfg),
         _feature_spec(cfg),
@@ -425,7 +302,6 @@ def _cmd_evaluate(cfg: dict) -> int:
     )
     _write_json(out / "report.json", report.to_dict())
     (out / "report.csv").write_text(_reports_csv([report]))
-    _write_run(out, "evaluate", cfg)
     _print_summary(report)
     if not report.ok:
         for failure in report.failures:
@@ -435,39 +311,34 @@ def _cmd_evaluate(cfg: dict) -> int:
     return 0
 
 
-def _write_sweep(out: Path, subcommand: str, cfg: dict, reports) -> int:
-    """sweep_<kind>.json/.csv, run.json and one summary line per report."""
-    stem = subcommand.replace("-", "_")
+def _write_sweep(out: Path, stem: str, reports) -> int:
+    """<stem>.json/.csv and one summary line per report."""
     _write_json(out / f"{stem}.json", [r.to_dict() for r in reports])
     (out / f"{stem}.csv").write_text(_reports_csv(reports))
-    _write_run(out, subcommand, cfg)
     for report in reports:
         _print_summary(report)
     return 0 if all(r.ok for r in reports) else 1
 
 
-def _cmd_sweep_window(cfg: dict) -> int:
-    out = _out_dir(cfg)
+def _cmd_sweep_window(cfg: dict, out: Path) -> int:
     reports = sweep_window(
         _load_recordings(cfg), _feature_spec(cfg), _model_spec(cfg),
         sizes=cfg["sizes"], overlap_ms=cfg["overlap_ms"],
         filter_spec=_filter_spec(cfg), seed=cfg["seed"],
     )
-    return _write_sweep(out, "sweep-window", cfg, reports)
+    return _write_sweep(out, "sweep_window", reports)
 
 
-def _cmd_sweep_snr(cfg: dict) -> int:
-    out = _out_dir(cfg)
+def _cmd_sweep_snr(cfg: dict, out: Path) -> int:
     reports = sweep_snr(
         _load_recordings(cfg), _feature_spec(cfg), _model_spec(cfg),
         snrs=cfg["snrs"], window_ms=cfg["window_ms"], overlap_ms=cfg["overlap_ms"],
         filter_spec=_filter_spec(cfg), seed=cfg["seed"],
     )
-    return _write_sweep(out, "sweep-snr", cfg, reports)
+    return _write_sweep(out, "sweep_snr", reports)
 
 
-def _cmd_select(cfg: dict) -> int:
-    out = _out_dir(cfg)
+def _cmd_select(cfg: dict, out: Path) -> int:
     recordings = _load_recordings(cfg)
     sel_cfg = SelectionConfig(
         pool=tuple(cfg["pool"]),
@@ -482,7 +353,6 @@ def _cmd_select(cfg: dict) -> int:
     )
     trace = forward_select(recordings, sel_cfg)
     _write_json(out / "selection.json", trace.to_dict())
-    _write_run(out, "select", cfg)
     print(trace.table())
     return 0
 
@@ -509,29 +379,24 @@ def _reduced_two_dims(X, y):
     return project(fit_ulda(norm, y), norm)[:, :2]
 
 
-def _cmd_res(cfg: dict) -> int:
-    out = _out_dir(cfg)
+def _cmd_res(cfg: dict, out: Path) -> int:
     values = {}
     for subject, X, y, _ in _subject_matrices(cfg):
         values[subject] = res_index(_reduced_two_dims(X, y), y)
         print(f"{subject}: RES = {values[subject]:.4f}")
     _write_json(out / "res.json", values)
-    _write_run(out, "res", cfg)
     return 0
 
 
-def _cmd_scatter(cfg: dict) -> int:
-    out = _out_dir(cfg)
+def _cmd_scatter(cfg: dict, out: Path) -> int:
     for subject, X, y, _ in _subject_matrices(cfg):
         path = out / f"scatter_{subject}.csv"
         scatter_export(_reduced_two_dims(X, y), y, path)
         print(f"wrote {len(y)} points to {path}")
-    _write_run(out, "scatter", cfg)
     return 0
 
 
-def _cmd_compare(cfg: dict) -> int:
-    out = _out_dir(cfg)
+def _cmd_compare(cfg: dict, out: Path) -> int:
     if not cfg["groups"] or len(cfg["groups"]) < 2:
         raise SystemExit("compare needs at least two --group arguments")
     groups = []
@@ -544,7 +409,6 @@ def _cmd_compare(cfg: dict) -> int:
         groups.append(scores)
     result = compare_groups(groups, n_comparisons=cfg["comparisons"])
     _write_json(out / "compare.json", result)
-    _write_run(out, "compare", cfg)
     print(
         f"F={result['f_stat']:.6g} p={result['p_value']:.6g} "
         f"bonferroni_p={result['bonferroni_p']:.6g}"
@@ -552,16 +416,55 @@ def _cmd_compare(cfg: dict) -> int:
     return 0
 
 
-_HANDLERS = {
-    "synth": _cmd_synth,
-    "extract": _cmd_extract,
-    "evaluate": _cmd_evaluate,
-    "sweep-window": _cmd_sweep_window,
-    "sweep-snr": _cmd_sweep_snr,
-    "select": _cmd_select,
-    "res": _cmd_res,
-    "scatter": _cmd_scatter,
-    "compare": _cmd_compare,
+#: subcommand -> (handler, help, option groups); each handler writes its
+#: outputs into the created output directory and returns the exit code
+_SUBCOMMANDS = {
+    "synth": (_cmd_synth, "generate a seeded synthetic dataset as CSV + manifest",
+              [_COMMON, _SYNTH]),
+    "extract": (_cmd_extract, "write the per-window feature matrix as CSV",
+                [_COMMON, _PIPELINE]),
+    "evaluate": (_cmd_evaluate, "leave-one-trial-out evaluation report", [
+        _COMMON, _PIPELINE, _CLASSIFIER,
+        {"snr_db": _opt("--snr-db", None,
+                        "mix calibrated white noise into the raw signal at this SNR in dB",
+                        type=float)},
+    ]),
+    "sweep-window": (_cmd_sweep_window, "evaluate across window lengths", [
+        _COMMON, _PIPELINE, _CLASSIFIER,
+        {"sizes": _opt("--sizes", [float(v) for v in DEFAULT_WINDOW_SIZES],
+                       "window lengths in ms", type=float, nargs="+")},
+    ]),
+    "sweep-snr": (_cmd_sweep_snr, "evaluate across noise levels", [
+        _COMMON, _PIPELINE, _CLASSIFIER,
+        {"snrs": _opt("--snrs", [float(v) for v in DEFAULT_SNR_GRID],
+                      "SNR grid in dB", type=float, nargs="+")},
+    ]),
+    "select": (_cmd_select, "greedy forward feature selection with audit trace", [
+        _COMMON, _PIPELINE, _CLASSIFIER,
+        {
+            "pool": _opt("--pool", list(SelectionConfig.pool), "candidate feature ids",
+                         nargs="+", metavar="ID"),
+            "threshold": _opt("--threshold", SelectionConfig.improvement_threshold,
+                              "minimum gain in percentage points to accept a feature",
+                              type=float),
+            "objective": _opt("--objective", SelectionConfig.objective,
+                              "selection objective; f1 is macro F1",
+                              choices=["f1", "macro_f1", "ovr_accuracy"]),
+        },
+    ]),
+    "res": (_cmd_res, "per-subject cluster separability index", [_COMMON, _PIPELINE]),
+    "scatter": (_cmd_scatter, "per-subject 2-D reduced-feature scatter CSV",
+                [_COMMON, _PIPELINE]),
+    "compare": (_cmd_compare, "one-way ANOVA across report groups", [
+        _COMMON,
+        {
+            "groups": _opt("--group", None, "comma-separated report.json paths forming "
+                           "one group; repeat per group", action="append", metavar="REPORTS"),
+            "metric": _opt("--metric", "f1", "summary metric to compare"),
+            "comparisons": _opt("--comparisons", 1,
+                                "comparison count for the Bonferroni correction", type=int),
+        },
+    ]),
 }
 
 
@@ -570,7 +473,7 @@ def main(argv=None) -> int:
     if args.subcommand == "replay":
         run = json.loads(Path(args.run_json).read_text())
         subcommand = run.get("subcommand")
-        if subcommand not in _HANDLERS:
+        if subcommand not in _SUBCOMMANDS:
             print(f"error: unknown subcommand {subcommand!r} in {args.run_json}",
                   file=sys.stderr)
             return 2
@@ -580,12 +483,16 @@ def main(argv=None) -> int:
     else:
         subcommand = args.subcommand
         cfg = _resolve(subcommand, args)
+    out = Path(cfg["out_dir"])
+    out.mkdir(parents=True, exist_ok=True)
     try:
-        return _HANDLERS[subcommand](cfg)
+        code = _SUBCOMMANDS[subcommand][0](cfg, out)
     except (EmgprError, ValueError) as exc:
         # a library error, or a library validation of a configured value
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _write_json(out / "run.json", {"subcommand": subcommand, "config": cfg})
+    return code
 
 
 if __name__ == "__main__":

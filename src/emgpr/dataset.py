@@ -301,17 +301,6 @@ class SyntheticSpec:
             "seed": self.seed,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SyntheticSpec":
-        d = dict(d)
-        for key in ("class_gain_matrix", "class_tilt_matrix"):
-            if d.get(key) is not None:
-                d[key] = tuple(tuple(r) for r in d[key])
-        for key in ("band", "tilt_split_hz"):
-            if d.get(key) is not None:
-                d[key] = tuple(d[key])
-        return cls(**d)
-
 
 def separable_gain_grid(n_movements: int, n_channels: int, ratio: float = 2.0) -> tuple:
     """Gain rows on a geometric grid so adjacent classes differ >= ratio.
@@ -456,16 +445,15 @@ def mix_awgn(rec: Recording, snr_db: float, seed: int) -> Recording:
         return rec
     if not math.isfinite(snr_db):
         raise ValueError(f"snr_db must be finite or inf, got {snr_db!r}")
-    rng = np.random.default_rng(seed)
-    out = np.empty_like(rec.channels)
-    for ch in range(rec.n_channels):
-        x = rec.channels[ch]
-        power = float(np.mean(x * x))
-        if power <= 0.0:
-            raise ZeroPowerChannel(f"channel {ch} has zero power")
-        noise_power = power / 10.0 ** (snr_db / 10.0)
-        out[ch] = x + rng.normal(0.0, math.sqrt(noise_power), x.shape)
-    return rec.with_channels(out)
+    x = rec.channels
+    power = np.mean(x * x, axis=1)
+    silent = np.flatnonzero(power <= 0.0)
+    if len(silent):
+        raise ZeroPowerChannel(f"channel {silent[0]} has zero power")
+    scale = np.sqrt(power / 10.0 ** (snr_db / 10.0))
+    # one draw in channel order: the same numbers as one rng.normal per channel
+    noise = np.random.default_rng(seed).standard_normal(x.shape)
+    return rec.with_channels(x + noise * scale[:, None])
 
 
 def estimate_snr(active_rms: float, noise_rms: float) -> float:

@@ -15,7 +15,7 @@ finite on any input, including all-zero windows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
@@ -78,14 +78,6 @@ class FeatureSetSpec:
             "features": list(self.features),
             "thresholds": self.thresholds.to_dict(),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeatureSetSpec":
-        thresholds = Thresholds.from_dict(d.get("thresholds", {}))
-        name = d["name"]
-        if "features" in d and d["features"]:
-            return cls(name=name, features=tuple(d["features"]), thresholds=thresholds)
-        return replace(feature_set(name), thresholds=thresholds)
 
 
 _REGISTRY = {

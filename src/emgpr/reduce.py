@@ -27,11 +27,10 @@ def group_rows(X: np.ndarray, codes: np.ndarray, k: int):
     Returns (rows, bounds, means): class i is rows[bounds[i]:bounds[i + 1]],
     which holds the rows of X[codes == i] in the same order, and means[i] is
     that slice's mean, equal to X[codes == i].mean(axis=0) bit for bit.
-    `bounds` is a list of k + 1 ints.  Codes of k or more sort after the
-    last class and belong to none.
+    `bounds` is a list of k + 1 ints.  Every code lies in [0, k).
     """
     rows = X[np.argsort(codes, kind="stable")]
-    counts = np.bincount(codes, minlength=k)[:k]
+    counts = np.bincount(codes, minlength=k)
     bounds = [0] + np.cumsum(counts).tolist()
     # add.reduce of each slice is the sum ndarray.mean takes, in its order
     sums = np.array([np.add.reduce(rows[a:b], axis=0)

@@ -61,6 +61,14 @@ class TestTrainPredict:
         with pytest.raises(DegenerateClasses, match="repeat"):
             train(ModelSpec(kind=kind), X, y, classes=["a", "b", "a"])
 
+    @pytest.mark.parametrize("kind", ["qda", "svm", "knn"])
+    def test_undeclared_label_rejected(self, kind):
+        rng = np.random.default_rng(4)
+        X = np.vstack([rng.normal(c, 0.2, (3, 2)) for c in CENTERS3])
+        y = np.repeat(["a", "b", "c"], 3)
+        with pytest.raises(DegenerateClasses, match=r"declared classes: \['c'\]"):
+            train(ModelSpec(kind=kind), X, y, classes=["a", "b"])
+
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateClasses):
             train(ModelSpec(kind="knn"), np.ones((5, 2)), ["a"] * 5)

@@ -1,10 +1,12 @@
+import argparse
 import json
 import math
+import shutil
 from pathlib import Path
 
 import pytest
 
-from emgpr.cli import main
+from emgpr.cli import build_parser, main
 from emgpr.dataset import DatasetManifest, load_dataset
 from emgpr.features import extract_matrix, feature_set
 from emgpr.preprocess import FilterSpec, apply_filters, segment
@@ -304,6 +306,85 @@ class TestRecordedRuns:
         assert "Traceback" not in err
 
 
+def write_report(path, per_subject_f1):
+    path.write_text(json.dumps({"per_subject": {"f1": per_subject_f1}}))
+
+
+def subcommand_parser(subcommand):
+    parser = build_parser()
+    (choices,) = [a.choices for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    return choices[subcommand]
+
+
+class TestFrame:
+    """What `main` does around every subcommand: resolve, run, record."""
+
+    FLAGS = {
+        "synth": ("--n-movements", 2, "--n-trials", 2, "--duration-s", 0.5, "--seed", 5),
+        "extract": ("--feature-set", "FS2", "--overlap-ms", 50),
+        "evaluate": ("--classifier", "knn", "--seed", 77, "--snr-db", 10),
+        "sweep-window": ("--feature-set", "FS2", "--sizes", 100, 250),
+        "sweep-snr": ("--feature-set", "FS2", "--snrs", 5, 15),
+        "select": ("--pool", "RMS", "WL", "ZC"),
+        "res": ("--feature-set", "FS2"),
+        "scatter": ("--feature-set", "FS2"),
+        "compare": ("--comparisons", 3),
+    }
+
+    @staticmethod
+    def inputs(subcommand, small_dataset, tmp_path):
+        """The input flags a run of the subcommand cannot go without."""
+        if subcommand == "synth":
+            return ()
+        if subcommand == "compare":
+            a, b = tmp_path / "a.json", tmp_path / "b.json"
+            write_report(a, {"S1": 0.9, "S2": 0.8})
+            write_report(b, {"S1": 0.7, "S2": 0.75})
+            return ("--group", a, "--group", b)
+        return ("--manifest", small_dataset)
+
+    @pytest.mark.parametrize("subcommand", list(FLAGS))
+    def test_replay_rewrites_every_file_bit_identically(
+        self, subcommand, small_dataset, tmp_path
+    ):
+        out = tmp_path / "out"
+        given = self.inputs(subcommand, small_dataset, tmp_path)
+        assert run_cli(subcommand, "--out-dir", out, *given, *self.FLAGS[subcommand]) == 0
+        fresh = read_bytes_map(out)
+        assert "run.json" in fresh and len(fresh) > 1
+        recorded = tmp_path / "recorded.json"
+        shutil.copy(out / "run.json", recorded)
+        shutil.rmtree(out)
+        # into the recorded out_dir, so the run.json and a manifest's
+        # absolute root_path must come out equal too
+        assert run_cli("replay", recorded) == 0
+        assert read_bytes_map(out) == fresh
+
+    @pytest.mark.parametrize("subcommand", list(FLAGS))
+    def test_help_shows_the_recorded_default(
+        self, subcommand, small_dataset, tmp_path, monkeypatch
+    ):
+        given = self.inputs(subcommand, small_dataset, tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(subcommand, *given) == 0
+        recorded = json.loads((tmp_path / "out" / "run.json").read_text())["config"]
+
+        def shown(value):
+            values = value if isinstance(value, list) else [value]
+            return " ".join("none" if v is None else f"{v:g}" if isinstance(v, float)
+                            else str(v) for v in values)
+
+        checked = 0
+        for action in subcommand_parser(subcommand)._actions:
+            if action.dest not in recorded or action.option_strings[0] in given:
+                continue
+            flag = action.option_strings[0]
+            assert action.help.endswith(f"(default {shown(recorded[action.dest])})"), flag
+            checked += 1
+        assert checked >= 3
+
+
 class TestSelect:
     def test_selection_trace_written(self, small_dataset, tmp_path):
         code = run_cli(
@@ -339,13 +420,9 @@ class TestResAndScatter:
 
 
 class TestCompare:
-    def _write_report(self, path, per_subject_f1):
-        report = {"per_subject": {"f1": per_subject_f1}}
-        path.write_text(json.dumps(report))
-
     def test_identical_groups_give_p_one(self, tmp_path, capsys):
         a = tmp_path / "a.json"
-        self._write_report(a, {"S1": 0.9, "S2": 0.8})
+        write_report(a, {"S1": 0.9, "S2": 0.8})
         out = tmp_path / "out"
         code = run_cli(
             "compare", "--out-dir", out, "--group", a, "--group", a,
@@ -358,10 +435,10 @@ class TestCompare:
     def test_group_concatenation(self, tmp_path):
         a1, a2 = tmp_path / "a1.json", tmp_path / "a2.json"
         b1, b2 = tmp_path / "b1.json", tmp_path / "b2.json"
-        self._write_report(a1, {"S1": 0.90, "S2": 0.91})
-        self._write_report(a2, {"S1": 0.92})
-        self._write_report(b1, {"S1": 0.70, "S2": 0.71})
-        self._write_report(b2, {"S1": 0.72})
+        write_report(a1, {"S1": 0.90, "S2": 0.91})
+        write_report(a2, {"S1": 0.92})
+        write_report(b1, {"S1": 0.70, "S2": 0.71})
+        write_report(b2, {"S1": 0.72})
         out = tmp_path / "out"
         code = run_cli(
             "compare", "--out-dir", out,

@@ -10,7 +10,6 @@ from emgpr.errors import UnknownFeature, WindowTooShort
 from emgpr.features import (
     CATALOG,
     FEATURE_SET_NAMES,
-    FeatureSetSpec,
     Thresholds,
     ar_coefficients,
     compute_feature,
@@ -210,11 +209,6 @@ class TestFeatureSets:
     def test_custom_requires_features(self):
         with pytest.raises(ValueError):
             feature_set("CUSTOM")
-
-    def test_spec_roundtrip(self):
-        spec = feature_set("PROPOSED", thresholds=Thresholds(wamp=0.05))
-        again = FeatureSetSpec.from_dict(spec.to_dict())
-        assert again == spec
 
 
 def branch_windows(count, n=256):
