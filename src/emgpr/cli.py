@@ -16,7 +16,7 @@ import argparse
 import inspect
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -163,8 +163,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge(subcommand: str, saved: dict) -> dict:
-    """The subcommand's defaults overlaid with the known keys of a saved config."""
+    """The subcommand's defaults overlaid with the known keys of a saved config.
+
+    Unknown keys are named on stderr and dropped, so a typo shows while a
+    run.json that records an option since removed still replays.
+    """
     cfg = {dest: opt.default for dest, opt in _options(subcommand).items()}
+    unknown = sorted(set(saved) - set(cfg))
+    if unknown:
+        print(f"warning: ignoring config keys unknown to '{subcommand}': "
+              + ", ".join(unknown), file=sys.stderr)
     cfg.update((key, value) for key, value in saved.items() if key in cfg)
     return cfg
 
@@ -203,7 +211,15 @@ def _filter_spec(cfg: dict) -> FilterSpec:
 
 
 def _thresholds(cfg: dict) -> Thresholds:
-    return Thresholds.from_dict(cfg["thresholds"]) if cfg["thresholds"] else Thresholds()
+    given = cfg["thresholds"] or {}
+    known = [f.name for f in fields(Thresholds)]
+    if not isinstance(given, dict):
+        raise ValueError(f"thresholds must map {', '.join(known)} to levels")
+    unknown = sorted(set(given) - set(known))
+    if unknown:
+        raise ValueError(f"unknown thresholds keys {', '.join(unknown)}; "
+                         f"known: {', '.join(known)}")
+    return Thresholds(**given)
 
 
 def _feature_spec(cfg: dict) -> FeatureSetSpec:
@@ -255,7 +271,7 @@ def _cmd_synth(cfg: dict, out: Path) -> int:
         spec = replace(spec, class_gain_matrix=tuple(map(tuple, cfg["class_gain_matrix"])))
     recordings = generate_synthetic(spec)
     manifest = DatasetManifest(
-        root_path=str((out / "dataset").absolute()),
+        root_path=(out / "dataset").absolute(),
         layout="two_channel_csv",
         subjects=sorted({r.subject_id for r in recordings}),
         movements=[m for m in dict.fromkeys(r.movement for r in recordings)],

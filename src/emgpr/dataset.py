@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +85,8 @@ class DatasetManifest:
     filename_template: str
 
     def __post_init__(self):
+        # a pathlib.Path root is kept as text, so the manifest saves as JSON
+        object.__setattr__(self, "root_path", str(self.root_path))
         if self.layout != "two_channel_csv":
             raise ValueError(
                 f"unknown layout {self.layout!r}; only 'two_channel_csv' loads"
@@ -105,26 +107,14 @@ class DatasetManifest:
         return root / name
 
     def to_dict(self) -> dict:
-        return {
-            "root_path": str(self.root_path),
-            "layout": self.layout,
-            "subjects": list(self.subjects),
-            "movements": list(self.movements),
-            "trials_per_movement": self.trials_per_movement,
-            "sample_rate_hz": self.sample_rate_hz,
-            "filename_template": self.filename_template,
-        }
+        return asdict(self)
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
 
     @classmethod
-    def from_dict(cls, d: dict) -> "DatasetManifest":
-        return cls(**d)
-
-    @classmethod
     def load(cls, path) -> "DatasetManifest":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls(**json.loads(Path(path).read_text()))
 
 
 def _parse_csv(path: Path) -> np.ndarray:
@@ -281,25 +271,7 @@ class SyntheticSpec:
         object.__setattr__(self, "class_tilt_matrix", tilt)
 
     def to_dict(self) -> dict:
-        return {
-            "n_subjects": self.n_subjects,
-            "n_channels": self.n_channels,
-            "n_movements": self.n_movements,
-            "n_trials": self.n_trials,
-            "duration_s": self.duration_s,
-            "sample_rate_hz": self.sample_rate_hz,
-            "class_gain_matrix": [list(r) for r in self.class_gain_matrix],
-            "band": list(self.band),
-            "class_tilt_matrix": (
-                None
-                if self.class_tilt_matrix is None
-                else [list(r) for r in self.class_tilt_matrix]
-            ),
-            "tilt_split_hz": (
-                None if self.tilt_split_hz is None else list(self.tilt_split_hz)
-            ),
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def separable_gain_grid(n_movements: int, n_channels: int, ratio: float = 2.0) -> tuple:

@@ -15,7 +15,7 @@ finite on any input, including all-zero windows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
@@ -47,11 +47,7 @@ class Thresholds:
     myop: float = 0.016
 
     def to_dict(self) -> dict:
-        return {"zc": self.zc, "ssc": self.ssc, "wamp": self.wamp, "myop": self.myop}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Thresholds":
-        return cls(**d)
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -73,11 +69,7 @@ class FeatureSetSpec:
         return len(self.features)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "features": list(self.features),
-            "thresholds": self.thresholds.to_dict(),
-        }
+        return asdict(self)
 
 
 _REGISTRY = {

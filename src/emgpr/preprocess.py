@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import signal
@@ -38,13 +38,7 @@ class FilterSpec:
             raise ValueError("order must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "band_low_hz": self.band_low_hz,
-            "band_high_hz": self.band_high_hz,
-            "notch_hz": self.notch_hz,
-            "notch_q": self.notch_q,
-            "order": self.order,
-        }
+        return asdict(self)
 
 
 @functools.lru_cache(maxsize=64)

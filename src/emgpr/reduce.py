@@ -110,13 +110,14 @@ def project(p: UldaProjection, X: np.ndarray) -> np.ndarray:
 
 def _class_stats(reduced: np.ndarray, y):
     y = np.asarray(y)
-    classes = np.unique(y)
-    means = np.stack([reduced[y == c].mean(axis=0) for c in classes])
+    if len(y) != len(reduced):
+        raise ValueError(f"{len(reduced)} rows but {len(y)} labels")
+    classes, codes = np.unique(y, return_inverse=True)
+    rows, bounds, means = group_rows(reduced, codes, len(classes))
     stds = np.stack(
         [
-            reduced[y == c].std(axis=0, ddof=1) if (y == c).sum() > 1
-            else np.zeros(reduced.shape[1])
-            for c in classes
+            rows[a:b].std(axis=0, ddof=1) if b - a > 1 else np.zeros(reduced.shape[1])
+            for a, b in zip(bounds[:-1], bounds[1:])
         ]
     )
     return classes, means, stds

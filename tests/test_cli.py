@@ -297,6 +297,53 @@ class TestRecordedRuns:
         assert again["config"] == {**run["config"], "comparisons": 1,
                                    "out_dir": str(replayed)}
 
+    def test_unknown_config_key_is_named_on_stderr(self, small_dataset, tmp_path, capsys):
+        config = tmp_path / "typo.json"
+        config.write_text(json.dumps({"clasifier": "svm", "feature_set": "FS2"}))
+        out = tmp_path / "out"
+        assert run_cli("evaluate", "--config", config, "--manifest", small_dataset,
+                       "--out-dir", out) == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("warning: ")
+        assert "clasifier" in err and "'evaluate'" in err
+        # the run goes on with the defaults, and records only known keys
+        run = json.loads((out / "run.json").read_text())
+        assert run["config"]["classifier"] == "qda"
+        assert "clasifier" not in run["config"]
+
+        run["config"]["clasifier"] = "svm"
+        recorded = tmp_path / "recorded.json"
+        recorded.write_text(json.dumps(run))
+        assert run_cli("replay", recorded, "--out-dir", tmp_path / "replayed") == 0
+        assert "clasifier" in capsys.readouterr().err
+        assert ((tmp_path / "replayed" / "report.json").read_bytes()
+                == (out / "report.json").read_bytes())
+
+    @pytest.mark.parametrize("thresholds, named", [({"wampp": 0.02}, "wampp"),
+                                                    ([0.02], "wamp")])
+    def test_unknown_thresholds_key_exits_2(
+        self, thresholds, named, small_dataset, tmp_path, capsys
+    ):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"thresholds": thresholds}))
+        assert run_cli("extract", "--config", config, "--manifest", small_dataset,
+                       "--out-dir", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert "Traceback" not in err
+
+    def test_known_thresholds_keys_are_used(self, small_dataset, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"thresholds": {"wamp": 0.5}}))
+        out = tmp_path / "out"
+        assert run_cli("extract", "--config", config, "--manifest", small_dataset,
+                       "--feature-set", "FS2", "--out-dir", out) == 0
+        default = tmp_path / "default"
+        assert run_cli("extract", "--manifest", small_dataset, "--feature-set", "FS2",
+                       "--out-dir", default) == 0
+        assert ((out / "features.csv").read_bytes()
+                != (default / "features.csv").read_bytes())
+
     def test_replay_of_unknown_subcommand_exits_2(self, tmp_path, capsys):
         recorded = tmp_path / "run.json"
         recorded.write_text(json.dumps({"subcommand": "evalaute", "config": {}}))
@@ -346,7 +393,7 @@ class TestFrame:
 
     @pytest.mark.parametrize("subcommand", list(FLAGS))
     def test_replay_rewrites_every_file_bit_identically(
-        self, subcommand, small_dataset, tmp_path
+        self, subcommand, small_dataset, tmp_path, capsys
     ):
         out = tmp_path / "out"
         given = self.inputs(subcommand, small_dataset, tmp_path)
@@ -358,8 +405,11 @@ class TestFrame:
         shutil.rmtree(out)
         # into the recorded out_dir, so the run.json and a manifest's
         # absolute root_path must come out equal too
+        capsys.readouterr()
         assert run_cli("replay", recorded) == 0
         assert read_bytes_map(out) == fresh
+        # a freshly recorded run.json holds no key the replay ignores
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("subcommand", list(FLAGS))
     def test_help_shows_the_recorded_default(

@@ -302,6 +302,20 @@ class TestCsvIo:
         again = DatasetManifest.load(tmp_path / "manifest.json")
         assert again == manifest
 
+    def test_manifest_with_a_path_root_saves_and_loads(self, tmp_path):
+        recs = generate_synthetic(small_spec(n_movements=2))
+        manifest = DatasetManifest(
+            root_path=tmp_path, layout="two_channel_csv", subjects=["S1"],
+            movements=["T", "I"], trials_per_movement=2, sample_rate_hz=2000.0,
+            filename_template="{subject}_{movement}_t{trial}.csv",
+        )
+        assert manifest.root_path == str(tmp_path)
+        save_dataset(recs, manifest)
+        manifest.save(tmp_path / "manifest.json")
+        again = DatasetManifest.load(tmp_path / "manifest.json")
+        assert again == manifest == self._manifest(tmp_path)
+        assert len(load_dataset(again)) == len(recs)
+
     def test_synthetic_layout_not_loadable(self, tmp_path):
         with pytest.raises(ValueError):
             DatasetManifest(

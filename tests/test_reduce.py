@@ -12,6 +12,7 @@ from emgpr.errors import (
     ZeroDispersion,
 )
 from emgpr.reduce import (
+    _class_stats,
     fit_ulda,
     project,
     res_index,
@@ -195,6 +196,24 @@ class TestResIndex:
         pts = np.vstack([np.eye(3), np.eye(3) + 5.0])
         val = res_index_general(pts, ["a"] * 3 + ["b"] * 3)
         assert val > 0
+
+    def test_class_stats_equal_per_class_masks(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            n, d, k = rng.integers(2, 60), rng.integers(1, 4), rng.integers(1, 6)
+            pts = rng.normal(0, rng.uniform(0.1, 50), (n, d))
+            y = np.array([f"c{j}" for j in range(k)])[rng.integers(0, k, n)]
+            classes, means, stds = _class_stats(pts, y)
+            assert list(classes) == sorted(set(y))
+            for c, mean, std in zip(classes, means, stds):
+                rows = pts[y == c]
+                assert np.array_equal(mean, rows.mean(axis=0))
+                expect = rows.std(axis=0, ddof=1) if len(rows) > 1 else np.zeros(d)
+                assert np.array_equal(std, expect)
+
+    def test_label_count_must_match_rows(self):
+        with pytest.raises(ValueError):
+            res_index(np.ones((6, 2)), ["a"] * 3 + ["b"] * 2)
 
     def test_zero_dispersion(self):
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
