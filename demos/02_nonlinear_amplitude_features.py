@@ -9,10 +9,20 @@ waveform shape where MAV cannot.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 
-from emgpr import lmav, nsv
+from emgpr import extract, feature_set
+
+
+def channel_feature(fid, x):
+    """One feature of one window channel: `extract` of the window x[None]."""
+    return extract(feature_set("CUSTOM", [fid]), x[None]).values[0]
+
+
+lmav = partial(channel_feature, "LMAV")
+nsv = partial(channel_feature, "NSV")
 
 rng = np.random.default_rng(0)
 base = rng.standard_normal(500)

@@ -37,12 +37,9 @@ from .features import (
     FeatureSetSpec,
     FeatureVector,
     Thresholds,
-    compute_feature,
     extract,
     extract_matrix,
     feature_set,
-    lmav,
-    nsv,
     with_lmav_nsv,
 )
 from .reduce import (
@@ -65,8 +62,6 @@ from .evaluate import (
     crossvalidate,
     fit_pipeline,
     metrics,
-    pool_columns,
-    set_columns,
     sweep_snr,
     sweep_window,
 )

@@ -34,10 +34,10 @@ from .evaluate import (
     CSV_HEADER,
     DEFAULT_SNR_GRID,
     DEFAULT_WINDOW_SIZES,
+    METRIC_NAMES,
     build_table,
     compare_groups,
     crossvalidate,
-    set_columns,
     sweep_snr,
     sweep_window,
 )
@@ -378,7 +378,7 @@ def _subject_matrices(cfg: dict):
     spec = _feature_spec(cfg)
     table = build_table(
         _load_recordings(cfg),
-        set_columns(spec.features),
+        [spec.features],
         thresholds=spec.thresholds,
         window_ms=cfg["window_ms"],
         overlap_ms=cfg["overlap_ms"],
@@ -415,6 +415,9 @@ def _cmd_scatter(cfg: dict, out: Path) -> int:
 def _cmd_compare(cfg: dict, out: Path) -> int:
     if not cfg["groups"] or len(cfg["groups"]) < 2:
         raise SystemExit("compare needs at least two --group arguments")
+    if cfg["metric"] not in METRIC_NAMES:
+        raise ValueError(f"unknown metric {cfg['metric']!r}; "
+                         f"known: {', '.join(METRIC_NAMES)}")
     groups = []
     for group in cfg["groups"]:
         scores = []
@@ -476,7 +479,8 @@ _SUBCOMMANDS = {
         {
             "groups": _opt("--group", None, "comma-separated report.json paths forming "
                            "one group; repeat per group", action="append", metavar="REPORTS"),
-            "metric": _opt("--metric", "f1", "summary metric to compare"),
+            "metric": _opt("--metric", "f1", "summary metric to compare",
+                           choices=list(METRIC_NAMES)),
             "comparisons": _opt("--comparisons", 1,
                                 "comparison count for the Bonferroni correction", type=int),
         },

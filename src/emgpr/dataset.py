@@ -49,6 +49,14 @@ class Recording:
         ch = np.asarray(self.channels, dtype=float)
         if ch.ndim != 2 or ch.shape[1] < 1:
             raise ValueError("channels must be a (n_channels, n_samples) matrix")
+        finite = np.isfinite(ch)
+        if not finite.all():
+            channel, sample = np.argwhere(~finite)[0]
+            raise ValueError(
+                f"recording {self.subject_id}/{self.movement}/trial {self.trial}: "
+                f"channel {channel + 1}, sample index {sample} is "
+                f"{float(ch[channel, sample])}, not a finite number"
+            )
         object.__setattr__(self, "channels", ch)
 
     @property

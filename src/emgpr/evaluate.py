@@ -331,7 +331,7 @@ def _mixing_snr(snr_db):
 # feature table
 
 
-def set_columns(features) -> tuple:
+def _set_columns(features) -> tuple:
     """The table column each feature of a set reads, in set order.
 
     A column is keyed (feature id, AR fit order); the order is None for
@@ -343,29 +343,12 @@ def set_columns(features) -> tuple:
     return tuple((fid, order if fid.startswith("AR") else None) for fid in features)
 
 
-def pool_columns(pool) -> tuple:
-    """Columns that serve every subset of `pool`: the plain features plus
-    (ARl, p) for every pair of pool lags l <= p."""
-    lags = sorted({int(fid[2:]) for fid in pool if fid.startswith("AR")})
-    plain = tuple((fid, None) for fid in dict.fromkeys(pool) if not fid.startswith("AR"))
-    return plain + tuple((f"AR{lag}", p) for p in lags for lag in lags if lag <= p)
-
-
 def _extraction_groups(columns, thresholds) -> list:
     """(spec, column positions) per AR fit order, one `extract_matrix` each.
 
     Plain features ride with the largest order, so a single set is extracted
     in one pass.
     """
-    for fid, order in columns:
-        if fid.startswith("AR") != (order is not None) or (
-            order is not None
-            and (int(fid[2:]) > order or (f"AR{order}", order) not in columns)
-        ):
-            raise ValueError(
-                f"bad feature table column {(fid, order)!r}: only AR lags take "
-                "an order p, which must be >= the lag, with (ARp, p) present"
-            )
     orders = sorted({order for _, order in columns if order is not None})
     top = orders[-1] if orders else None
     groups = []
@@ -410,7 +393,7 @@ class FeatureTable:
     def positions(self, features) -> list:
         """Column positions a feature list reads; ValueError if one is absent."""
         index = {key: i for i, key in enumerate(self.columns)}
-        keys = set_columns(features)
+        keys = _set_columns(features)
         for key in keys:
             if key not in index:
                 raise ValueError(f"feature table has no column {key!r}")
@@ -424,7 +407,7 @@ class FeatureTable:
 
 def build_table(
     recordings,
-    columns,
+    feature_sets,
     thresholds: Thresholds = None,
     window_ms: float = DEFAULT_WINDOW_MS,
     overlap_ms: float = 0.0,
@@ -434,15 +417,20 @@ def build_table(
 ) -> FeatureTable:
     """Mix noise, filter, segment and extract every recording once.
 
-    `columns` are (feature id, AR fit order) keys, see `set_columns` and
-    `pool_columns`.  When snr_db is given and not inf, calibrated white noise
-    is mixed into the raw recordings (seeded per subject/movement/trial)
-    before filtering.
+    `feature_sets` are the feature-id lists the table must serve; each list
+    reads its AR lags off one fit at its largest lag, as `extract` does, so
+    the table holds one extraction per AR fit order.  When snr_db is given
+    and not inf, calibrated white noise is mixed into the raw recordings
+    (seeded per subject/movement/trial) before filtering.
     """
+    if any(isinstance(features, str) for features in feature_sets):
+        raise ValueError("feature_sets must hold feature-id lists, e.g. [spec.features]")
     thresholds = thresholds or Thresholds()
     filter_spec = filter_spec or FilterSpec()
     snr_db = _mixing_snr(snr_db)
-    columns = tuple(dict.fromkeys(columns))
+    columns = tuple(dict.fromkeys(
+        key for features in feature_sets for key in _set_columns(features)
+    ))
     groups = _extraction_groups(columns, thresholds)
 
     by_subject = {}
@@ -527,7 +515,7 @@ def crossvalidate(
                 )
         table.positions(feature_set.features)  # fail before the first fold
     else:
-        table = build_table(recordings, set_columns(feature_set.features), **settings)
+        table = build_table(recordings, [feature_set.features], **settings)
     filter_spec, snr_db, labels = table.filter_spec, table.snr_db, table.movements
 
     folds, failures = [], []

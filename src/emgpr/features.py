@@ -15,7 +15,8 @@ finite on any input, including all-zero windows.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property, partial
 
 import numpy as np
@@ -24,16 +25,7 @@ from .errors import UnknownFeature, WindowTooShort
 
 EPS = 1e-12
 
-#: Catalog order is the tie-break order used by forward selection.
-CATALOG = (
-    "MAV", "IEMG", "WL", "WAMP", "ZC", "SSC", "VAR", "RMS", "LOG",
-    "DAMV", "DASDV", "MYOP", "SKW", "MOB", "COM", "MFL",
-    "AR1", "AR2", "AR3", "AR4", "AR5", "AR6",
-    "M0", "M2", "M4", "IRREGULARITY_FACTOR", "SPARSENESS", "WL_RATIO",
-    "COV", "TKEO", "LMAV", "NSV",
-)
-
-_TDPSD_IDS = ("M0", "M2", "M4", "SPARSENESS", "IRREGULARITY_FACTOR", "WL_RATIO")
+_TDPSD_IDS = ("M0", "M2", "M4", "IRREGULARITY_FACTOR", "SPARSENESS", "WL_RATIO")
 
 
 @dataclass(frozen=True)
@@ -45,6 +37,15 @@ class Thresholds:
     ssc: float = 1e-4
     wamp: float = 0.02
     myop: float = 0.016
+
+    def __post_init__(self):
+        for f in fields(self):
+            level = getattr(self, f.name)
+            if (isinstance(level, bool) or not isinstance(level, numbers.Real)
+                    or not math.isfinite(level) or level < 0):
+                raise ValueError(
+                    f"threshold {f.name} must be a finite number >= 0, got {level!r}"
+                )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -356,6 +357,9 @@ _KERNELS = {
     "NSV": (1, _nsv),
 }
 
+#: Catalog order is the tie-break order used by forward selection.
+CATALOG = tuple(_KERNELS)
+
 
 def _evaluate(features, thresholds: Thresholds, x: np.ndarray) -> np.ndarray:
     """(rows, len(features)) values of a feature list on a C-contiguous block.
@@ -368,8 +372,6 @@ def _evaluate(features, thresholds: Thresholds, x: np.ndarray) -> np.ndarray:
     if n < 2 * order + 1:
         raise WindowTooShort(f"AR{order}", n, 2 * order + 1)
     for fid in features:
-        if fid not in _KERNELS:
-            raise UnknownFeature(f"unknown feature id {fid!r}")
         needed = _KERNELS[fid][0]
         if n < needed:
             raise WindowTooShort(fid, n, needed)
@@ -378,40 +380,6 @@ def _evaluate(features, thresholds: Thresholds, x: np.ndarray) -> np.ndarray:
     for i, fid in enumerate(features):
         out[:, i] = _KERNELS[fid][1](block, thresholds)
     return out
-
-
-def _row(x) -> np.ndarray:
-    return np.ascontiguousarray(x, dtype=float).reshape(1, -1)
-
-
-# ---------------------------------------------------------------------------
-# one-channel entry points: 1-row calls into the kernels
-
-
-def compute_feature(fid: str, x: np.ndarray, thresholds: Thresholds = None) -> float:
-    """Evaluate one catalog feature on one window channel."""
-    return float(_evaluate((fid,), thresholds or Thresholds(), _row(x))[0, 0])
-
-
-def lmav(x: np.ndarray) -> float:
-    """Log-compressed mean absolute value: ln sqrt(MAV), clamped at EPS."""
-    return compute_feature("LMAV", x)
-
-
-def nsv(x: np.ndarray) -> float:
-    """Log RMS deviation between the window MAV and the sample cube roots."""
-    return compute_feature("NSV", x)
-
-
-def ar_coefficients(x: np.ndarray, order: int) -> np.ndarray:
-    """Yule-Walker AR coefficients a_1..a_p via Levinson-Durbin.
-
-    Biased autocorrelation; convention x_t = sum_k a_k x_{t-k} + e_t.
-    """
-    x = _row(x)
-    if x.shape[1] < 2 * order + 1:
-        raise WindowTooShort(f"AR{order}", x.shape[1], 2 * order + 1)
-    return _levinson(x, order)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +401,8 @@ class FeatureVector:
 
 def extract(set_spec: FeatureSetSpec, window: np.ndarray) -> FeatureVector:
     """Extract a feature set from every channel of a (channels, n) window
-    (channel-major)."""
+    (channel-major); a single channel `x` is the window `x[None]`.  This is
+    the one per-window call."""
     x = np.ascontiguousarray(window, dtype=float)
     return FeatureVector(_evaluate(set_spec.features, set_spec.thresholds, x).reshape(-1))
 

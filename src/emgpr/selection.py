@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .classify import ModelSpec
-from .evaluate import DEFAULT_WINDOW_MS, build_table, crossvalidate, pool_columns
+from .evaluate import DEFAULT_WINDOW_MS, build_table, crossvalidate
 from .features import CATALOG, FeatureSetSpec, Thresholds
 from .preprocess import FilterSpec
 
@@ -103,9 +103,9 @@ def forward_select(recordings, cfg: SelectionConfig) -> SelectionTrace:
         "filter_spec": cfg.filter_spec,
         "seed": cfg.seed,
     }
-    table = build_table(
-        recordings, pool_columns(cfg.pool), thresholds=cfg.thresholds, **settings
-    )
+    lags = sorted({int(fid[2:]) for fid in cfg.pool if fid.startswith("AR")})
+    serves = [cfg.pool] + [[f"AR{lag}" for lag in lags if lag <= p] for p in lags]
+    table = build_table(recordings, serves, thresholds=cfg.thresholds, **settings)
 
     def score(feature_ids) -> float:
         spec = FeatureSetSpec(

@@ -8,6 +8,7 @@ EMGPR_DATASET2_DIR points at it.
 import math
 import os
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +22,8 @@ from emgpr import (
     feature_set,
     fit_ulda,
     generate_synthetic,
-    lmav,
     metrics,
     mix_awgn,
-    nsv,
     project,
     res_index,
     segment,
@@ -35,9 +34,13 @@ from emgpr import (
 from emgpr.cli import main as cli_main
 from emgpr.dataset import DatasetManifest, Recording, load_dataset
 from emgpr.evaluate import ConfusionMatrix, compare_groups
-from emgpr.features import CATALOG, Thresholds, compute_feature
+from emgpr.features import CATALOG, Thresholds
 
+from channel_features import channel_feature
 from reference_features import ref_feature
+
+lmav = partial(channel_feature, "LMAV")
+nsv = partial(channel_feature, "NSV")
 
 CLASSIFIERS = ("qda", "svm", "knn")
 FEATURE_SETS = ("FS1", "FS2", "FS3", "FS4", "PROPOSED")
@@ -60,7 +63,7 @@ class TestCriterion01FeatureOracle:
             windows.append(scale * rng.standard_normal(length))
         for fid in CATALOG:
             for x in windows:
-                got = compute_feature(fid, x, th)
+                got = channel_feature(fid, x, th)
                 want = ref_feature(fid, x.tolist(), th)
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-12), fid
         elapsed = time.time() - start

@@ -3,7 +3,7 @@ import pytest
 
 from emgpr.classify import ModelSpec, SvmModel, predict, rbf_kernel, train
 from emgpr.errors import DegenerateClasses, DimensionMismatch, SingularCovariance
-from emgpr.evaluate import build_table, fit_pipeline, set_columns
+from emgpr.evaluate import build_table, fit_pipeline
 from emgpr.features import feature_set
 from emgpr.preprocess import normalize_features
 from emgpr.reduce import project
@@ -194,7 +194,7 @@ class TestQdaMatchesReference:
     @pytest.mark.parametrize("set_name", ["FS2", "PROPOSED"])
     def test_every_fold_of_the_sanity_data(self, separable_recordings, set_name):
         fs = feature_set(set_name)
-        table = build_table(separable_recordings, set_columns(fs.features))
+        table = build_table(separable_recordings, [fs.features])
         spec = ModelSpec(kind="qda")
         for subject in table.subjects:
             X = table.matrix(subject, fs.features)
@@ -317,7 +317,7 @@ class TestSvmMatchesReference:
     @pytest.mark.parametrize("set_name", ["FS2", "PROPOSED"])
     def test_every_fold_of_the_sanity_data(self, separable_recordings, set_name):
         fs = feature_set(set_name)
-        table = build_table(separable_recordings, set_columns(fs.features))
+        table = build_table(separable_recordings, [fs.features])
         spec = ModelSpec(kind="svm")
         for subject in table.subjects:
             X = table.matrix(subject, fs.features)

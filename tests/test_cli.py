@@ -332,6 +332,16 @@ class TestRecordedRuns:
         assert err.startswith("error: ") and named in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("level", ["x", None, -1])
+    def test_bad_thresholds_level_exits_2(self, level, small_dataset, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"thresholds": {"wamp": level}}))
+        assert run_cli("extract", "--config", config, "--manifest", small_dataset,
+                       "--out-dir", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "wamp" in err
+        assert "Traceback" not in err
+
     def test_known_thresholds_keys_are_used(self, small_dataset, tmp_path):
         config = tmp_path / "c.json"
         config.write_text(json.dumps({"thresholds": {"wamp": 0.5}}))
@@ -503,3 +513,21 @@ class TestCompare:
         assert result["bonferroni_p"] == pytest.approx(
             min(1.0, result["p_value"] * 5), abs=1e-15
         )
+
+    def test_unknown_metric_exits_2(self, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        write_report(a, {"S1": 0.9, "S2": 0.8})
+        groups = ("--group", a, "--group", a)
+        with pytest.raises(SystemExit) as exc:
+            run_cli("compare", "--out-dir", tmp_path / "flag", "--metric", "f2", *groups)
+        assert exc.value.code == 2
+        assert "invalid choice: 'f2'" in capsys.readouterr().err
+        # a --config (or a replayed run.json) skips argparse's choices
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"metric": "f2"}))
+        assert run_cli("compare", "--config", config, "--out-dir", tmp_path / "cfg",
+                       *groups) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'f2'" in err and "ovr_accuracy" in err
+        assert "Traceback" not in err
+        assert "ovr_accuracy" in subcommand_parser("compare").format_help()

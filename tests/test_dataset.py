@@ -335,3 +335,15 @@ class TestRecording:
             Recording("S1", "T", 1, -1.0, np.zeros((1, 10)))
         with pytest.raises(ValueError):
             Recording("S1", "T", 1, 2000.0, np.zeros(10))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_is_located(self, value):
+        channels = np.zeros((2, 50))
+        channels[1, 7] = value
+        channels[1, 9] = value
+        with pytest.raises(ValueError, match=r"S3/I/trial 2: channel 2, sample index 7 is"):
+            Recording("S3", "I", 2, 2000.0, channels)
+        # the check also guards every derived recording
+        rec = Recording("S3", "I", 2, 2000.0, np.zeros((2, 50)))
+        with pytest.raises(ValueError, match="sample index 7"):
+            rec.with_channels(channels)

@@ -20,10 +20,8 @@ from emgpr import (
     generate_synthetic,
     metrics,
     mix_awgn,
-    pool_columns,
     segment,
     separable_gain_grid,
-    set_columns,
     sweep_snr,
     sweep_window,
 )
@@ -312,7 +310,7 @@ class TestCrossvalidate:
 
         report, dirty = fitted_chains(poisoned)
         # each fold's chain and scores come from its training rows alone
-        table = build_table(poisoned, set_columns(spec.features))
+        table = build_table(poisoned, [spec.features])
         X = table.matrix("S1", spec.features)
         y, trials = table.labels["S1"], table.trials["S1"]
         for fold in report.folds:
@@ -334,7 +332,7 @@ class TestCrossvalidate:
     @pytest.mark.parametrize("kind", ["qda", "svm", "knn"])
     def test_pipeline_predicts_one_vector(self, kind):
         spec = feature_set("FS2")
-        table = build_table(quick_dataset(), set_columns(spec.features))
+        table = build_table(quick_dataset(), [spec.features])
         X, y = table.matrix("S1", spec.features), table.labels["S1"]
         pipeline = fit_pipeline(X, y, ModelSpec(kind=kind))
         for i in (0, len(X) // 2, len(X) - 1):
@@ -490,7 +488,7 @@ REGISTRY_SETS = ("FS1", "FS2", "FS3", "FS4", "PROPOSED")
 class TestFeatureTable:
     def test_slice_equals_direct_extraction(self, two_subject_recordings):
         spec = feature_set("PROPOSED")
-        table = build_table(two_subject_recordings, set_columns(spec.features))
+        table = build_table(two_subject_recordings, [spec.features])
         assert table.subjects == ("S1", "S2")
         for subject in table.subjects:
             recs = [r for r in two_subject_recordings if r.subject_id == subject]
@@ -505,8 +503,7 @@ class TestFeatureTable:
         # one table serves every registry set at 10 dB, FS1 reading its AR
         # lags at order 6 and PROPOSED at order 4
         sets = [feature_set(name) for name in REGISTRY_SETS]
-        pool = [fid for spec in sets for fid in spec.features]
-        table = build_table(two_subject_recordings, pool_columns(pool),
+        table = build_table(two_subject_recordings, [s.features for s in sets],
                             snr_db=10.0, seed=4)
         model = ModelSpec(kind="qda")
         for spec in sets:
@@ -516,19 +513,32 @@ class TestFeatureTable:
             assert shared.to_dict() == plain.to_dict(), spec.name
             assert json.dumps(shared.to_dict()) == json.dumps(plain.to_dict())
 
-    def test_pool_columns_cover_every_fit_order(self):
-        assert pool_columns(("MAV", "AR2", "AR1", "MAV")) == (
-            ("MAV", None), ("AR1", 1), ("AR1", 2), ("AR2", 2),
-        )
-        assert set_columns(("AR1", "WL", "AR3")) == (
-            ("AR1", 3), ("WL", None), ("AR3", 3),
-        )
+    def test_columns_serve_each_set_at_its_fit_order(
+        self, two_subject_recordings, monkeypatch
+    ):
+        calls = []
 
-    def test_column_without_its_fit_order_rejected(self, amplitude_recordings):
-        with pytest.raises(ValueError):
-            build_table(amplitude_recordings, [("AR1", 2)])
-        with pytest.raises(ValueError):
-            build_table(amplitude_recordings, [("AR3", 2), ("AR2", 2)])
+        def counted(spec, windows):
+            calls.append(spec.features)
+            return extract_matrix(spec, windows)
+
+        monkeypatch.setattr(evaluate_module, "extract_matrix", counted)
+        fs1, proposed = feature_set("FS1"), feature_set("PROPOSED")
+        table = build_table(two_subject_recordings, [fs1.features, proposed.features])
+        plain = [fid for fid in fs1.features + proposed.features if not fid.startswith("AR")]
+        assert sorted(table.columns, key=repr) == sorted(
+            [(fid, None) for fid in plain]
+            + [(f"AR{lag}", 6) for lag in range(1, 7)]
+            + [(f"AR{lag}", 4) for lag in range(1, 5)],
+            key=repr,
+        )
+        # one extraction per AR fit order (6 and 4), not one per lag
+        assert len(calls) == 2 * len(two_subject_recordings)
+
+    def test_flat_feature_list_rejected(self, amplitude_recordings):
+        # one set is [features], not the ids themselves
+        with pytest.raises(ValueError, match="feature-id lists"):
+            build_table(amplitude_recordings, ("RMS", "WL"))
 
     @pytest.mark.parametrize("call, message", [
         ({"window_ms": 200.0}, "window_ms"),
@@ -543,8 +553,7 @@ class TestFeatureTable:
         ({"features": ("AR1", "AR2")}, "no column"),
     ])
     def test_mismatched_table_rejected(self, amplitude_recordings, call, message):
-        table = build_table(amplitude_recordings, pool_columns(("RMS", "WL", "AR1")),
-                            snr_db=10.0)
+        table = build_table(amplitude_recordings, [("RMS", "WL", "AR1")], snr_db=10.0)
         call = {"features": ("RMS", "AR1"), "snr_db": 10.0, **call}
         spec = feature_set("CUSTOM", call.pop("features"),
                            call.pop("thresholds", Thresholds()))
@@ -552,8 +561,7 @@ class TestFeatureTable:
             crossvalidate(table, spec, ModelSpec(kind="qda"), **call)
 
     def test_matching_table_accepted(self, amplitude_recordings):
-        table = build_table(amplitude_recordings, pool_columns(("RMS", "WL", "AR1")),
-                            snr_db=NO_MIX)
+        table = build_table(amplitude_recordings, [("RMS", "WL", "AR1")], snr_db=NO_MIX)
         report = crossvalidate(table, feature_set("CUSTOM", ["RMS", "AR1"]),
                                ModelSpec(kind="qda"))
         assert report.ok and report.snr_db is None

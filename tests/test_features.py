@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,19 +12,19 @@ from emgpr.features import (
     CATALOG,
     FEATURE_SET_NAMES,
     Thresholds,
-    ar_coefficients,
-    compute_feature,
     extract,
     extract_matrix,
     feature_set,
-    lmav,
-    nsv,
     with_lmav_nsv,
 )
 
-from reference_features import ref_feature
+from channel_features import ar_fit, channel_feature
+from reference_features import ref_ar, ref_feature
 
 E2 = math.e ** 2
+
+lmav = partial(channel_feature, "LMAV")
+nsv = partial(channel_feature, "NSV")
 
 
 def make_window(samples):
@@ -99,21 +100,21 @@ class TestCatalogOracle:
         windows = list(random_windows(1000, rng))
         for fid in CATALOG:
             for x in windows:
-                got = compute_feature(fid, x, th)
+                got = channel_feature(fid, x, th)
                 want = ref_feature(fid, x.tolist(), th)
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-12), fid
 
     def test_hand_checks(self):
         th = Thresholds(zc=0.0)
-        assert compute_feature("ZC", np.array([1.0, -1, 1, -1, 1]), th) == 4
-        assert compute_feature("SKW", np.array([-2.0, -1, 0, 1, 2])) == 0.0
+        assert channel_feature("ZC", np.array([1.0, -1, 1, -1, 1]), th) == 4
+        assert channel_feature("SKW", np.array([-2.0, -1, 0, 1, 2])) == 0.0
 
     def test_ar1_consistency_on_simulated_process(self):
         rng = np.random.default_rng(7)
         x = np.zeros(4000)
         for t in range(1, 4000):
             x[t] = 0.9 * x[t - 1] + rng.standard_normal()
-        assert compute_feature("AR1", x) == pytest.approx(0.9, abs=0.05)
+        assert channel_feature("AR1", x) == pytest.approx(0.9, abs=0.05)
 
     def test_tdpsd_scale_sensitivity(self):
         rng = np.random.default_rng(8)
@@ -121,14 +122,14 @@ class TestCatalogOracle:
         th = Thresholds()
         for a in (0.1, 0.37, 3.0):
             for fid in ("IRREGULARITY_FACTOR", "WL_RATIO"):
-                assert compute_feature(fid, a * x, th) == pytest.approx(
-                    compute_feature(fid, x, th), abs=1e-9
+                assert channel_feature(fid, a * x, th) == pytest.approx(
+                    channel_feature(fid, x, th), abs=1e-9
                 )
 
     def test_tdpsd_zero_window_finite(self):
         th = Thresholds()
         values = [
-            compute_feature(fid, np.zeros(16), th)
+            channel_feature(fid, np.zeros(16), th)
             for fid in ("M0", "M2", "M4", "SPARSENESS", "IRREGULARITY_FACTOR",
                         "WL_RATIO")
         ]
@@ -137,13 +138,13 @@ class TestCatalogOracle:
 
     def test_window_too_short(self):
         with pytest.raises(WindowTooShort):
-            compute_feature("AR6", np.ones(10))
+            channel_feature("AR6", np.ones(10))
         with pytest.raises(WindowTooShort):
-            compute_feature("SSC", np.ones(2))
+            channel_feature("SSC", np.ones(2))
 
     def test_unknown_feature(self):
         with pytest.raises(UnknownFeature):
-            compute_feature("MNF", np.ones(8))
+            channel_feature("MNF", np.ones(8))
 
 
 class TestFeatureSets:
@@ -163,6 +164,21 @@ class TestFeatureSets:
     def test_catalog_size(self):
         assert len(CATALOG) == 32
 
+    def test_catalog_order(self):
+        # forward selection breaks ties by catalog order
+        assert CATALOG == (
+            "MAV", "IEMG", "WL", "WAMP", "ZC", "SSC", "VAR", "RMS", "LOG",
+            "DAMV", "DASDV", "MYOP", "SKW", "MOB", "COM", "MFL",
+            "AR1", "AR2", "AR3", "AR4", "AR5", "AR6",
+            "M0", "M2", "M4", "IRREGULARITY_FACTOR", "SPARSENESS", "WL_RATIO",
+            "COV", "TKEO", "LMAV", "NSV",
+        )
+
+    @pytest.mark.parametrize("level", ["x", None, True, -1, -1e-9, math.nan, math.inf])
+    def test_bad_threshold_level_rejected(self, level):
+        with pytest.raises(ValueError, match="wamp"):
+            Thresholds(wamp=level)
+
     @pytest.mark.parametrize("name,per_channel", [
         ("FS1", 7), ("FS2", 6), ("FS3", 6), ("FS4", 7), ("PROPOSED", 13),
     ])
@@ -179,20 +195,18 @@ class TestFeatureSets:
         spec = feature_set("CUSTOM", ["MAV", "RMS"])
         vec = extract(spec, make_window(samples))
         th = spec.thresholds
-        assert vec.values[0] == compute_feature("MAV", samples[0], th)
-        assert vec.values[1] == compute_feature("RMS", samples[0], th)
-        assert vec.values[2] == compute_feature("MAV", samples[1], th)
-        assert vec.values[3] == compute_feature("RMS", samples[1], th)
+        assert vec.values[0] == channel_feature("MAV", samples[0], th)
+        assert vec.values[1] == channel_feature("RMS", samples[0], th)
+        assert vec.values[2] == channel_feature("MAV", samples[1], th)
+        assert vec.values[3] == channel_feature("RMS", samples[1], th)
 
     def test_grouped_ar_shares_one_model_fit(self):
         # a set asking for AR1..AR4 reads all lags off a single 4th-order fit
-        from emgpr.features import ar_coefficients
-
         rng = np.random.default_rng(2)
         samples = rng.standard_normal((1, 400))
         spec = feature_set("CUSTOM", ["AR1", "AR2", "AR3", "AR4"])
         vec = extract(spec, make_window(samples))
-        assert np.allclose(vec.values, ar_coefficients(samples[0], 4))
+        assert np.allclose(vec.values, ref_ar(samples[0].tolist(), 4))
 
     def test_with_lmav_nsv_extends_any_base(self):
         rng = np.random.default_rng(6)
@@ -242,10 +256,10 @@ class TestBlockIndependence:
 
     def test_branch_cases_are_reached(self):
         windows = branch_windows(4)
-        coefficients = ar_coefficients(windows[3][0], 4)
+        coefficients = ar_fit(windows[3][0], 4)
         assert coefficients[0] != 0.0 and not coefficients[1:].any()
         for fid in ("SKW", "MOB", "COM"):
-            assert compute_feature(fid, windows[2][0]) == 0.0
+            assert channel_feature(fid, windows[2][0]) == 0.0
 
     @pytest.mark.parametrize("count", [1, 7, 300])
     def test_rows_equal_single_window_and_cell_calls(self, count):
@@ -263,8 +277,8 @@ class TestBlockIndependence:
                 for ch, x in enumerate(window):
                     for value, fid in zip(cells[ch], spec.features):
                         # a set reads its AR lags off one fit at its largest lag
-                        want = (ar_coefficients(x, order)[int(fid[2:]) - 1]
-                                if fid.startswith("AR") else compute_feature(fid, x, th))
+                        want = (ar_fit(x, order)[int(fid[2:]) - 1]
+                                if fid.startswith("AR") else channel_feature(fid, x, th))
                         assert value == want, (spec.features, fid)
 
 
@@ -299,5 +313,5 @@ class TestProperties:
         # SSC gates a product of two differences, so its level is in squared units
         scaled = Thresholds(zc=c * zc, ssc=c * c * ssc, wamp=c * wamp, myop=c * myop)
         for fid in ("ZC", "SSC", "WAMP", "MYOP"):
-            assert compute_feature(fid, c * x, scaled) == compute_feature(fid, x, th), fid
+            assert channel_feature(fid, c * x, scaled) == channel_feature(fid, x, th), fid
 
