@@ -24,8 +24,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DegenerateClasses, DimensionMismatch, SingularCovariance
-from .reduce import group_rows
+from .errors import DegenerateClasses, DimensionMismatch, SingularCovariance, check_number
+from .reduce import check_class_sizes, group_rows
 
 #: SMO stopping rule: KKT tolerance, and the work cap in sweeps of n pair updates.
 SVM_TOL = 1e-3
@@ -47,12 +47,12 @@ class ModelSpec:
         if kind is None:
             raise ValueError(f"unknown classifier kind {self.kind!r}")
         object.__setattr__(self, "kind", kind)
-        if not 0.0 <= self.qda_shrinkage <= 1.0:
-            raise ValueError("qda_shrinkage must lie in [0, 1]")
-        if self.svm_sigma <= 0 or self.svm_c <= 0:
-            raise ValueError("svm_sigma and svm_c must be positive")
-        if self.knn_k < 1 or self.knn_k % 2 == 0:
-            raise ValueError("knn_k must be a positive odd integer")
+        check_number("qda_shrinkage", self.qda_shrinkage, 0, 1)
+        check_number("svm_sigma", self.svm_sigma, 0, open_low=True)
+        check_number("svm_c", self.svm_c, 0, open_low=True)
+        check_number("knn_k", self.knn_k, 1, integer=True)
+        if self.knn_k % 2 == 0:
+            raise ValueError(f"knn_k must be odd, got {self.knn_k!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -133,7 +133,7 @@ def _cholesky(covs: np.ndarray, classes) -> np.ndarray:
     try:
         return np.linalg.cholesky(covs)
     except np.linalg.LinAlgError:
-        for c, cov in zip(classes, covs):
+        for c, cov in zip(classes.tolist(), covs):
             try:
                 np.linalg.cholesky(cov)
             except np.linalg.LinAlgError:
@@ -148,6 +148,7 @@ def _train_qda(spec: ModelSpec, X, y, classes, codes) -> QdaModel:
     k, d = len(classes), X.shape[1]
     rows, bounds, means = group_rows(X, codes, k)
     counts = np.diff(bounds)
+    check_class_sizes(classes, counts)  # each scatter is divided by n - 1
     # np.cov's arithmetic per class: centre, Gram product, times 1/(n - 1)
     centred = rows - np.repeat(means, counts, axis=0)
     covs = np.array([centred[a:b].T @ centred[a:b]

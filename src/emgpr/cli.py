@@ -244,19 +244,23 @@ def _load_recordings(cfg: dict):
     return load_dataset(DatasetManifest.load(cfg["manifest"]))
 
 
-def _reports_csv(reports) -> str:
-    lines = [CSV_HEADER]
+def _write_reports(out: Path, stem: str, reports, record) -> int:
+    """Write `record` as <stem>.json and every report's rows as <stem>.csv,
+    then print one summary line per report and one `fold failed:` line on
+    stderr per failed fold; exit code 1 when any fold failed."""
+    _write_json(out / f"{stem}.json", record)
+    rows = [row for report in reports for row in report.csv_rows()]
+    (out / f"{stem}.csv").write_text("\n".join([CSV_HEADER] + rows) + "\n")
     for report in reports:
-        lines.extend(report.csv_rows())
-    return "\n".join(lines) + "\n"
-
-
-def _print_summary(report) -> None:
-    parts = [f"{k}={v[0]:.4f}±{v[1]:.4f}" for k, v in report.summary().items()]
-    tag = f"window={report.window_ms:g}ms"
-    if report.snr_db is not None:
-        tag += f" snr={report.snr_db:g}dB"
-    print(f"[{report.feature_set}/{report.classifier} {tag}] " + " ".join(parts))
+        parts = [f"{k}={v[0]:.4f}±{v[1]:.4f}" for k, v in report.summary().items()]
+        tag = f"window={report.window_ms:g}ms"
+        if report.snr_db is not None:
+            tag += f" snr={report.snr_db:g}dB"
+        print(f"[{report.feature_set}/{report.classifier} {tag}] " + " ".join(parts))
+        for failure in report.failures:
+            print(f"fold failed: {failure.subject}/trial{failure.fold_trial}: "
+                  f"{failure.error}", file=sys.stderr)
+    return 0 if all(r.ok for r in reports) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -316,24 +320,7 @@ def _cmd_evaluate(cfg: dict, out: Path) -> int:
         filter_spec=_filter_spec(cfg),
         seed=cfg["seed"],
     )
-    _write_json(out / "report.json", report.to_dict())
-    (out / "report.csv").write_text(_reports_csv([report]))
-    _print_summary(report)
-    if not report.ok:
-        for failure in report.failures:
-            print(f"fold failed: {failure.subject}/trial{failure.fold_trial}: "
-                  f"{failure.error}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _write_sweep(out: Path, stem: str, reports) -> int:
-    """<stem>.json/.csv and one summary line per report."""
-    _write_json(out / f"{stem}.json", [r.to_dict() for r in reports])
-    (out / f"{stem}.csv").write_text(_reports_csv(reports))
-    for report in reports:
-        _print_summary(report)
-    return 0 if all(r.ok for r in reports) else 1
+    return _write_reports(out, "report", [report], report.to_dict())
 
 
 def _cmd_sweep_window(cfg: dict, out: Path) -> int:
@@ -342,7 +329,7 @@ def _cmd_sweep_window(cfg: dict, out: Path) -> int:
         sizes=cfg["sizes"], overlap_ms=cfg["overlap_ms"],
         filter_spec=_filter_spec(cfg), seed=cfg["seed"],
     )
-    return _write_sweep(out, "sweep_window", reports)
+    return _write_reports(out, "sweep_window", reports, [r.to_dict() for r in reports])
 
 
 def _cmd_sweep_snr(cfg: dict, out: Path) -> int:
@@ -351,7 +338,7 @@ def _cmd_sweep_snr(cfg: dict, out: Path) -> int:
         snrs=cfg["snrs"], window_ms=cfg["window_ms"], overlap_ms=cfg["overlap_ms"],
         filter_spec=_filter_spec(cfg), seed=cfg["seed"],
     )
-    return _write_sweep(out, "sweep_snr", reports)
+    return _write_reports(out, "sweep_snr", reports, [r.to_dict() for r in reports])
 
 
 def _cmd_select(cfg: dict, out: Path) -> int:
@@ -491,18 +478,15 @@ _SUBCOMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.subcommand == "replay":
-        run = json.loads(Path(args.run_json).read_text())
-        subcommand = run.get("subcommand")
+        subcommand = json.loads(Path(args.run_json).read_text()).get("subcommand")
         if subcommand not in _SUBCOMMANDS:
             print(f"error: unknown subcommand {subcommand!r} in {args.run_json}",
                   file=sys.stderr)
             return 2
-        cfg = _merge(subcommand, run["config"])
-        if args.out_dir is not None:
-            cfg["out_dir"] = args.out_dir
+        args = argparse.Namespace(config=args.run_json, out_dir=args.out_dir)
     else:
         subcommand = args.subcommand
-        cfg = _resolve(subcommand, args)
+    cfg = _resolve(subcommand, args)
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     try:

@@ -1,4 +1,25 @@
-"""Exception types raised across the toolkit."""
+"""Exception types raised across the toolkit, and the check that every
+numeric setting passes."""
+
+import math
+import numbers
+
+
+def check_number(name: str, value, low=None, high=None, *,
+                 open_low: bool = False, integer: bool = False) -> None:
+    """ValueError naming `name` unless `value` is a finite real number, not a
+    bool (an integer when `integer`), with low <= value <= high; `open_low`
+    excludes low itself.  An omitted bound is not checked."""
+    kind = numbers.Integral if integer else numbers.Real
+    ok = (isinstance(value, kind) and not isinstance(value, bool)
+          and (integer or math.isfinite(value))
+          and (low is None or value > low or (value == low and not open_low))
+          and (high is None or value <= high))
+    if not ok:
+        bounds = [f"{'>' if open_low else '>='} {low:g}"] if low is not None else []
+        bounds += [f"<= {high:g}"] if high is not None else []
+        what = "an integer" if integer else "a finite number"
+        raise ValueError(f"{name} must be {what} {' and '.join(bounds)}, got {value!r}")
 
 
 class EmgprError(Exception):

@@ -25,8 +25,21 @@ from .preprocess import FilterSpec, MinMax, apply_filters, normalize_features, s
 from .reduce import UldaProjection, fit_ulda, project
 from .seeding import derive_seed
 
-METRIC_NAMES = ("accuracy", "ovr_accuracy", "sensitivity", "specificity",
-                "precision", "f1")
+#: The five one-vs-rest scores as (report name, per-class field, macro
+#: field) of Metrics; the macro field is the per-class field's mean.  Reports
+#: list each macro mean under its report name, except accuracy's, which is
+#: `ovr_accuracy` there, because `accuracy` names the multiclass hit rate.
+_SCORES = (
+    ("accuracy", "per_class_accuracy", "ovr_accuracy"),
+    ("sensitivity", "sensitivity", "macro_sensitivity"),
+    ("specificity", "specificity", "macro_specificity"),
+    ("precision", "precision", "macro_precision"),
+    ("f1", "f1", "macro_f1"),
+)
+#: Metrics field of each score name a report summarizes
+_SCALAR_FIELDS = {"accuracy": "accuracy", "ovr_accuracy": "ovr_accuracy",
+                  **{name: macro for name, _, macro in _SCORES[1:]}}
+METRIC_NAMES = tuple(_SCALAR_FIELDS)
 
 #: Analysis window length in ms wherever a caller does not name one.
 DEFAULT_WINDOW_MS = 250.0
@@ -86,13 +99,6 @@ class ConfusionMatrix:
         return tp, tn, fp, fn
 
 
-#: Metrics fields holding the macro means of its five per-class arrays
-_MACRO_FIELDS = ("ovr_accuracy", "macro_sensitivity", "macro_specificity",
-                 "macro_precision", "macro_f1")
-#: Metrics field of each name in METRIC_NAMES
-_SCALAR_FIELDS = dict(zip(METRIC_NAMES, ("accuracy",) + _MACRO_FIELDS))
-
-
 @dataclass(frozen=True)
 class Metrics:
     """Per-class one-vs-rest scores plus their unweighted macro averages.
@@ -118,19 +124,14 @@ class Metrics:
     macro_f1: float = field(init=False)
 
     def __post_init__(self):
-        per_class = np.stack([self.per_class_accuracy, self.sensitivity,
-                              self.specificity, self.precision, self.f1])
+        per_class = np.stack([getattr(self, attr) for _, attr, _ in _SCORES])
         # each row's mean equals the 1-D per_class.mean() bit for bit
-        for name, mean in zip(_MACRO_FIELDS, per_class.mean(axis=1).tolist()):
-            object.__setattr__(self, name, mean)
+        for (_, _, macro), mean in zip(_SCORES, per_class.mean(axis=1).tolist()):
+            object.__setattr__(self, macro, mean)
 
     def scalar(self, name: str) -> float:
         """The score reported under a METRIC_NAMES name."""
         return getattr(self, _SCALAR_FIELDS[name])
-
-
-#: The per-class ratios in the order `undefined` lists them within a class.
-_RATIO_NAMES = ("sensitivity", "specificity", "precision", "f1")
 
 
 def _ratios(num: np.ndarray, den: np.ndarray):
@@ -152,7 +153,7 @@ def metrics(cm: ConfusionMatrix) -> Metrics:
     spec, no_spec = _ratios(tn, tn + fp)
     prec, no_prec = _ratios(tp, tp + fp)
     f1, no_f1 = _ratios(2.0 * prec * sens, prec + sens)
-    # per class, in _RATIO_NAMES order
+    # per class, in the order of the ratio rows of _SCORES
     flagged = np.stack([no_sens, no_spec, no_prec, no_f1], axis=1)
     return Metrics(
         accuracy=float(np.trace(counts)) / total,
@@ -161,7 +162,7 @@ def metrics(cm: ConfusionMatrix) -> Metrics:
         specificity=spec,
         precision=prec,
         f1=f1,
-        undefined=tuple((_RATIO_NAMES[j], int(i)) for i, j in zip(*np.nonzero(flagged))),
+        undefined=tuple((_SCORES[1 + j][0], int(i)) for i, j in zip(*np.nonzero(flagged))),
     )
 
 
@@ -272,11 +273,8 @@ class EvalReport:
                         name: f.scores.scalar(name) for name in METRIC_NAMES
                     },
                     "per_class": {
-                        "accuracy": f.scores.per_class_accuracy.tolist(),
-                        "sensitivity": f.scores.sensitivity.tolist(),
-                        "specificity": f.scores.specificity.tolist(),
-                        "precision": f.scores.precision.tolist(),
-                        "f1": f.scores.f1.tolist(),
+                        name: getattr(f.scores, attr).tolist()
+                        for name, attr, _ in _SCORES
                     },
                 }
                 for f in self.folds
@@ -297,18 +295,12 @@ class EvalReport:
                 f"{f.subject},{f.fold_trial},{self.classifier},"
                 f"{self.feature_set},{self.window_ms!r},{snr}"
             )
-            for name in ("accuracy", "ovr_accuracy"):
+            for name in METRIC_NAMES[:2]:  # the two accuracies have no per-class rows
                 rows.append(f"{base},{name},all,{f.scores.scalar(name)!r}")
-            per_class = {
-                "sensitivity": f.scores.sensitivity,
-                "specificity": f.scores.specificity,
-                "precision": f.scores.precision,
-                "f1": f.scores.f1,
-            }
-            for name, values in per_class.items():
-                for label, v in zip(f.confusion.labels, values):
-                    rows.append(f"{base},{name},{label},{float(v)!r}")
-                rows.append(f"{base},{name},macro,{f.scores.scalar(name)!r}")
+            for name, attr, macro in _SCORES[1:]:
+                for label, v in zip(f.confusion.labels, getattr(f.scores, attr).tolist()):
+                    rows.append(f"{base},{name},{label},{v!r}")
+                rows.append(f"{base},{name},macro,{getattr(f.scores, macro)!r}")
         return rows
 
 

@@ -15,13 +15,12 @@ finite on any input, including all-zero windows.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import UnknownFeature, WindowTooShort
+from .errors import UnknownFeature, WindowTooShort, check_number
 
 EPS = 1e-12
 
@@ -40,12 +39,7 @@ class Thresholds:
 
     def __post_init__(self):
         for f in fields(self):
-            level = getattr(self, f.name)
-            if (isinstance(level, bool) or not isinstance(level, numbers.Real)
-                    or not math.isfinite(level) or level < 0):
-                raise ValueError(
-                    f"threshold {f.name} must be a finite number >= 0, got {level!r}"
-                )
+            check_number(f"threshold {f.name}", getattr(self, f.name), 0)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -9,7 +9,7 @@ import numpy as np
 from scipy import signal
 
 from .dataset import Recording
-from .errors import NyquistViolation, WindowLongerThanTrial
+from .errors import NyquistViolation, WindowLongerThanTrial, check_number
 
 MIN_WINDOW_SAMPLES = 8
 
@@ -80,10 +80,10 @@ def segment(rec: Recording, window_ms: float, overlap_ms: float = 0.0) -> np.nda
     Disjoint when overlap_ms = 0; a trailing remainder shorter than one
     window is dropped.  Window i starts at sample i * (n - overlap samples).
     """
-    if window_ms <= 0:
-        raise ValueError("window_ms must be positive")
-    if not 0 <= overlap_ms < window_ms:
-        raise ValueError("need 0 <= overlap_ms < window_ms")
+    check_number("window_ms", window_ms, 0, open_low=True)
+    check_number("overlap_ms", overlap_ms, 0)
+    if overlap_ms >= window_ms:
+        raise ValueError("need overlap_ms < window_ms")
     n = int(round(window_ms * rec.sample_rate_hz / 1000.0))
     n_overlap = int(round(overlap_ms * rec.sample_rate_hz / 1000.0))
     if n_overlap >= n:

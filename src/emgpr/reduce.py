@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateClasses, DimensionMismatch, RankZero, ZeroDispersion
+from .preprocess import normalize_features
 
 RANK_TOL = 1e-10
 
@@ -36,6 +37,13 @@ def group_rows(X: np.ndarray, codes: np.ndarray, k: int):
     sums = np.array([np.add.reduce(rows[a:b], axis=0)
                      for a, b in zip(bounds[:-1], bounds[1:])])
     return rows, bounds, sums / counts[:, None]
+
+
+def check_class_sizes(classes: np.ndarray, counts: np.ndarray) -> None:
+    """DegenerateClasses naming the first class with fewer than two rows."""
+    if counts.min() < 2:
+        small = classes.tolist()[counts.argmin()]
+        raise DegenerateClasses(f"class {small!r} has fewer than two samples")
 
 
 @dataclass(frozen=True)
@@ -58,9 +66,7 @@ def fit_ulda(X: np.ndarray, y) -> UldaProjection:
     classes, codes, counts = np.unique(y, return_inverse=True, return_counts=True)
     if len(classes) < 2:
         raise DegenerateClasses("need at least two classes")
-    if counts.min() < 2:
-        small = classes[counts.argmin()]
-        raise DegenerateClasses(f"class {small!r} has fewer than two samples")
+    check_class_sizes(classes, counts)
 
     n = X.shape[0]
     mean = X.mean(axis=0)
@@ -152,16 +158,14 @@ def res_index(reduced2: np.ndarray, y) -> float:
 
 
 def scatter_export(reduced2: np.ndarray, y, path) -> None:
-    """Write `label,f1,f2` rows with both columns min-max scaled to [0, 1]."""
+    """Write `label,f1,f2` rows with both columns min-max scaled to [0, 1]
+    by `normalize_features`, so a constant column reads 0."""
     reduced2 = np.asarray(reduced2, dtype=float).reshape(-1, 2)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = ["label,f1,f2"]
-    if len(reduced2):
-        mins = reduced2.min(axis=0)
-        span = reduced2.max(axis=0) - mins
-        span = np.where(span > 0, span, 1.0)
-        norm = (reduced2 - mins) / span
+    if len(reduced2):  # normalize_features rejects an empty matrix
+        norm, _ = normalize_features(reduced2)
         for label, (f1, f2) in zip(y, norm):
             lines.append(f"{label},{float(f1)!r},{float(f2)!r}")
     path.write_text("\n".join(lines) + "\n")

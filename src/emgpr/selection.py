@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .classify import ModelSpec
+from .errors import check_number
 from .evaluate import DEFAULT_WINDOW_MS, build_table, crossvalidate
 from .features import CATALOG, FeatureSetSpec, Thresholds
 from .preprocess import FilterSpec
@@ -34,8 +35,7 @@ class SelectionConfig:
     def __post_init__(self):
         if not self.pool:
             raise ValueError("candidate pool must be non-empty")
-        if self.improvement_threshold <= 0:
-            raise ValueError("improvement_threshold must be positive")
+        check_number("improvement_threshold", self.improvement_threshold, 0, open_low=True)
         objective = {"macro_f1": "f1"}.get(self.objective, self.objective)
         if objective not in ("f1", "ovr_accuracy", "accuracy"):
             raise ValueError(f"unsupported objective {self.objective!r}")

@@ -210,6 +210,27 @@ class TestEvaluate:
         assert run_cli("replay", recorded) == 2
         assert capsys.readouterr().err == err
 
+    @pytest.mark.parametrize("subcommand, flags, config, named", [
+        ("evaluate", ["--classifier", "svm", "--svm-sigma", "nan"], {}, "svm_sigma"),
+        ("evaluate", ["--classifier", "svm", "--svm-c", "nan"], {}, "svm_c"),
+        ("evaluate", ["--classifier", "svm", "--svm-c", "inf"], {}, "svm_c"),
+        ("evaluate", ["--classifier", "knn"], {"knn_k": 3.0}, "knn_k"),
+        ("evaluate", ["--classifier", "svm"], {"svm_sigma": "1"}, "svm_sigma"),
+        ("evaluate", ["--window-ms", "inf"], {}, "window_ms"),
+        ("sweep-window", ["--sizes", "250", "inf"], {}, "window_ms"),
+        ("select", ["--threshold", "nan", "--pool", "MAV", "WL"], {},
+         "improvement_threshold"),
+    ])
+    def test_bad_number_exits_2(self, subcommand, flags, config, named,
+                                small_dataset, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        code = run_cli(subcommand, "--manifest", small_dataset, "--config", path,
+                       "--out-dir", tmp_path / "out", *flags)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {named} must be ") and "Traceback" not in err
+
     def test_overlap_rounding_to_the_window_exits_2(self, small_dataset, tmp_path, capsys):
         # at 2 kHz both lengths round to 500 samples
         code = run_cli(
@@ -254,6 +275,27 @@ class TestSweeps:
         reports = json.loads((tmp_path / "sweep_snr.json").read_text())
         assert len(reports) == 21
         assert [r["snr_db"] for r in reports] == [float(v) for v in range(21)]
+
+
+    def test_failed_folds_of_a_sweep_are_named(self, tmp_path, capsys):
+        # a 1 s trial holds one 1000 ms window, so with two trials each
+        # training fold has one window per class and fails in ULDA
+        assert run_cli("synth", "--out-dir", tmp_path, "--n-movements", 3,
+                       "--n-trials", 2, "--duration-s", 1.0) == 0
+        capsys.readouterr()
+        code = run_cli("sweep-window", "--manifest", tmp_path / "dataset" / "manifest.json",
+                       "--out-dir", tmp_path / "sweep", "--sizes", 250, 1000)
+        assert code == 1
+        reports = json.loads((tmp_path / "sweep" / "sweep_window.json").read_text())
+        assert [len(r["failures"]) for r in reports] == [0, 2]
+        failures = reports[1]["failures"]
+        assert capsys.readouterr().err.splitlines() == [
+            f"fold failed: {f['subject']}/trial{f['fold_trial']}: {f['error']}"
+            for f in failures
+        ]
+        assert failures[0]["error"] == (
+            "DegenerateClasses: class 'I' has fewer than two samples"
+        )
 
 
 class TestRecordedRuns:

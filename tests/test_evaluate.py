@@ -347,6 +347,21 @@ class TestCrossvalidate:
         assert len(rows) == len(report.folds) * per_fold
         assert CSV_HEADER.count(",") == rows[0].count(",")
 
+    def test_csv_rows_equal_the_report_values(self):
+        report = crossvalidate(quick_dataset(), feature_set("FS2"), ModelSpec(kind="qda"))
+        folds = {(f["subject"], f["fold_trial"]): f for f in report.to_dict()["folds"]}
+        per_class_rows = 0
+        for row in report.csv_rows():
+            subject, fold, *_, metric, label, value = row.split(",")
+            record = folds[subject, int(fold)]
+            if label in ("all", "macro"):
+                expected = record["metrics"][metric]
+            else:
+                expected = record["per_class"][metric][record["labels"].index(label)]
+                per_class_rows += 1
+            assert value == repr(expected)
+        assert per_class_rows == len(folds) * 4 * 5
+
     def test_per_subject_means(self):
         spec = SyntheticSpec(
             n_subjects=2, n_channels=2, n_movements=4, n_trials=2,

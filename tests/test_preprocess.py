@@ -151,6 +151,15 @@ class TestSegment:
         with pytest.raises(ValueError):
             segment(self._rec(1.0), 100.0, 100.0)
 
+    @pytest.mark.parametrize("window_ms, overlap_ms, named", [
+        (math.inf, 0.0, "window_ms"), (math.nan, 0.0, "window_ms"), (0.0, 0.0, "window_ms"),
+        ("250", 0.0, "window_ms"), (250.0, math.nan, "overlap_ms"),
+        (250.0, -1.0, "overlap_ms"), (250.0, math.inf, "overlap_ms"),
+    ])
+    def test_non_finite_or_out_of_range_length_named(self, window_ms, overlap_ms, named):
+        with pytest.raises(ValueError, match=named):
+            segment(self._rec(1.0), window_ms, overlap_ms)
+
     def test_overlap_rounding_to_the_window_length(self):
         # 250.1 ms and 250.0 ms are both 250 samples at 1 kHz: the step is 0
         with pytest.raises(ValueError, match="round to 250 and 250 samples"):

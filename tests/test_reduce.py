@@ -11,6 +11,7 @@ from emgpr.errors import (
     RankZero,
     ZeroDispersion,
 )
+from emgpr.preprocess import normalize_features
 from emgpr.reduce import (
     _class_stats,
     fit_ulda,
@@ -111,8 +112,9 @@ class TestFitUlda:
     def test_degenerate_classes(self):
         with pytest.raises(DegenerateClasses):
             fit_ulda(np.ones((4, 2)), ["a", "a", "a", "a"])
-        with pytest.raises(DegenerateClasses):
-            fit_ulda(np.eye(3), ["a", "a", "b"])  # class b has one sample
+        # class b has one sample; the message names the label, not its numpy type
+        with pytest.raises(DegenerateClasses, match="^class 'b' has fewer than two samples$"):
+            fit_ulda(np.eye(3), ["a", "a", "b"])
 
     def test_rank_zero(self):
         with pytest.raises(RankZero):
@@ -234,6 +236,19 @@ class TestScatterExport:
         data = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[1:]])
         assert np.allclose(data.min(axis=0), [0.0, 0.0], atol=1e-12)
         assert np.allclose(data.max(axis=0), [1.0, 1.0], atol=1e-12)
+
+    def test_rows_are_the_fitted_min_max_scaling(self, tmp_path):
+        # the second column is constant, so it reads 0.0 in every row
+        rng = np.random.default_rng(12)
+        pts = np.column_stack([rng.normal(0, 3, 40), np.full(40, 2.5)])
+        y = np.repeat(["a", "b"], 20)
+        path = tmp_path / "scatter.csv"
+        scatter_export(pts, y, path)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == list(y)
+        norm, _ = normalize_features(pts)
+        assert np.array_equal([[float(v) for v in r[1:]] for r in rows], norm)
+        assert {r[2] for r in rows} == {"0.0"}
 
     def test_empty_input_header_only(self, tmp_path):
         path = tmp_path / "scatter.csv"

@@ -85,8 +85,9 @@ class TestForwardSelect:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SelectionConfig(pool=())
-        with pytest.raises(ValueError):
-            SelectionConfig(improvement_threshold=0.0)
+        for threshold in (0.0, float("nan"), float("inf"), "1", True):
+            with pytest.raises(ValueError, match="improvement_threshold"):
+                SelectionConfig(improvement_threshold=threshold)
         with pytest.raises(ValueError):
             SelectionConfig(objective="recall")
         assert SelectionConfig(objective="macro_f1").objective == "f1"
