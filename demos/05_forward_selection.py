@@ -31,7 +31,6 @@ cfg = SelectionConfig(
     objective="f1",
     model_spec=ModelSpec(kind="qda"),
     window_ms=250.0,
-    seed=0,
 )
 print(f"pool: {', '.join(pool)}")
 print(f"objective: macro F1 (percent), accept at >= {cfg.improvement_threshold} "

@@ -43,7 +43,7 @@ class ModelSpec:
     knn_k: int = 3
 
     def __post_init__(self):
-        kind = _KIND_ALIASES.get(self.kind.lower())
+        kind = _KIND_ALIASES.get(self.kind.lower()) if isinstance(self.kind, str) else None
         if kind is None:
             raise ValueError(f"unknown classifier kind {self.kind!r}")
         object.__setattr__(self, "kind", kind)

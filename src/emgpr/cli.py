@@ -64,16 +64,15 @@ def _opt(flag, default, text=None, **keywords) -> _Option:
     return _Option(flag, default, text, keywords)
 
 
-#: dest -> option, one table per group of options that subcommands share
-_COMMON = {
-    "seed": _opt("--seed", 0, "master seed; every random stage derives from it", type=int),
-    "out_dir": _opt("--out-dir", "out", "directory for all output files"),
-}
+#: dest -> option, one table per group of options; each subcommand lists
+#: the groups whose options it reads, and no other
+_OUT = {"out_dir": _opt("--out-dir", "out", "directory for all output files")}
+
+_SEED = {"seed": _opt("--seed", 0, "master seed; every random stage derives from it",
+                      type=int)}
 
 _PIPELINE = {
     "manifest": _opt("--manifest", None, "path to a dataset manifest.json"),
-    "window_ms": _opt("--window-ms", SelectionConfig.window_ms,
-                      "analysis window length in ms", type=float),
     "overlap_ms": _opt("--overlap-ms", SelectionConfig.overlap_ms,
                        "window overlap in ms; 0 gives disjoint windows", type=float),
     "band": _opt("--band", [FilterSpec.band_low_hz, FilterSpec.band_high_hz],
@@ -82,12 +81,18 @@ _PIPELINE = {
     "notch_q": _opt("--notch-q", FilterSpec.notch_q, "notch quality factor", type=float),
     "filter_order": _opt("--filter-order", FilterSpec.order,
                          "bandpass Butterworth order", type=int),
+    "thresholds": _opt(None, None),
+}
+
+_WINDOW = {"window_ms": _opt("--window-ms", SelectionConfig.window_ms,
+                             "analysis window length in ms", type=float)}
+
+_SET = {
     "feature_set": _opt("--feature-set", "PROPOSED",
                         "named feature set; use CUSTOM with --features",
                         choices=sorted(FEATURE_SET_NAMES)),
     "features": _opt("--features", None, "explicit feature ids for a CUSTOM set",
                      nargs="+", metavar="ID"),
-    "thresholds": _opt(None, None),
 }
 
 _CLASSIFIER = {
@@ -166,14 +171,22 @@ def _merge(subcommand: str, saved: dict) -> dict:
     """The subcommand's defaults overlaid with the known keys of a saved config.
 
     Unknown keys are named on stderr and dropped, so a typo shows while a
-    run.json that records an option since removed still replays.
+    run.json that records an option since removed still replays.  A key whose
+    flag takes several values, and `class_gain_matrix`, must hold a list, or
+    null where that is its default; anything else is a ValueError.
     """
-    cfg = {dest: opt.default for dest, opt in _options(subcommand).items()}
+    options = _options(subcommand)
+    cfg = {dest: opt.default for dest, opt in options.items()}
     unknown = sorted(set(saved) - set(cfg))
     if unknown:
         print(f"warning: ignoring config keys unknown to '{subcommand}': "
               + ", ".join(unknown), file=sys.stderr)
     cfg.update((key, value) for key, value in saved.items() if key in cfg)
+    for key, opt in options.items():
+        listed = "nargs" in opt.keywords or opt.keywords.get("action") == "append"
+        if (listed or key == "class_gain_matrix") and not isinstance(
+                cfg[key], (list, type(opt.default))):
+            raise ValueError(f"{key} must be a list, got {cfg[key]!r}")
     return cfg
 
 
@@ -247,18 +260,18 @@ def _load_recordings(cfg: dict):
 def _write_reports(out: Path, stem: str, reports, record) -> int:
     """Write `record` as <stem>.json and every report's rows as <stem>.csv,
     then print one summary line per report and one `fold failed:` line on
-    stderr per failed fold; exit code 1 when any fold failed."""
+    stderr per failed fold, both tagged with the report; exit 1 on a failure."""
     _write_json(out / f"{stem}.json", record)
     rows = [row for report in reports for row in report.csv_rows()]
     (out / f"{stem}.csv").write_text("\n".join([CSV_HEADER] + rows) + "\n")
     for report in reports:
         parts = [f"{k}={v[0]:.4f}±{v[1]:.4f}" for k, v in report.summary().items()]
-        tag = f"window={report.window_ms:g}ms"
+        tag = f"[{report.feature_set}/{report.classifier} window={report.window_ms:g}ms"
         if report.snr_db is not None:
             tag += f" snr={report.snr_db:g}dB"
-        print(f"[{report.feature_set}/{report.classifier} {tag}] " + " ".join(parts))
+        print(f"{tag}] " + " ".join(parts))
         for failure in report.failures:
-            print(f"fold failed: {failure.subject}/trial{failure.fold_trial}: "
+            print(f"fold failed: {tag}] {failure.subject}/trial{failure.fold_trial}: "
                   f"{failure.error}", file=sys.stderr)
     return 0 if all(r.ok for r in reports) else 1
 
@@ -352,7 +365,6 @@ def _cmd_select(cfg: dict, out: Path) -> int:
         overlap_ms=cfg["overlap_ms"],
         thresholds=_thresholds(cfg),
         filter_spec=_filter_spec(cfg),
-        seed=cfg["seed"],
     )
     trace = forward_select(recordings, sel_cfg)
     _write_json(out / "selection.json", trace.to_dict())
@@ -370,7 +382,6 @@ def _subject_matrices(cfg: dict):
         window_ms=cfg["window_ms"],
         overlap_ms=cfg["overlap_ms"],
         filter_spec=_filter_spec(cfg),
-        seed=cfg["seed"],
     )
     for subject in table.subjects:
         yield (subject, table.matrix(subject, spec.features),
@@ -422,31 +433,33 @@ def _cmd_compare(cfg: dict, out: Path) -> int:
     return 0
 
 
+#: the option groups of a run that slices one feature table of one set
+_TABLE = [_OUT, _PIPELINE, _WINDOW, _SET]
+
 #: subcommand -> (handler, help, option groups); each handler writes its
 #: outputs into the created output directory and returns the exit code
 _SUBCOMMANDS = {
     "synth": (_cmd_synth, "generate a seeded synthetic dataset as CSV + manifest",
-              [_COMMON, _SYNTH]),
-    "extract": (_cmd_extract, "write the per-window feature matrix as CSV",
-                [_COMMON, _PIPELINE]),
+              [_OUT, _SEED, _SYNTH]),
+    "extract": (_cmd_extract, "write the per-window feature matrix as CSV", _TABLE),
     "evaluate": (_cmd_evaluate, "leave-one-trial-out evaluation report", [
-        _COMMON, _PIPELINE, _CLASSIFIER,
+        *_TABLE, _SEED, _CLASSIFIER,
         {"snr_db": _opt("--snr-db", None,
                         "mix calibrated white noise into the raw signal at this SNR in dB",
                         type=float)},
     ]),
     "sweep-window": (_cmd_sweep_window, "evaluate across window lengths", [
-        _COMMON, _PIPELINE, _CLASSIFIER,
+        _OUT, _PIPELINE, _SET, _SEED, _CLASSIFIER,
         {"sizes": _opt("--sizes", [float(v) for v in DEFAULT_WINDOW_SIZES],
                        "window lengths in ms", type=float, nargs="+")},
     ]),
     "sweep-snr": (_cmd_sweep_snr, "evaluate across noise levels", [
-        _COMMON, _PIPELINE, _CLASSIFIER,
+        *_TABLE, _SEED, _CLASSIFIER,
         {"snrs": _opt("--snrs", [float(v) for v in DEFAULT_SNR_GRID],
                       "SNR grid in dB", type=float, nargs="+")},
     ]),
     "select": (_cmd_select, "greedy forward feature selection with audit trace", [
-        _COMMON, _PIPELINE, _CLASSIFIER,
+        _OUT, _PIPELINE, _WINDOW, _CLASSIFIER,
         {
             "pool": _opt("--pool", list(SelectionConfig.pool), "candidate feature ids",
                          nargs="+", metavar="ID"),
@@ -458,11 +471,10 @@ _SUBCOMMANDS = {
                               choices=["f1", "macro_f1", "ovr_accuracy"]),
         },
     ]),
-    "res": (_cmd_res, "per-subject cluster separability index", [_COMMON, _PIPELINE]),
-    "scatter": (_cmd_scatter, "per-subject 2-D reduced-feature scatter CSV",
-                [_COMMON, _PIPELINE]),
+    "res": (_cmd_res, "per-subject cluster separability index", _TABLE),
+    "scatter": (_cmd_scatter, "per-subject 2-D reduced-feature scatter CSV", _TABLE),
     "compare": (_cmd_compare, "one-way ANOVA across report groups", [
-        _COMMON,
+        _OUT,
         {
             "groups": _opt("--group", None, "comma-separated report.json paths forming "
                            "one group; repeat per group", action="append", metavar="REPORTS"),
@@ -486,13 +498,13 @@ def main(argv=None) -> int:
         args = argparse.Namespace(config=args.run_json, out_dir=args.out_dir)
     else:
         subcommand = args.subcommand
-    cfg = _resolve(subcommand, args)
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
     try:
+        cfg = _resolve(subcommand, args)
+        out = Path(cfg["out_dir"])
+        out.mkdir(parents=True, exist_ok=True)
         code = _SUBCOMMANDS[subcommand][0](cfg, out)
     except (EmgprError, ValueError) as exc:
-        # a library error, or a library validation of a configured value
+        # a library error, or a validation of a configured value
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _write_json(out / "run.json", {"subcommand": subcommand, "config": cfg})

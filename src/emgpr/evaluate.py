@@ -474,41 +474,33 @@ def crossvalidate(
     recordings,
     feature_set: FeatureSetSpec,
     model_spec: ModelSpec,
-    window_ms: float = DEFAULT_WINDOW_MS,
-    overlap_ms: float = 0.0,
-    snr_db: float = None,
-    filter_spec: FilterSpec = None,
-    seed: int = 0,
+    **settings,
 ) -> EvalReport:
     """Leave-one-trial-out evaluation over every subject in the dataset.
 
     `recordings` is either the recordings, from which a table of this set's
-    columns is built (see `build_table`), or a `FeatureTable` built with the
-    same settings and thresholds; a table whose settings differ from this
-    call's, or that lacks a column the set reads, raises ValueError.  The
-    no-mix sentinel (inf) is normalized to None so the emitted report is
-    identical to a plain run.
+    columns is built with `settings` (`build_table`'s keywords), or a
+    `FeatureTable`, which brings its own settings: any setting passed with a
+    table raises TypeError, and a table built with other thresholds than the
+    set's, or lacking a column the set reads, raises ValueError.  The no-mix
+    sentinel (inf) is normalized to None so the emitted report is identical
+    to a plain run.
     """
-    settings = {
-        "thresholds": feature_set.thresholds,
-        "window_ms": float(window_ms),
-        "overlap_ms": float(overlap_ms),
-        "snr_db": _mixing_snr(snr_db),
-        "filter_spec": filter_spec or FilterSpec(),
-        "seed": seed,
-    }
     if isinstance(recordings, FeatureTable):
+        if settings:
+            raise TypeError("a feature table brings its own settings; got "
+                            + ", ".join(sorted(settings)))
         table = recordings
-        for name, value in settings.items():
-            if getattr(table, name) != value:
-                raise ValueError(
-                    f"feature table was built with {name}={getattr(table, name)!r}, "
-                    f"not {value!r}"
-                )
+        if table.thresholds != feature_set.thresholds:
+            raise ValueError(
+                f"feature table was built with thresholds={table.thresholds!r}, "
+                f"not {feature_set.thresholds!r}"
+            )
         table.positions(feature_set.features)  # fail before the first fold
     else:
-        table = build_table(recordings, [feature_set.features], **settings)
-    filter_spec, snr_db, labels = table.filter_spec, table.snr_db, table.movements
+        table = build_table(recordings, [feature_set.features],
+                            thresholds=feature_set.thresholds, **settings)
+    labels = table.movements
 
     folds, failures = [], []
     for subject in table.subjects:
@@ -542,21 +534,17 @@ def crossvalidate(
                     )
                 )
 
+    scalars = {name: getattr(table, name)
+               for name in ("window_ms", "overlap_ms", "snr_db", "seed")}
     return EvalReport(
         feature_set=feature_set.name,
         classifier=model_spec.kind,
-        window_ms=float(window_ms),
-        overlap_ms=float(overlap_ms),
-        snr_db=snr_db,
-        seed=seed,
+        **scalars,
         config={
             "feature_set": feature_set.to_dict(),
             "model": model_spec.to_dict(),
-            "filter": filter_spec.to_dict(),
-            "window_ms": float(window_ms),
-            "overlap_ms": float(overlap_ms),
-            "snr_db": snr_db,
-            "seed": seed,
+            "filter": table.filter_spec.to_dict(),
+            **scalars,
         },
         folds=tuple(folds),
         failures=tuple(failures),
@@ -578,11 +566,11 @@ def sweep_window(recordings, feature_set, model_spec,
 
 
 def sweep_snr(recordings, feature_set, model_spec,
-              snrs=DEFAULT_SNR_GRID, seed: int = 0, **kwargs) -> list:
+              snrs=DEFAULT_SNR_GRID, **kwargs) -> list:
     """One crossvalidate per SNR level, noise mixed before preprocessing."""
     return [
         crossvalidate(recordings, feature_set, model_spec,
-                      snr_db=float(snr), seed=seed, **kwargs)
+                      snr_db=float(snr), **kwargs)
         for snr in snrs
     ]
 

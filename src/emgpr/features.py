@@ -84,7 +84,7 @@ FEATURE_SET_NAMES = tuple(_REGISTRY) + ("CUSTOM",)
 def feature_set(name: str, features=None, thresholds: Thresholds = None) -> FeatureSetSpec:
     """Instantiate a registry set (FS1..FS4, PROPOSED) or a CUSTOM list."""
     thresholds = thresholds or Thresholds()
-    key = name.upper()
+    key = name.upper() if isinstance(name, str) else None
     if key == "CUSTOM":
         if not features:
             raise ValueError("CUSTOM feature set needs an explicit feature list")

@@ -30,12 +30,14 @@ class FilterSpec:
     order: int = 4
 
     def __post_init__(self):
-        if not 0 < self.band_low_hz < self.band_high_hz:
+        for name in ("band_low_hz", "band_high_hz", "notch_q"):
+            check_number(name, getattr(self, name), 0, open_low=True)
+        check_number("notch_hz", self.notch_hz)
+        check_number("order", self.order, 1, integer=True)
+        if not self.band_low_hz < self.band_high_hz:
             raise ValueError("need 0 < band_low_hz < band_high_hz")
         if not self.band_low_hz <= self.notch_hz <= self.band_high_hz:
             raise ValueError("notch_hz must lie within the passband")
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -5,8 +5,9 @@ lag at every pool fit order, so each candidate set reads its AR lags off a
 fit at its own largest lag, as a plain run would.  Each step cross-validates
 every candidate on a column slice of that table, keeps the best-scoring
 addition, and accepts it only when it improves the objective by at least the
-configured number of percentage points.  Ties go to the earlier pool position, so a run is deterministic
-given dataset, config and seed.
+configured number of percentage points.  Ties go to the earlier pool
+position, so a run is deterministic given dataset and config: selection
+mixes no noise and draws no random number.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ class SelectionConfig:
     overlap_ms: float = 0.0
     thresholds: Thresholds = field(default_factory=Thresholds)
     filter_spec: FilterSpec = field(default_factory=FilterSpec)
-    seed: int = 0
 
     def __post_init__(self):
         if not self.pool:
@@ -51,7 +51,6 @@ class SelectionConfig:
             "overlap_ms": self.overlap_ms,
             "thresholds": self.thresholds.to_dict(),
             "filter": self.filter_spec.to_dict(),
-            "seed": self.seed,
         }
 
 
@@ -97,21 +96,17 @@ class SelectionTrace:
 
 def forward_select(recordings, cfg: SelectionConfig) -> SelectionTrace:
     """Run the greedy loop and return the audit trace."""
-    settings = {
-        "window_ms": cfg.window_ms,
-        "overlap_ms": cfg.overlap_ms,
-        "filter_spec": cfg.filter_spec,
-        "seed": cfg.seed,
-    }
     lags = sorted({int(fid[2:]) for fid in cfg.pool if fid.startswith("AR")})
     serves = [cfg.pool] + [[f"AR{lag}" for lag in lags if lag <= p] for p in lags]
-    table = build_table(recordings, serves, thresholds=cfg.thresholds, **settings)
+    table = build_table(recordings, serves, thresholds=cfg.thresholds,
+                        window_ms=cfg.window_ms, overlap_ms=cfg.overlap_ms,
+                        filter_spec=cfg.filter_spec)
 
     def score(feature_ids) -> float:
         spec = FeatureSetSpec(
             name="CUSTOM", features=tuple(feature_ids), thresholds=cfg.thresholds
         )
-        report = crossvalidate(table, spec, cfg.model_spec, **settings)
+        report = crossvalidate(table, spec, cfg.model_spec)
         return 100.0 * report.summary()[cfg.objective][0]
 
     def best_candidate(current):

@@ -76,6 +76,8 @@ class TestTrainPredict:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             ModelSpec(kind="tree")
+        with pytest.raises(ValueError, match="kind 3"):
+            ModelSpec(kind=3)
         with pytest.raises(ValueError):
             ModelSpec(knn_k=4)
         with pytest.raises(ValueError):

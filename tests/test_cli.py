@@ -220,6 +220,14 @@ class TestEvaluate:
         ("sweep-window", ["--sizes", "250", "inf"], {}, "window_ms"),
         ("select", ["--threshold", "nan", "--pool", "MAV", "WL"], {},
          "improvement_threshold"),
+        ("evaluate", ["--notch-q", "nan"], {}, "notch_q"),
+        ("evaluate", ["--notch-q", "0"], {}, "notch_q"),
+        ("evaluate", ["--notch-q", "-5"], {}, "notch_q"),
+        ("evaluate", ["--notch", "inf"], {}, "notch_hz"),
+        ("evaluate", ["--band", "nan", "500"], {}, "band_low_hz"),
+        ("evaluate", ["--band", "20", "inf"], {}, "band_high_hz"),
+        ("evaluate", [], {"filter_order": True}, "order"),
+        ("evaluate", ["--filter-order", "0"], {}, "order"),
     ])
     def test_bad_number_exits_2(self, subcommand, flags, config, named,
                                 small_dataset, tmp_path, capsys):
@@ -230,6 +238,17 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"error: {named} must be ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("config, named", [({"classifier": 3}, "classifier kind 3"),
+                                               ({"feature_set": 3}, "feature set 3")])
+    def test_non_string_name_exits_2(self, config, named, small_dataset, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        code = run_cli("evaluate", "--manifest", small_dataset, "--config", path,
+                       "--out-dir", tmp_path / "out")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
 
     def test_overlap_rounding_to_the_window_exits_2(self, small_dataset, tmp_path, capsys):
         # at 2 kHz both lengths round to 500 samples
@@ -290,7 +309,8 @@ class TestSweeps:
         assert [len(r["failures"]) for r in reports] == [0, 2]
         failures = reports[1]["failures"]
         assert capsys.readouterr().err.splitlines() == [
-            f"fold failed: {f['subject']}/trial{f['fold_trial']}: {f['error']}"
+            f"fold failed: [PROPOSED/qda window=1000ms] "
+            f"{f['subject']}/trial{f['fold_trial']}: {f['error']}"
             for f in failures
         ]
         assert failures[0]["error"] == (
@@ -383,6 +403,25 @@ class TestRecordedRuns:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "wamp" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("subcommand, config", [
+        ("sweep-window", {"sizes": 250}),
+        ("evaluate", {"band": 20}),
+        ("synth", {"class_gain_matrix": 3}),
+        ("compare", {"groups": "ev/report.json"}),
+        ("evaluate", {"features": "MAV"}),
+        ("select", {"pool": "MAV"}),
+    ], ids=lambda value: next(iter(value)) if isinstance(value, dict) else value)
+    def test_scalar_for_a_list_key_exits_2(
+        self, subcommand, config, small_dataset, tmp_path, capsys
+    ):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        given = () if subcommand in ("synth", "compare") else ("--manifest", small_dataset)
+        assert run_cli(subcommand, "--config", path, "--out-dir", tmp_path / "out",
+                       *given) == 2
+        ((key, value),) = config.items()
+        assert capsys.readouterr().err == f"error: {key} must be a list, got {value!r}\n"
 
     def test_known_thresholds_keys_are_used(self, small_dataset, tmp_path):
         config = tmp_path / "c.json"

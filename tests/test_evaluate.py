@@ -522,7 +522,7 @@ class TestFeatureTable:
                             snr_db=10.0, seed=4)
         model = ModelSpec(kind="qda")
         for spec in sets:
-            shared = crossvalidate(table, spec, model, snr_db=10.0, seed=4)
+            shared = crossvalidate(table, spec, model)
             plain = crossvalidate(two_subject_recordings, spec, model,
                                   snr_db=10.0, seed=4)
             assert shared.to_dict() == plain.to_dict(), spec.name
@@ -558,21 +558,24 @@ class TestFeatureTable:
     @pytest.mark.parametrize("call, message", [
         ({"window_ms": 200.0}, "window_ms"),
         ({"overlap_ms": 50.0}, "overlap_ms"),
-        ({"snr_db": 5.0}, "snr_db"),
+        ({"snr_db": 10.0}, "snr_db"),
         ({"snr_db": None}, "snr_db"),
-        ({"filter_spec": FilterSpec(notch_hz=60.0)}, "filter_spec"),
-        ({"seed": 1}, "seed"),
+        ({"filter_spec": FilterSpec()}, "filter_spec"),
+        ({"seed": 0}, "seed"),
         ({"thresholds": Thresholds(wamp=0.05)}, "thresholds"),
         ({"features": ("RMS", "MAV")}, "no column"),
         # AR1 next to AR2 is read at order 2; the table only has order 1
         ({"features": ("AR1", "AR2")}, "no column"),
     ])
     def test_mismatched_table_rejected(self, amplitude_recordings, call, message):
+        # the table brings its own settings, so passing one with it is a
+        # TypeError even at the table's own value; the set brings its own
+        # thresholds and columns, and a mismatch there is a ValueError
         table = build_table(amplitude_recordings, [("RMS", "WL", "AR1")], snr_db=10.0)
-        call = {"features": ("RMS", "AR1"), "snr_db": 10.0, **call}
+        call = {"features": ("RMS", "AR1"), **call}
         spec = feature_set("CUSTOM", call.pop("features"),
                            call.pop("thresholds", Thresholds()))
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(TypeError if call else ValueError, match=message):
             crossvalidate(table, spec, ModelSpec(kind="qda"), **call)
 
     def test_matching_table_accepted(self, amplitude_recordings):

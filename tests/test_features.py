@@ -161,6 +161,11 @@ class TestFeatureSets:
             "LMAV", "NSV", "WL", "WAMP", "SSC", "ZC", "MOB", "COM", "SKW",
             "AR1", "AR2", "AR3", "AR4")
 
+    @pytest.mark.parametrize("name", ["FS9", 3, None])
+    def test_unknown_set_name_rejected(self, name):
+        with pytest.raises(UnknownFeature, match="unknown feature set"):
+            feature_set(name)
+
     def test_catalog_size(self):
         assert len(CATALOG) == 32
 

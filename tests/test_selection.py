@@ -23,7 +23,6 @@ def config(pool, threshold=0.25, **overrides):
         improvement_threshold=threshold,
         model_spec=ModelSpec(kind="qda"),
         window_ms=250.0,
-        seed=0,
     )
     defaults.update(overrides)
     return SelectionConfig(**defaults)
@@ -143,7 +142,6 @@ def reference_select(recordings, cfg):
             window_ms=cfg.window_ms,
             overlap_ms=cfg.overlap_ms,
             filter_spec=cfg.filter_spec,
-            seed=cfg.seed,
         )
         return 100.0 * report.summary()[cfg.objective][0]
 
