@@ -167,13 +167,34 @@ def build_parser() -> argparse.ArgumentParser:
 # config plumbing
 
 
+def _check_list(key: str, opt: _Option, value) -> None:
+    """ValueError unless `value` is a list its flag would give: 2 values for
+    nargs=2 and 1 or more for nargs="+", each a number that is not a bool
+    (type=float) or a string; class_gain_matrix is a list of lists of numbers."""
+    def number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    nargs = opt.keywords.get("nargs")
+    if key == "class_gain_matrix":
+        kind, ok = "lists of numbers", lambda v: isinstance(v, list) and all(map(number, v))
+    elif opt.keywords.get("type") is float:
+        kind, ok = "numbers", number
+    else:
+        kind, ok = "strings", lambda v: isinstance(v, str)
+    if not (isinstance(value, list) and all(map(ok, value))
+            and {2: len(value) == 2, "+": len(value) > 0}.get(nargs, True)):
+        count = {2: "2 ", "+": "1 or more "}.get(nargs, "")
+        raise ValueError(f"{key} must be a list of {count}{kind}, got {value!r}")
+
+
 def _merge(subcommand: str, saved: dict) -> dict:
     """The subcommand's defaults overlaid with the known keys of a saved config.
 
     Unknown keys are named on stderr and dropped, so a typo shows while a
     run.json that records an option since removed still replays.  A key whose
-    flag takes several values, and `class_gain_matrix`, must hold a list, or
-    null where that is its default; anything else is a ValueError.
+    flag takes several values, and `class_gain_matrix`, must hold a list its
+    flag would give (see `_check_list`), or null where that is its default;
+    anything else is a ValueError naming the key.
     """
     options = _options(subcommand)
     cfg = {dest: opt.default for dest, opt in options.items()}
@@ -184,23 +205,31 @@ def _merge(subcommand: str, saved: dict) -> dict:
     cfg.update((key, value) for key, value in saved.items() if key in cfg)
     for key, opt in options.items():
         listed = "nargs" in opt.keywords or opt.keywords.get("action") == "append"
-        if (listed or key == "class_gain_matrix") and not isinstance(
-                cfg[key], (list, type(opt.default))):
-            raise ValueError(f"{key} must be a list, got {cfg[key]!r}")
+        if (listed or key == "class_gain_matrix") and not (
+                cfg[key] is None and opt.default is None):
+            _check_list(key, opt, cfg[key])
     return cfg
+
+
+def _read_config(path) -> tuple:
+    """(recording subcommand, options) of a --config file: a run.json holds
+    its options under "config" and names its subcommand; any other file is
+    the options alone, with the subcommand None."""
+    loaded = json.loads(Path(path).read_text())
+    recorded = None
+    if isinstance(loaded, dict) and "subcommand" in loaded:  # a run.json
+        recorded, loaded = loaded["subcommand"], loaded.get("config")
+    if not isinstance(loaded, dict):
+        raise ValueError(f"{path} must hold a JSON object of options")
+    return recorded, loaded
 
 
 def _resolve(subcommand: str, args: argparse.Namespace) -> dict:
     loaded = {}
     if args.config:
-        loaded = json.loads(Path(args.config).read_text())
-        if "subcommand" in loaded:  # a run.json
-            if loaded["subcommand"] != subcommand:
-                raise SystemExit(
-                    f"--config was recorded by '{loaded['subcommand']}', "
-                    f"not '{subcommand}'"
-                )
-            loaded = loaded["config"]
+        recorded, loaded = _read_config(args.config)
+        if recorded not in (None, subcommand):
+            raise SystemExit(f"--config was recorded by '{recorded}', not '{subcommand}'")
     cfg = _merge(subcommand, loaded)
     for key in cfg:
         value = getattr(args, key, None)
@@ -237,8 +266,16 @@ def _thresholds(cfg: dict) -> Thresholds:
 
 def _feature_spec(cfg: dict) -> FeatureSetSpec:
     if cfg["features"]:
-        return feature_set("CUSTOM", cfg["features"], _thresholds(cfg))
-    return feature_set(cfg["feature_set"], thresholds=_thresholds(cfg))
+        return feature_set("CUSTOM", cfg["features"])
+    return feature_set(cfg["feature_set"])
+
+
+def _table_settings(cfg: dict) -> dict:
+    """`build_table`'s keywords: the run's thresholds and filter, and whichever
+    of window, overlap, SNR and seed the subcommand's options hold."""
+    held = {key: cfg[key] for key in ("window_ms", "overlap_ms", "snr_db", "seed")
+            if key in cfg}
+    return {"thresholds": _thresholds(cfg), "filter_spec": _filter_spec(cfg), **held}
 
 
 def _model_spec(cfg: dict) -> ModelSpec:
@@ -323,24 +360,15 @@ def _cmd_extract(cfg: dict, out: Path) -> int:
 
 
 def _cmd_evaluate(cfg: dict, out: Path) -> int:
-    report = crossvalidate(
-        _load_recordings(cfg),
-        _feature_spec(cfg),
-        _model_spec(cfg),
-        window_ms=cfg["window_ms"],
-        overlap_ms=cfg["overlap_ms"],
-        snr_db=cfg["snr_db"],
-        filter_spec=_filter_spec(cfg),
-        seed=cfg["seed"],
-    )
+    report = crossvalidate(_load_recordings(cfg), _feature_spec(cfg), _model_spec(cfg),
+                           **_table_settings(cfg))
     return _write_reports(out, "report", [report], report.to_dict())
 
 
 def _cmd_sweep_window(cfg: dict, out: Path) -> int:
     reports = sweep_window(
         _load_recordings(cfg), _feature_spec(cfg), _model_spec(cfg),
-        sizes=cfg["sizes"], overlap_ms=cfg["overlap_ms"],
-        filter_spec=_filter_spec(cfg), seed=cfg["seed"],
+        sizes=cfg["sizes"], **_table_settings(cfg),
     )
     return _write_reports(out, "sweep_window", reports, [r.to_dict() for r in reports])
 
@@ -348,8 +376,7 @@ def _cmd_sweep_window(cfg: dict, out: Path) -> int:
 def _cmd_sweep_snr(cfg: dict, out: Path) -> int:
     reports = sweep_snr(
         _load_recordings(cfg), _feature_spec(cfg), _model_spec(cfg),
-        snrs=cfg["snrs"], window_ms=cfg["window_ms"], overlap_ms=cfg["overlap_ms"],
-        filter_spec=_filter_spec(cfg), seed=cfg["seed"],
+        snrs=cfg["snrs"], **_table_settings(cfg),
     )
     return _write_reports(out, "sweep_snr", reports, [r.to_dict() for r in reports])
 
@@ -361,10 +388,7 @@ def _cmd_select(cfg: dict, out: Path) -> int:
         improvement_threshold=cfg["threshold"],
         objective=cfg["objective"],
         model_spec=_model_spec(cfg),
-        window_ms=cfg["window_ms"],
-        overlap_ms=cfg["overlap_ms"],
-        thresholds=_thresholds(cfg),
-        filter_spec=_filter_spec(cfg),
+        **_table_settings(cfg),
     )
     trace = forward_select(recordings, sel_cfg)
     _write_json(out / "selection.json", trace.to_dict())
@@ -375,14 +399,7 @@ def _cmd_select(cfg: dict, out: Path) -> int:
 def _subject_matrices(cfg: dict):
     """(subject, X, y, trials) per subject, sliced from one feature table."""
     spec = _feature_spec(cfg)
-    table = build_table(
-        _load_recordings(cfg),
-        [spec.features],
-        thresholds=spec.thresholds,
-        window_ms=cfg["window_ms"],
-        overlap_ms=cfg["overlap_ms"],
-        filter_spec=_filter_spec(cfg),
-    )
+    table = build_table(_load_recordings(cfg), [spec.features], **_table_settings(cfg))
     for subject in table.subjects:
         yield (subject, table.matrix(subject, spec.features),
                table.labels[subject], table.trials[subject])
@@ -489,22 +506,20 @@ _SUBCOMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.subcommand == "replay":
-        subcommand = json.loads(Path(args.run_json).read_text()).get("subcommand")
-        if subcommand not in _SUBCOMMANDS:
-            print(f"error: unknown subcommand {subcommand!r} in {args.run_json}",
-                  file=sys.stderr)
-            return 2
-        args = argparse.Namespace(config=args.run_json, out_dir=args.out_dir)
-    else:
-        subcommand = args.subcommand
+    subcommand = args.subcommand
     try:
+        if subcommand == "replay":
+            subcommand, _ = _read_config(args.run_json)
+            if subcommand not in _SUBCOMMANDS:
+                raise ValueError(f"unknown subcommand {subcommand!r} in {args.run_json}")
+            args = argparse.Namespace(config=args.run_json, out_dir=args.out_dir)
         cfg = _resolve(subcommand, args)
         out = Path(cfg["out_dir"])
         out.mkdir(parents=True, exist_ok=True)
         code = _SUBCOMMANDS[subcommand][0](cfg, out)
-    except (EmgprError, ValueError) as exc:
-        # a library error, or a validation of a configured value
+    except (EmgprError, ValueError, OSError) as exc:
+        # a library error, a validation of a configured value, or a file
+        # that cannot be read (OSError names its path)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _write_json(out / "run.json", {"subcommand": subcommand, "config": cfg})

@@ -335,7 +335,7 @@ def _set_columns(features) -> tuple:
     return tuple((fid, order if fid.startswith("AR") else None) for fid in features)
 
 
-def _extraction_groups(columns, thresholds) -> list:
+def _extraction_groups(columns) -> list:
     """(spec, column positions) per AR fit order, one `extract_matrix` each.
 
     Plain features ride with the largest order, so a single set is extracted
@@ -349,9 +349,7 @@ def _extraction_groups(columns, thresholds) -> list:
             i for i, (_, order) in enumerate(columns)
             if order == group or (order is None and group == top)
         ]
-        spec = FeatureSetSpec(
-            "CUSTOM", tuple(columns[i][0] for i in positions), thresholds
-        )
+        spec = FeatureSetSpec("CUSTOM", tuple(columns[i][0] for i in positions))
         groups.append((spec, positions))
     return groups
 
@@ -423,7 +421,7 @@ def build_table(
     columns = tuple(dict.fromkeys(
         key for features in feature_sets for key in _set_columns(features)
     ))
-    groups = _extraction_groups(columns, thresholds)
+    groups = _extraction_groups(columns)
 
     by_subject = {}
     for rec in recordings:
@@ -445,7 +443,7 @@ def build_table(
             shape = windows.shape[:2]
             block = np.empty(shape + (len(columns),))
             for spec, positions in groups:
-                block[:, :, positions] = extract_matrix(spec, windows).reshape(
+                block[:, :, positions] = extract_matrix(spec, windows, thresholds).reshape(
                     shape + (len(positions),)
                 )
             blocks.append(block)
@@ -481,25 +479,18 @@ def crossvalidate(
     `recordings` is either the recordings, from which a table of this set's
     columns is built with `settings` (`build_table`'s keywords), or a
     `FeatureTable`, which brings its own settings: any setting passed with a
-    table raises TypeError, and a table built with other thresholds than the
-    set's, or lacking a column the set reads, raises ValueError.  The no-mix
-    sentinel (inf) is normalized to None so the emitted report is identical
-    to a plain run.
+    table raises TypeError, and a table lacking a column the set reads raises
+    ValueError.  The no-mix sentinel (inf) is normalized to None so the
+    emitted report is identical to a plain run.
     """
     if isinstance(recordings, FeatureTable):
         if settings:
             raise TypeError("a feature table brings its own settings; got "
                             + ", ".join(sorted(settings)))
         table = recordings
-        if table.thresholds != feature_set.thresholds:
-            raise ValueError(
-                f"feature table was built with thresholds={table.thresholds!r}, "
-                f"not {feature_set.thresholds!r}"
-            )
         table.positions(feature_set.features)  # fail before the first fold
     else:
-        table = build_table(recordings, [feature_set.features],
-                            thresholds=feature_set.thresholds, **settings)
+        table = build_table(recordings, [feature_set.features], **settings)
     labels = table.movements
 
     folds, failures = [], []
@@ -541,7 +532,8 @@ def crossvalidate(
         classifier=model_spec.kind,
         **scalars,
         config={
-            "feature_set": feature_set.to_dict(),
+            "feature_set": {**feature_set.to_dict(),
+                            "thresholds": table.thresholds.to_dict()},
             "model": model_spec.to_dict(),
             "filter": table.filter_spec.to_dict(),
             **scalars,

@@ -15,7 +15,7 @@ finite on any input, including all-zero windows.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property, partial
 
 import numpy as np
@@ -51,7 +51,6 @@ class FeatureSetSpec:
 
     name: str
     features: tuple
-    thresholds: Thresholds = field(default_factory=Thresholds)
 
     def __post_init__(self):
         if not self.features:
@@ -81,28 +80,23 @@ _REGISTRY = {
 FEATURE_SET_NAMES = tuple(_REGISTRY) + ("CUSTOM",)
 
 
-def feature_set(name: str, features=None, thresholds: Thresholds = None) -> FeatureSetSpec:
+def feature_set(name: str, features=None) -> FeatureSetSpec:
     """Instantiate a registry set (FS1..FS4, PROPOSED) or a CUSTOM list."""
-    thresholds = thresholds or Thresholds()
     key = name.upper() if isinstance(name, str) else None
     if key == "CUSTOM":
         if not features:
             raise ValueError("CUSTOM feature set needs an explicit feature list")
-        return FeatureSetSpec("CUSTOM", tuple(features), thresholds)
+        return FeatureSetSpec("CUSTOM", tuple(features))
     if key not in _REGISTRY:
         raise UnknownFeature(f"unknown feature set {name!r}")
     if features is not None:
         raise ValueError(f"{key} has a fixed feature list")
-    return FeatureSetSpec(key, _REGISTRY[key], thresholds)
+    return FeatureSetSpec(key, _REGISTRY[key])
 
 
 def with_lmav_nsv(base: FeatureSetSpec) -> FeatureSetSpec:
     """Augment a base set with LMAV and NSV for ablation comparisons."""
-    return FeatureSetSpec(
-        name="CUSTOM",
-        features=tuple(base.features) + ("LMAV", "NSV"),
-        thresholds=base.thresholds,
-    )
+    return FeatureSetSpec("CUSTOM", tuple(base.features) + ("LMAV", "NSV"))
 
 
 # ---------------------------------------------------------------------------
@@ -393,15 +387,18 @@ class FeatureVector:
     values: np.ndarray
 
 
-def extract(set_spec: FeatureSetSpec, window: np.ndarray) -> FeatureVector:
+def extract(set_spec: FeatureSetSpec, window: np.ndarray,
+            thresholds: Thresholds = Thresholds()) -> FeatureVector:
     """Extract a feature set from every channel of a (channels, n) window
-    (channel-major); a single channel `x` is the window `x[None]`.  This is
-    the one per-window call."""
+    (channel-major), with the counting features gated at `thresholds`; a
+    single channel `x` is the window `x[None]`.  This is the one per-window
+    call."""
     x = np.ascontiguousarray(window, dtype=float)
-    return FeatureVector(_evaluate(set_spec.features, set_spec.thresholds, x).reshape(-1))
+    return FeatureVector(_evaluate(set_spec.features, thresholds, x).reshape(-1))
 
 
-def extract_matrix(set_spec: FeatureSetSpec, windows) -> np.ndarray:
+def extract_matrix(set_spec: FeatureSetSpec, windows,
+                   thresholds: Thresholds = Thresholds()) -> np.ndarray:
     """`extract` of every window of a (windows, channels, n) array, or of a
     list of same-shape windows, as an (n_windows, d) matrix.
 
@@ -413,7 +410,7 @@ def extract_matrix(set_spec: FeatureSetSpec, windows) -> np.ndarray:
     rows = windows.reshape(-1, n)
     step = channels * max(1, _CHUNK_SAMPLES // (channels * n))
     values = [
-        _evaluate(set_spec.features, set_spec.thresholds, rows[start : start + step])
+        _evaluate(set_spec.features, thresholds, rows[start : start + step])
         for start in range(0, len(rows), step)
     ]
     return np.concatenate(values).reshape(count, -1)

@@ -103,9 +103,7 @@ def forward_select(recordings, cfg: SelectionConfig) -> SelectionTrace:
                         filter_spec=cfg.filter_spec)
 
     def score(feature_ids) -> float:
-        spec = FeatureSetSpec(
-            name="CUSTOM", features=tuple(feature_ids), thresholds=cfg.thresholds
-        )
+        spec = FeatureSetSpec("CUSTOM", tuple(feature_ids))
         report = crossvalidate(table, spec, cfg.model_spec)
         return 100.0 * report.summary()[cfg.objective][0]
 

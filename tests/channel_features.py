@@ -6,13 +6,13 @@ import numpy as np
 from emgpr.features import FeatureSetSpec, Thresholds, extract
 
 
-def channel_values(features, x, thresholds=None) -> np.ndarray:
+def channel_values(features, x, thresholds=Thresholds()) -> np.ndarray:
     """Values of a feature list on one window channel, in list order."""
-    spec = FeatureSetSpec("CUSTOM", tuple(features), thresholds or Thresholds())
-    return extract(spec, np.asarray(x, dtype=float)[None]).values
+    spec = FeatureSetSpec("CUSTOM", tuple(features))
+    return extract(spec, np.asarray(x, dtype=float)[None], thresholds).values
 
 
-def channel_feature(fid, x, thresholds=None) -> float:
+def channel_feature(fid, x, thresholds=Thresholds()) -> float:
     """One catalog feature of one window channel."""
     return float(channel_values((fid,), x, thresholds)[0])
 

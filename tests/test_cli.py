@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
+import emgpr.evaluate
 from emgpr.cli import build_parser, main
 from emgpr.dataset import DatasetManifest, load_dataset
-from emgpr.features import extract_matrix, feature_set
+from emgpr.features import Thresholds, extract_matrix, feature_set
 from emgpr.preprocess import FilterSpec, apply_filters, segment
 
 
@@ -411,17 +412,49 @@ class TestRecordedRuns:
         ("compare", {"groups": "ev/report.json"}),
         ("evaluate", {"features": "MAV"}),
         ("select", {"pool": "MAV"}),
+        # a list of another count or element type than its flag gives
+        pytest.param("evaluate", {"band": [20]}, id="evaluate-band-one"),
+        pytest.param("evaluate", {"band": [20, 300, 400]}, id="evaluate-band-three"),
+        pytest.param("sweep-window", {"sizes": []}, id="sweep-window-sizes-empty"),
+        pytest.param("sweep-window", {"sizes": [True]}, id="sweep-window-sizes-bool"),
+        pytest.param("sweep-snr", {"snrs": []}, id="sweep-snr-snrs-empty"),
+        pytest.param("sweep-snr", {"snrs": [None]}, id="sweep-snr-snrs-null"),
+        pytest.param("evaluate", {"features": [], "feature_set": "FS2"},
+                     id="evaluate-features-empty"),
+        pytest.param("select", {"pool": [3]}, id="select-pool-number"),
+        pytest.param("synth", {"class_gain_matrix": [3]}, id="synth-class_gain_matrix-row"),
     ], ids=lambda value: next(iter(value)) if isinstance(value, dict) else value)
     def test_scalar_for_a_list_key_exits_2(
         self, subcommand, config, small_dataset, tmp_path, capsys
     ):
+        # the first key is the rejected one
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
         given = () if subcommand in ("synth", "compare") else ("--manifest", small_dataset)
         assert run_cli(subcommand, "--config", path, "--out-dir", tmp_path / "out",
                        *given) == 2
-        ((key, value),) = config.items()
-        assert capsys.readouterr().err == f"error: {key} must be a list, got {value!r}\n"
+        key, value = next(iter(config.items()))
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be a list")
+        assert err.endswith(f", got {value!r}\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("evaluate", "--config", "missing.json"),
+        ("replay", "missing.json"),
+        ("evaluate", "--manifest", "missing.json"),
+        ("evaluate", "--manifest", "."),
+        ("compare", "--group", "missing.json", "--group", "missing.json"),
+        ("evaluate", "--config", "list.json"),
+        ("replay", "list.json"),
+    ], ids=lambda argv: "-".join(argv[:3]))
+    def test_unreadable_file_exits_2(self, argv, tmp_path, monkeypatch, capsys):
+        # a file that is missing, a directory, or not a JSON object of options
+        monkeypatch.chdir(tmp_path)
+        Path("list.json").write_text("[1, 2]")
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert argv[-1] in err
 
     def test_known_thresholds_keys_are_used(self, small_dataset, tmp_path):
         config = tmp_path / "c.json"
@@ -434,6 +467,24 @@ class TestRecordedRuns:
                        "--out-dir", default) == 0
         assert ((out / "features.csv").read_bytes()
                 != (default / "features.csv").read_bytes())
+
+    @pytest.mark.parametrize("subcommand", ["extract", "evaluate", "sweep-window",
+                                            "sweep-snr", "select", "res", "scatter"])
+    def test_config_thresholds_reach_every_extraction(
+        self, subcommand, small_dataset, tmp_path, monkeypatch
+    ):
+        seen = []
+
+        def spy(spec, windows, thresholds):
+            seen.append(thresholds)
+            return extract_matrix(spec, windows, thresholds)
+
+        monkeypatch.setattr(emgpr.evaluate, "extract_matrix", spy)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"thresholds": {"wamp": 0.5}}))
+        assert run_cli(subcommand, "--config", config, "--manifest", small_dataset,
+                       "--out-dir", tmp_path / "out", *TestFrame.FLAGS[subcommand]) == 0
+        assert seen and set(seen) == {Thresholds(wamp=0.5)}
 
     def test_replay_of_unknown_subcommand_exits_2(self, tmp_path, capsys):
         recorded = tmp_path / "run.json"

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -514,28 +515,32 @@ class TestFeatureTable:
             assert sliced.tobytes() == direct.tobytes()
             assert sliced.shape == direct.shape
 
-    def test_shared_table_gives_the_per_set_reports(self, two_subject_recordings):
+    @pytest.mark.parametrize("th", [Thresholds(), Thresholds(zc=0.05, ssc=0.01, wamp=0.2)],
+                             ids=["default", "other"])
+    def test_shared_table_gives_the_per_set_reports(self, two_subject_recordings, th):
         # one table serves every registry set at 10 dB, FS1 reading its AR
-        # lags at order 6 and PROPOSED at order 4
+        # lags at order 6 and PROPOSED at order 4; the table's thresholds
+        # are the ones each report records
         sets = [feature_set(name) for name in REGISTRY_SETS]
         table = build_table(two_subject_recordings, [s.features for s in sets],
-                            snr_db=10.0, seed=4)
+                            thresholds=th, snr_db=10.0, seed=4)
         model = ModelSpec(kind="qda")
         for spec in sets:
             shared = crossvalidate(table, spec, model)
             plain = crossvalidate(two_subject_recordings, spec, model,
-                                  snr_db=10.0, seed=4)
+                                  thresholds=th, snr_db=10.0, seed=4)
             assert shared.to_dict() == plain.to_dict(), spec.name
             assert json.dumps(shared.to_dict()) == json.dumps(plain.to_dict())
+            assert shared.config["feature_set"]["thresholds"] == asdict(th)
 
     def test_columns_serve_each_set_at_its_fit_order(
         self, two_subject_recordings, monkeypatch
     ):
         calls = []
 
-        def counted(spec, windows):
+        def counted(spec, windows, thresholds):
             calls.append(spec.features)
-            return extract_matrix(spec, windows)
+            return extract_matrix(spec, windows, thresholds)
 
         monkeypatch.setattr(evaluate_module, "extract_matrix", counted)
         fs1, proposed = feature_set("FS1"), feature_set("PROPOSED")
@@ -568,13 +573,12 @@ class TestFeatureTable:
         ({"features": ("AR1", "AR2")}, "no column"),
     ])
     def test_mismatched_table_rejected(self, amplitude_recordings, call, message):
-        # the table brings its own settings, so passing one with it is a
-        # TypeError even at the table's own value; the set brings its own
-        # thresholds and columns, and a mismatch there is a ValueError
+        # the table brings its own settings, thresholds included, so passing
+        # one with it is a TypeError even at the table's own value; the set
+        # brings only its columns, and a missing one is a ValueError
         table = build_table(amplitude_recordings, [("RMS", "WL", "AR1")], snr_db=10.0)
         call = {"features": ("RMS", "AR1"), **call}
-        spec = feature_set("CUSTOM", call.pop("features"),
-                           call.pop("thresholds", Thresholds()))
+        spec = feature_set("CUSTOM", call.pop("features"))
         with pytest.raises(TypeError if call else ValueError, match=message):
             crossvalidate(table, spec, ModelSpec(kind="qda"), **call)
 

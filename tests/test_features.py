@@ -199,7 +199,7 @@ class TestFeatureSets:
         samples = rng.standard_normal((2, 300))
         spec = feature_set("CUSTOM", ["MAV", "RMS"])
         vec = extract(spec, make_window(samples))
-        th = spec.thresholds
+        th = Thresholds()
         assert vec.values[0] == channel_feature("MAV", samples[0], th)
         assert vec.values[1] == channel_feature("RMS", samples[0], th)
         assert vec.values[2] == channel_feature("MAV", samples[1], th)
@@ -270,7 +270,7 @@ class TestBlockIndependence:
     def test_rows_equal_single_window_and_cell_calls(self, count):
         windows = branch_windows(count)
         for spec in self.SETS:
-            th = spec.thresholds
+            th = Thresholds()
             order = max((int(f[2:]) for f in spec.features if f.startswith("AR")), default=0)
             matrix = extract_matrix(spec, windows)
             assert matrix.shape == (count, 2 * len(spec))

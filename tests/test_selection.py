@@ -137,10 +137,11 @@ def reference_select(recordings, cfg):
     def score(feature_ids):
         report = crossvalidate(
             recordings,
-            feature_set("CUSTOM", feature_ids, cfg.thresholds),
+            feature_set("CUSTOM", feature_ids),
             cfg.model_spec,
             window_ms=cfg.window_ms,
             overlap_ms=cfg.overlap_ms,
+            thresholds=cfg.thresholds,
             filter_spec=cfg.filter_spec,
         )
         return 100.0 * report.summary()[cfg.objective][0]
