@@ -4,10 +4,11 @@ QDA fits class-conditional Gaussians with a shrinkage-regularized covariance,
 the SVM trains one-vs-one RBF machines with a deterministic SMO solver, and
 KNN memorizes the training set and votes over cityblock neighbors.
 
-Training encodes the labels as integer class codes once.  QDA groups the rows
-by class with one stable sort, then shrinks and factors every class
-covariance in one batched step; it predicts all classes' Mahalanobis terms
-from one stacked product with the inverse Cholesky factors.
+Training encodes the labels once, in sorted order as ULDA does
+(`reduce.class_codes`).  QDA groups the rows by class with one stable sort,
+then shrinks and factors every class covariance in one batched step; it
+predicts all classes' Mahalanobis terms from one stacked product with the
+inverse Cholesky factors.
 
 The SVM computes one kernel matrix over all training rows and runs the SMO
 problems of all class pairs in lockstep, one padded row of state per pair;
@@ -24,8 +25,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DegenerateClasses, DimensionMismatch, SingularCovariance, check_number
-from .reduce import check_class_sizes, group_rows
+from .errors import DimensionMismatch, SingularCovariance, check_number
+from .reduce import check_class_sizes, class_codes, group_rows
 
 #: SMO stopping rule: KKT tolerance, and the work cap in sweeps of n pair updates.
 SVM_TOL = 1e-3
@@ -56,30 +57,6 @@ class ModelSpec:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _check_classes(y, declared):
-    """The class order (declared, else sorted) and each row's class code: the
-    index of its label in that order.  Every label in y must be declared."""
-    present, codes = np.unique(y, return_inverse=True)
-    if declared is not None:
-        declared, known = list(declared), set(present.tolist())
-        missing = [c for c in declared if c not in known]
-        if missing:
-            raise DegenerateClasses(f"declared classes with no samples: {missing}")
-        classes = np.asarray(declared)
-        index = {c: i for i, c in enumerate(classes.tolist())}
-        if len(index) < len(classes):
-            raise DegenerateClasses(f"declared classes repeat: {declared}")
-        undeclared = [c for c in present.tolist() if c not in index]
-        if undeclared:
-            raise DegenerateClasses(f"labels not among the declared classes: {undeclared}")
-        codes = np.asarray([index[c] for c in present.tolist()], dtype=np.intp)[codes]
-    else:
-        classes = present
-    if len(classes) < 2:
-        raise DegenerateClasses("need at least two classes")
-    return classes, codes
 
 
 def _query_rows(X, d_in: int):
@@ -144,7 +121,7 @@ def _cholesky(covs: np.ndarray, classes) -> np.ndarray:
         raise
 
 
-def _train_qda(spec: ModelSpec, X, y, classes, codes) -> QdaModel:
+def _train_qda(spec: ModelSpec, X, classes, codes) -> QdaModel:
     k, d = len(classes), X.shape[1]
     rows, bounds, means = group_rows(X, codes, k)
     counts = np.diff(bounds)
@@ -340,7 +317,7 @@ class SvmModel:
         return labels[0] if one else labels
 
 
-def _train_svm(spec: ModelSpec, X, y, classes, codes) -> SvmModel:
+def _train_svm(spec: ModelSpec, X, classes, codes) -> SvmModel:
     pairs = [(i, j) for i in range(len(classes)) for j in range(i + 1, len(classes))]
     rows = [np.flatnonzero((codes == i) | (codes == j)) for i, j in pairs]
     ys = [np.where(codes[r] == i, 1.0, -1.0) for r, (i, _) in zip(rows, pairs)]
@@ -366,9 +343,12 @@ def _train_svm(spec: ModelSpec, X, y, classes, codes) -> SvmModel:
 
 
 class KnnModel:
-    def __init__(self, X, y, k):
+    """The training rows `X` with their class `codes` into `classes`."""
+
+    def __init__(self, X, classes, codes, k):
         self.X = X
-        self.y = y
+        self.classes = classes
+        self.codes = codes
         self.k = k
 
     @property
@@ -377,21 +357,20 @@ class KnnModel:
 
     def predict(self, X: np.ndarray):
         X, one = _query_rows(X, self.d_in)
-        labels = np.empty(X.shape[0], dtype=self.y.dtype)
+        best = np.empty(X.shape[0], dtype=np.intp)
         for row, x in enumerate(X):
             dists = np.sum(np.abs(self.X - x), axis=1)
-            order = np.argsort(dists, kind="stable")[: self.k]
-            nearest_labels = self.y[order]
-            uniq, counts = np.unique(nearest_labels, return_counts=True)
-            top = counts.max()
-            leaders = uniq[counts == top]
+            nearest = self.codes[np.argsort(dists, kind="stable")[: self.k]]
+            votes = np.bincount(nearest, minlength=len(self.classes))
+            leaders = np.flatnonzero(votes == votes.max())
             # vote tie: fall back to the single nearest neighbor
-            labels[row] = leaders[0] if len(leaders) == 1 else nearest_labels[0]
+            best[row] = leaders[0] if len(leaders) == 1 else nearest[0]
+        labels = self.classes[best]
         return labels[0] if one else labels
 
 
-def _train_knn(spec: ModelSpec, X, y, classes, codes) -> KnnModel:
-    return KnnModel(X=X.copy(), y=y.copy(), k=spec.knn_k)
+def _train_knn(spec: ModelSpec, X, classes, codes) -> KnnModel:
+    return KnnModel(X=X.copy(), classes=classes, codes=codes, k=spec.knn_k)
 
 
 # ---------------------------------------------------------------------------
@@ -401,13 +380,14 @@ def _train_knn(spec: ModelSpec, X, y, classes, codes) -> KnnModel:
 _KINDS = {"qda": _train_qda, "svm": _train_svm, "knn": _train_knn}
 
 
-def train(spec: ModelSpec, X: np.ndarray, y, classes=None):
-    """Train the classifier named by spec.kind on reduced features."""
+def train(spec: ModelSpec, X: np.ndarray, y):
+    """Train the classifier named by spec.kind on reduced features; its
+    `classes` are the sorted labels of y."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     if X.ndim != 2 or len(X) != len(y):
         raise ValueError("X must be (n_samples, d) aligned with y")
-    return _KINDS[spec.kind](spec, X, y, *_check_classes(y, classes))
+    return _KINDS[spec.kind](spec, X, *class_codes(y))
 
 
 def predict(model, x):

@@ -7,7 +7,8 @@ bit for bit.  Each subcommand is a thin shell over one library entry point
 (`extract`/`res`/`scatter` slice one `build_table`, the sweeps call
 `sweep_window`/`sweep_snr`).  Every option is declared once, in a table of
 flag, default and help; the parser and the defaults are both read from those
-tables, and `main` alone creates the output directory and records run.json.
+tables, and `main` alone creates the output directory and records run.json,
+with the "error" printed when the subcommand fails.
 """
 
 from __future__ import annotations
@@ -229,7 +230,7 @@ def _resolve(subcommand: str, args: argparse.Namespace) -> dict:
     if args.config:
         recorded, loaded = _read_config(args.config)
         if recorded not in (None, subcommand):
-            raise SystemExit(f"--config was recorded by '{recorded}', not '{subcommand}'")
+            raise ValueError(f"--config was recorded by '{recorded}', not '{subcommand}'")
     cfg = _merge(subcommand, loaded)
     for key in cfg:
         value = getattr(args, key, None)
@@ -290,7 +291,7 @@ def _model_spec(cfg: dict) -> ModelSpec:
 
 def _load_recordings(cfg: dict):
     if not cfg["manifest"]:
-        raise SystemExit("--manifest is required (run `emgpr synth` to create one)")
+        raise ValueError("--manifest is required (run `emgpr synth` to create one)")
     return load_dataset(DatasetManifest.load(cfg["manifest"]))
 
 
@@ -429,7 +430,7 @@ def _cmd_scatter(cfg: dict, out: Path) -> int:
 
 def _cmd_compare(cfg: dict, out: Path) -> int:
     if not cfg["groups"] or len(cfg["groups"]) < 2:
-        raise SystemExit("compare needs at least two --group arguments")
+        raise ValueError("compare needs at least two --group arguments")
     if cfg["metric"] not in METRIC_NAMES:
         raise ValueError(f"unknown metric {cfg['metric']!r}; "
                          f"known: {', '.join(METRIC_NAMES)}")
@@ -507,6 +508,7 @@ _SUBCOMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     subcommand = args.subcommand
+    record = None
     try:
         if subcommand == "replay":
             subcommand, _ = _read_config(args.run_json)
@@ -516,13 +518,16 @@ def main(argv=None) -> int:
         cfg = _resolve(subcommand, args)
         out = Path(cfg["out_dir"])
         out.mkdir(parents=True, exist_ok=True)
+        record = {"subcommand": subcommand, "config": cfg}
         code = _SUBCOMMANDS[subcommand][0](cfg, out)
     except (EmgprError, ValueError, OSError) as exc:
         # a library error, a validation of a configured value, or a file
         # that cannot be read (OSError names its path)
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _write_json(out / "run.json", {"subcommand": subcommand, "config": cfg})
+        if record is None:  # no output directory was created
+            return 2
+        record["error"], code = str(exc), 2
+    _write_json(out / "run.json", record)
     return code
 
 

@@ -19,7 +19,7 @@ from scipy import special
 
 from .classify import ModelSpec, train
 from .dataset import MOVEMENTS, NO_MIX, mix_awgn
-from .errors import EmgprError, EmptyMatrix, InsufficientGroups
+from .errors import DegenerateClasses, EmgprError, EmptyMatrix, InsufficientGroups
 from .features import FeatureSetSpec, Thresholds, extract_matrix
 from .preprocess import FilterSpec, MinMax, apply_filters, normalize_features, segment
 from .reduce import UldaProjection, fit_ulda, project
@@ -186,12 +186,11 @@ class Pipeline:
         return self.model.predict(project(self.projection, norm))
 
 
-def fit_pipeline(X: np.ndarray, y, model_spec: ModelSpec, classes=None) -> Pipeline:
-    """Fit min-max bounds, ULDA and the classifier on training rows only;
-    `classes` is the label order handed to `train`."""
+def fit_pipeline(X: np.ndarray, y, model_spec: ModelSpec) -> Pipeline:
+    """Fit min-max bounds, ULDA and the classifier on training rows only."""
     norm, bounds = normalize_features(X)
     projection = fit_ulda(norm, y)
-    model = train(model_spec, project(projection, norm), y, classes=classes)
+    model = train(model_spec, project(projection, norm), y)
     return Pipeline(bounds=bounds, projection=projection, model=model)
 
 
@@ -482,6 +481,10 @@ def crossvalidate(
     table raises TypeError, and a table lacking a column the set reads raises
     ValueError.  The no-mix sentinel (inf) is normalized to None so the
     emitted report is identical to a plain run.
+
+    Only this loop knows the table's movement order: a fold whose training
+    trials lack a movement fails with DegenerateClasses, and every fold is
+    scored in movement order, whatever the fitted model's class order.
     """
     if isinstance(recordings, FeatureTable):
         if settings:
@@ -498,14 +501,16 @@ def crossvalidate(
         X = table.matrix(subject, feature_set.features)
         y = table.labels[subject]
         trial_ids = table.trials[subject]
+        trials_of = {m: set(trial_ids[y == m].tolist()) for m in labels}
 
         for held_out in sorted(set(trial_ids.tolist())):
             train_mask = trial_ids != held_out
             test_mask = ~train_mask
             try:
-                pipeline = fit_pipeline(
-                    X[train_mask], y[train_mask], model_spec, classes=labels
-                )
+                missing = [m for m in labels if trials_of[m] <= {held_out}]
+                if missing:
+                    raise DegenerateClasses(f"declared classes with no samples: {missing}")
+                pipeline = fit_pipeline(X[train_mask], y[train_mask], model_spec)
                 predicted = pipeline.predict(X[test_mask])
                 cm = ConfusionMatrix.from_predictions(y[test_mask], predicted, labels)
                 folds.append(

@@ -3,8 +3,9 @@
 The projection is built by two SVD stages: whiten the total scatter, then
 diagonalize the between-class scatter in the whitened space.  Projected
 training features come out mutually uncorrelated with unit variance, and the
-output dimension is at most n_classes - 1.  The class means come from one
-grouped pass (`group_rows`), which QDA training shares.
+output dimension is at most n_classes - 1.  The labels are encoded in sorted
+order (`class_codes`) and the class means come from one grouped pass
+(`group_rows`); classifier training shares both.
 """
 
 from __future__ import annotations
@@ -20,6 +21,14 @@ from .errors import DegenerateClasses, DimensionMismatch, RankZero, ZeroDispersi
 from .preprocess import normalize_features
 
 RANK_TOL = 1e-10
+
+
+def class_codes(y):
+    """(classes, codes): the sorted labels, at least two, and each row's index into them."""
+    classes, codes = np.unique(y, return_inverse=True)
+    if len(classes) < 2:
+        raise DegenerateClasses("need at least two classes")
+    return classes, codes
 
 
 def group_rows(X: np.ndarray, codes: np.ndarray, k: int):
@@ -63,9 +72,8 @@ def fit_ulda(X: np.ndarray, y) -> UldaProjection:
     y = np.asarray(y)
     if X.ndim != 2 or X.shape[1] < 1:
         raise ValueError("X must be (n_samples, d_in)")
-    classes, codes, counts = np.unique(y, return_inverse=True, return_counts=True)
-    if len(classes) < 2:
-        raise DegenerateClasses("need at least two classes")
+    classes, codes = class_codes(y)
+    counts = np.bincount(codes)
     check_class_sizes(classes, counts)
 
     n = X.shape[0]

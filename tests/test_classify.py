@@ -8,6 +8,7 @@ from emgpr.features import feature_set
 from emgpr.preprocess import normalize_features
 from emgpr.reduce import project
 
+from reference_knn import ref_predict_knn
 from reference_qda import ref_decision_values, ref_train_qda
 from reference_svm import ref_predict_svm, ref_train_svm
 
@@ -48,26 +49,14 @@ class TestTrainPredict:
         with pytest.raises(DimensionMismatch):
             predict(model, np.ones((2, 5)))
 
-    def test_declared_class_missing(self):
-        X = np.vstack([np.zeros((5, 2)), np.ones((5, 2))])
-        y = np.repeat(["a", "b"], 5)
-        with pytest.raises(DegenerateClasses):
-            train(ModelSpec(kind="qda"), X, y, classes=["a", "b", "c"])
-
     @pytest.mark.parametrize("kind", ["qda", "svm", "knn"])
-    def test_declared_class_repeated(self, kind):
-        X = np.vstack([np.zeros((5, 2)), np.ones((5, 2))])
-        y = np.repeat(["a", "b"], 5)
-        with pytest.raises(DegenerateClasses, match="repeat"):
-            train(ModelSpec(kind=kind), X, y, classes=["a", "b", "a"])
-
-    @pytest.mark.parametrize("kind", ["qda", "svm", "knn"])
-    def test_undeclared_label_rejected(self, kind):
+    def test_classes_are_the_sorted_labels(self, kind):
         rng = np.random.default_rng(4)
-        X = np.vstack([rng.normal(c, 0.2, (3, 2)) for c in CENTERS3])
-        y = np.repeat(["a", "b", "c"], 3)
-        with pytest.raises(DegenerateClasses, match=r"declared classes: \['c'\]"):
-            train(ModelSpec(kind=kind), X, y, classes=["a", "b"])
+        X = np.vstack([rng.normal(c, 0.2, (5, 2)) for c in CENTERS3])
+        y = np.repeat(["z", "x", "y"], 5)
+        model = train(ModelSpec(kind=kind), X, y)
+        assert np.array_equal(model.classes, np.unique(y))
+        assert list(predict(model, np.array(CENTERS3))) == ["z", "x", "y"]
 
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateClasses):
@@ -139,9 +128,9 @@ class TestQda:
             train(ModelSpec(kind="qda", qda_shrinkage=0.0), X, y)
         train(ModelSpec(kind="qda", qda_shrinkage=1e-3), X, y)  # shrinkage saves it
 
-        # the error names the first singular class in the declared order,
-        # also when the batched factorization fails on a later class: b and
-        # c each have one constant column, a has full rank
+        # the error names the first singular class in sorted order, also
+        # when the batched factorization fails on a later class: b and c
+        # each have one constant column, a has full rank
         zeros = np.zeros((15, 1))
         X = np.vstack([rng.normal(0, 1, (15, 2)), np.hstack([base[:15], zeros]),
                        np.hstack([zeros, base[15:]])])
@@ -149,8 +138,6 @@ class TestQda:
         spec = ModelSpec(kind="qda", qda_shrinkage=0.0)
         with pytest.raises(SingularCovariance, match=r"class 'b'"):
             train(spec, X, y)
-        with pytest.raises(SingularCovariance, match=r"class 'c'"):
-            train(spec, X, y, classes=["a", "c", "b"])
 
 
 def assert_qda_like_reference(model, X, y, spec, queries):
@@ -194,15 +181,6 @@ class TestQdaMatchesReference:
             model = train(spec, X, y)
             assert_qda_like_reference(model, X, y, spec, rng.normal(2.0, 2.0, (200, 3)))
 
-    def test_declared_order_differs_from_sorted(self):
-        rng = np.random.default_rng(42)
-        X, y = blobs(rng, CENTERS3 + [(4.0, 4.0)], sigma=0.6, n=30)
-        y = np.array(["w", "z", "x", "y"])[np.searchsorted(["c0", "c1", "c2", "c3"], y)]
-        spec = ModelSpec(kind="qda")
-        model = train(spec, X, y, classes=["z", "x", "w", "y"])
-        assert list(model.classes) == ["z", "x", "w", "y"]
-        assert_qda_like_reference(model, X, y, spec, rng.uniform(-2.0, 6.0, (150, 2)))
-
     def test_one_dimensional_query(self):
         rng = np.random.default_rng(43)
         X, y = blobs(rng, CENTERS3, sigma=0.5)
@@ -224,8 +202,7 @@ class TestQdaMatchesReference:
             trials = table.trials[subject]
             for held_out in sorted(set(trials.tolist())):
                 train_rows = trials != held_out
-                pipeline = fit_pipeline(X[train_rows], y[train_rows], spec,
-                                        classes=table.movements)
+                pipeline = fit_pipeline(X[train_rows], y[train_rows], spec)
                 reduced = project(pipeline.projection,
                                   normalize_features(X[train_rows])[0])
                 test = project(pipeline.projection,
@@ -347,8 +324,7 @@ class TestSvmMatchesReference:
             trials = table.trials[subject]
             for held_out in sorted(set(trials.tolist())):
                 train_rows = trials != held_out
-                pipeline = fit_pipeline(X[train_rows], y[train_rows], spec,
-                                        classes=table.movements)
+                pipeline = fit_pipeline(X[train_rows], y[train_rows], spec)
                 reduced = project(pipeline.projection,
                                   normalize_features(X[train_rows])[0])
                 assert_trains_like_reference(pipeline.model, reduced, y[train_rows], spec)
@@ -428,3 +404,17 @@ class TestKnn:
         y = np.array(["a", "b", "c"])
         model = train(ModelSpec(kind="knn"), X, y)
         assert predict(model, np.array([0.4, 0.0])) == "a"
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_matches_reference(self, k):
+        # integer features on a 4 x 4 grid: distance ties at the k-th
+        # neighbor and vote ties both occur
+        rng = np.random.default_rng(15)
+        X = rng.integers(0, 4, (40, 2)).astype(float)
+        y = np.array(["d", "b", "a", "c"])[rng.integers(0, 4, 40)]
+        queries = rng.integers(0, 4, (120, 2)).astype(float)
+        expected, tied = ref_predict_knn(X, y, k, queries)
+        if k > 1:
+            assert tied.any()
+        model = train(ModelSpec(kind="knn", knn_k=k), X, y)
+        assert np.array_equal(predict(model, queries), expected)

@@ -486,6 +486,40 @@ class TestRecordedRuns:
                        "--out-dir", tmp_path / "out", *TestFrame.FLAGS[subcommand]) == 0
         assert seen and set(seen) == {Thresholds(wamp=0.5)}
 
+    @pytest.mark.parametrize("argv, message, recorded", [
+        (("evaluate",), "--manifest is required", True),
+        (("compare", "--group", "a.json"), "compare needs at least two --group", True),
+        (("evaluate", "--config", "synth.json"), "--config was recorded by 'synth'", False),
+    ], ids=["no-manifest", "one-group", "config-of-synth"])
+    def test_rejected_input_exits_2_and_records_why(
+        self, argv, message, recorded, tmp_path, monkeypatch, capsys
+    ):
+        # a handler's failure is recorded in the directory main created; a
+        # config that fails to resolve creates no directory
+        monkeypatch.chdir(tmp_path)
+        write_report(Path("a.json"), {"S1": 0.9})
+        Path("synth.json").write_text(json.dumps({"subcommand": "synth", "config": {}}))
+        assert run_cli(*argv, "--out-dir", "x") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        if not recorded:
+            assert not Path("x").exists()
+            return
+        run = json.loads(Path("x/run.json").read_text())
+        assert run["subcommand"] == argv[0] and run["config"]["out_dir"] == "x"
+        assert run["error"] == err[len("error: "):-1]
+        assert sorted(p.name for p in Path("x").iterdir()) == ["run.json"]
+
+    def test_replay_of_a_failed_run_fails_alike(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("evaluate", "--out-dir", "x", "--seed", 3) == 2
+        err = capsys.readouterr().err
+        assert run_cli("replay", "x/run.json", "--out-dir", "y") == 2
+        assert capsys.readouterr().err == err
+        first, again = (json.loads(Path(d, "run.json").read_text()) for d in "xy")
+        again["config"]["out_dir"] = "x"
+        assert again == first and first["config"]["seed"] == 3
+
     def test_replay_of_unknown_subcommand_exits_2(self, tmp_path, capsys):
         recorded = tmp_path / "run.json"
         recorded.write_text(json.dumps({"subcommand": "evalaute", "config": {}}))

@@ -316,9 +316,7 @@ class TestCrossvalidate:
         y, trials = table.labels["S1"], table.trials["S1"]
         for fold in report.folds:
             train_rows = trials != fold.fold_trial
-            alone = fit_pipeline(
-                X[train_rows], y[train_rows], model_spec, classes=table.movements
-            )
+            alone = fit_pipeline(X[train_rows], y[train_rows], model_spec)
             assert same_chain(dirty[fold.fold_trial], alone)
             cm = ConfusionMatrix.from_predictions(
                 y[~train_rows], alone.predict(X[~train_rows]), table.movements
@@ -471,8 +469,23 @@ class TestSweeps:
         )
         assert not report.ok
         assert [f.fold_trial for f in report.failures] == [1]
-        assert "DegenerateClasses" in report.failures[0].error
+        assert report.failures[0].error == \
+            "DegenerateClasses: declared classes with no samples: ['L']"
         assert {f.fold_trial for f in report.folds} == {2}
+
+    def test_subject_lacking_a_movement_fails_every_fold(self, two_subject_recordings):
+        # S2 never recorded movement I, which S1 has: every S2 fold fails
+        # with the table's missing movement named, every S1 fold is scored
+        recs = [r for r in two_subject_recordings
+                if (r.subject_id, r.movement) != ("S2", "I")]
+        report = crossvalidate(recs, feature_set("FS2"), ModelSpec(kind="qda"))
+        assert [(f.subject, f.fold_trial) for f in report.folds] == \
+            [("S1", t) for t in (1, 2, 3)]
+        assert all(f.confusion.labels[1] == "I" for f in report.folds)
+        assert [(f.subject, f.fold_trial, f.error) for f in report.failures] == [
+            ("S2", t, "DegenerateClasses: declared classes with no samples: ['I']")
+            for t in (1, 2, 3)
+        ]
 
     def test_snr_sweep_grid_and_seeding(self):
         recs = quick_dataset(duration_s=1.0, n_movements=3)
