@@ -31,6 +31,7 @@ from .preprocess import (
     apply_filters,
     normalize_features,
     segment,
+    window_grid,
 )
 from .features import (
     CATALOG,

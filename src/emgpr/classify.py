@@ -380,14 +380,15 @@ def _train_knn(spec: ModelSpec, X, classes, codes) -> KnnModel:
 _KINDS = {"qda": _train_qda, "svm": _train_svm, "knn": _train_knn}
 
 
-def train(spec: ModelSpec, X: np.ndarray, y):
+def train(spec: ModelSpec, X: np.ndarray, y, *, _encoded=None):
     """Train the classifier named by spec.kind on reduced features; its
-    `classes` are the sorted labels of y."""
+    `classes` are the sorted labels of y.  `_encoded` is `class_codes(y)`
+    from a caller that already has it."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     if X.ndim != 2 or len(X) != len(y):
         raise ValueError("X must be (n_samples, d) aligned with y")
-    return _KINDS[spec.kind](spec, X, *class_codes(y))
+    return _KINDS[spec.kind](spec, X, *(class_codes(y) if _encoded is None else _encoded))
 
 
 def predict(model, x):

@@ -433,7 +433,10 @@ def mix_awgn(rec: Recording, snr_db: float, seed: int) -> Recording:
     scale = np.sqrt(power / 10.0 ** (snr_db / 10.0))
     # one draw in channel order: the same numbers as one rng.normal per channel
     noise = np.random.default_rng(seed).standard_normal(x.shape)
-    return rec.with_channels(x + noise * scale[:, None])
+    # in place: x + noise * scale, as IEEE addition commutes
+    noise *= scale[:, None]
+    noise += x
+    return rec.with_channels(noise)
 
 
 def estimate_snr(active_rms: float, noise_rms: float) -> float:

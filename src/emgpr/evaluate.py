@@ -21,8 +21,15 @@ from .classify import ModelSpec, train
 from .dataset import MOVEMENTS, NO_MIX, mix_awgn
 from .errors import DegenerateClasses, EmgprError, EmptyMatrix, InsufficientGroups
 from .features import FeatureSetSpec, Thresholds, extract_matrix
-from .preprocess import FilterSpec, MinMax, apply_filters, normalize_features, segment
-from .reduce import UldaProjection, fit_ulda, project
+from .preprocess import (
+    FilterSpec,
+    MinMax,
+    apply_filters,
+    normalize_features,
+    segment,
+    window_grid,
+)
+from .reduce import UldaProjection, class_codes, fit_ulda, project
 from .seeding import derive_seed
 
 #: The five one-vs-rest scores as (report name, per-class field, macro
@@ -187,10 +194,13 @@ class Pipeline:
 
 
 def fit_pipeline(X: np.ndarray, y, model_spec: ModelSpec) -> Pipeline:
-    """Fit min-max bounds, ULDA and the classifier on training rows only."""
+    """Fit min-max bounds, ULDA and the classifier on training rows only.
+
+    The labels are encoded once, for both fits."""
     norm, bounds = normalize_features(X)
-    projection = fit_ulda(norm, y)
-    model = train(model_spec, project(projection, norm), y)
+    encoded = class_codes(y)
+    projection = fit_ulda(norm, y, _encoded=encoded)
+    model = train(model_spec, project(projection, norm), y, _encoded=encoded)
     return Pipeline(bounds=bounds, projection=projection, model=model)
 
 
@@ -411,6 +421,12 @@ def build_table(
     the table holds one extraction per AR fit order.  When snr_db is given
     and not inf, calibrated white noise is mixed into the raw recordings
     (seeded per subject/movement/trial) before filtering.
+
+    A subject's windows are segmented into one array (one per window shape,
+    should its recordings differ in sample rate) and each AR fit order is
+    one `extract_matrix` call over it, so one subject's filtered windows are
+    held in memory at a time.  Rows run in recording order, then window
+    order.
     """
     if any(isinstance(features, str) for features in feature_sets):
         raise ValueError("feature_sets must hold feature-id lists, e.g. [spec.features]")
@@ -428,8 +444,19 @@ def build_table(
 
     values, labels, trials = {}, {}, {}
     for subject in sorted(by_subject):
-        blocks, ys, ts = [], [], []
-        for rec in by_subject[subject]:
+        recs = by_subject[subject]
+        grids = [window_grid(rec.n_samples, rec.sample_rate_hz, window_ms, overlap_ms)
+                 for rec in recs]
+        counts = [count for count, _, _ in grids]
+        rows_of, row = {}, 0  # window shape -> the table rows its windows fill
+        for rec, (count, n, _) in zip(recs, grids):
+            rows_of.setdefault((rec.n_channels, n), []).extend(range(row, row + count))
+            row += count
+        # preallocated, not joined from per-recording arrays, which would
+        # hold the subject's windows twice
+        windows_of = {shape: np.empty((len(rows),) + shape) for shape, rows in rows_of.items()}
+        filled = dict.fromkeys(windows_of, 0)
+        for rec, (count, n, _) in zip(recs, grids):
             if snr_db is not None:
                 rec = mix_awgn(
                     rec,
@@ -438,19 +465,22 @@ def build_table(
                                 rec.trial, snr_db),
                 )
             rec = apply_filters(rec, filter_spec)
-            windows = segment(rec, window_ms, overlap_ms)
-            shape = windows.shape[:2]
-            block = np.empty(shape + (len(columns),))
+            shape = (rec.n_channels, n)
+            at = filled[shape]
+            segment(rec, window_ms, overlap_ms, out=windows_of[shape][at : at + count])
+            filled[shape] = at + count
+
+        block = np.empty((row, recs[0].n_channels, len(columns)))
+        for shape, windows in windows_of.items():
+            part = np.empty(windows.shape[:2] + (len(columns),))
             for spec, positions in groups:
-                block[:, :, positions] = extract_matrix(spec, windows, thresholds).reshape(
-                    shape + (len(positions),)
+                part[:, :, positions] = extract_matrix(spec, windows, thresholds).reshape(
+                    windows.shape[:2] + (len(positions),)
                 )
-            blocks.append(block)
-            ys.extend([rec.movement] * len(windows))
-            ts.extend([rec.trial] * len(windows))
-        values[subject] = np.concatenate(blocks)
-        labels[subject] = np.asarray(ys)
-        trials[subject] = np.asarray(ts)
+            block[rows_of[shape]] = part
+        values[subject] = block
+        labels[subject] = np.repeat([rec.movement for rec in recs], counts)
+        trials[subject] = np.repeat([rec.trial for rec in recs], counts)
 
     return FeatureTable(
         values=values,

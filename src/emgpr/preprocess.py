@@ -76,34 +76,48 @@ def apply_filters(rec: Recording, spec: FilterSpec = None) -> Recording:
     return rec.with_channels(signal.lfilter(b_notch, a_notch, y, axis=-1))
 
 
-def segment(rec: Recording, window_ms: float, overlap_ms: float = 0.0) -> np.ndarray:
-    """Slice a recording into a C-contiguous (windows, channels, n) array.
+def window_grid(n_samples: int, sample_rate_hz: float, window_ms: float,
+                overlap_ms: float = 0.0) -> tuple:
+    """(count, n, step) of the windows `segment` cuts from n_samples samples.
 
-    Disjoint when overlap_ms = 0; a trailing remainder shorter than one
-    window is dropped.  Window i starts at sample i * (n - overlap samples).
+    n is the window and step the hop in samples, each rounded from ms at
+    the sample rate; count is the number of whole windows.  Raises what
+    `segment` raises for these settings.
     """
     check_number("window_ms", window_ms, 0, open_low=True)
     check_number("overlap_ms", overlap_ms, 0)
     if overlap_ms >= window_ms:
         raise ValueError("need overlap_ms < window_ms")
-    n = int(round(window_ms * rec.sample_rate_hz / 1000.0))
-    n_overlap = int(round(overlap_ms * rec.sample_rate_hz / 1000.0))
+    n = int(round(window_ms * sample_rate_hz / 1000.0))
+    n_overlap = int(round(overlap_ms * sample_rate_hz / 1000.0))
     if n_overlap >= n:
         raise ValueError(
             f"{window_ms} ms window and {overlap_ms} ms overlap round to "
-            f"{n} and {n_overlap} samples at {rec.sample_rate_hz} Hz; "
+            f"{n} and {n_overlap} samples at {sample_rate_hz} Hz; "
             "the overlap must be shorter than the window"
         )
-    step = n - n_overlap
-    n_samples = rec.channels.shape[1]
     if n > n_samples:
         raise WindowLongerThanTrial(
             f"{window_ms} ms window ({n} samples) exceeds trial length {n_samples}"
         )
     if n < MIN_WINDOW_SAMPLES:
         raise ValueError(f"window needs >= {MIN_WINDOW_SAMPLES} samples, got {n}")
-    count = (n_samples - n) // step + 1
-    return np.stack([rec.channels[:, s : s + n] for s in range(0, count * step, step)])
+    step = n - n_overlap
+    return (n_samples - n) // step + 1, n, step
+
+
+def segment(rec: Recording, window_ms: float, overlap_ms: float = 0.0,
+            out: np.ndarray = None) -> np.ndarray:
+    """Slice a recording into a C-contiguous (windows, channels, n) array.
+
+    Disjoint when overlap_ms = 0; a trailing remainder shorter than one
+    window is dropped.  Window i starts at sample i * (n - overlap samples);
+    `window_grid` gives the count, n and step.  With `out`, a float array of
+    that shape, the windows are written there and `out` is returned.
+    """
+    count, n, step = window_grid(rec.n_samples, rec.sample_rate_hz, window_ms, overlap_ms)
+    return np.stack([rec.channels[:, s : s + n] for s in range(0, count * step, step)],
+                    out=out)
 
 
 @dataclass(frozen=True)

@@ -62,17 +62,18 @@ class UldaProjection:
     d_out: int
 
 
-def fit_ulda(X: np.ndarray, y) -> UldaProjection:
+def fit_ulda(X: np.ndarray, y, *, _encoded=None) -> UldaProjection:
     """Fit the two-stage SVD reduction on a labeled feature matrix.
 
     Deterministic up to column sign; signs are fixed by making the
-    largest-magnitude entry of every column positive.
+    largest-magnitude entry of every column positive.  `_encoded` is
+    `class_codes(y)` from a caller that already has it.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     if X.ndim != 2 or X.shape[1] < 1:
         raise ValueError("X must be (n_samples, d_in)")
-    classes, codes = class_codes(y)
+    classes, codes = class_codes(y) if _encoded is None else _encoded
     counts = np.bincount(codes)
     check_class_sizes(classes, counts)
 

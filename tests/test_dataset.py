@@ -119,6 +119,19 @@ class TestMixAwgn:
             mixed = mix_awgn(rec, 10.0, seed=100 + i)
             assert np.array_equal(mixed.channels, per_channel(rec, 10.0, 100 + i))
 
+    def test_in_place_mixing_equals_the_summed_formula(self):
+        # the noise is scaled and the signal added in place; IEEE addition
+        # commutes, so every sample equals x + noise * scale
+        spec = separable_spec(n_movements=10, n_trials=6, duration_s=0.25,
+                              sample_rate_hz=2000.0, seed=3)
+        for i, rec in enumerate(generate_synthetic(spec)):
+            x = rec.channels.copy()
+            scale = np.sqrt(np.mean(x * x, axis=1) / 10.0 ** (7.5 / 10.0))
+            noise = np.random.default_rng(i).standard_normal(x.shape)
+            mixed = mix_awgn(rec, 7.5, seed=i)
+            assert np.array_equal(mixed.channels, x + noise * scale[:, None])
+            assert np.array_equal(rec.channels, x)
+
     def test_seeded_and_length_preserving(self):
         rec = self._rec()
         a = mix_awgn(rec, 5.0, seed=11)

@@ -16,6 +16,7 @@ from emgpr import (
     apply_filters,
     build_table,
     crossvalidate,
+    derive_seed,
     extract_matrix,
     feature_set,
     generate_synthetic,
@@ -329,6 +330,31 @@ class TestCrossvalidate:
         assert not same_chain(clean[3], dirty[3])
 
     @pytest.mark.parametrize("kind", ["qda", "svm", "knn"])
+    def test_pipeline_encodes_the_labels_once(self, kind, monkeypatch):
+        # fit_pipeline hands its one class encoding to fit_ulda and train;
+        # the chain equals the one their own encodings give
+        from emgpr import classify, reduce
+
+        spec = feature_set("FS2")
+        table = build_table(quick_dataset(), [spec.features])
+        X, y = table.matrix("S1", spec.features), table.labels["S1"]
+        plain = fit_pipeline(X, y, ModelSpec(kind=kind))
+        calls, encode = [], reduce.class_codes
+        monkeypatch.setattr(evaluate_module, "class_codes",
+                            lambda y: calls.append(1) or encode(y))
+
+        def refuse(y):
+            raise AssertionError("labels encoded again")
+
+        monkeypatch.setattr(reduce, "class_codes", refuse)
+        monkeypatch.setattr(classify, "class_codes", refuse)
+        seamed = fit_pipeline(X, y, ModelSpec(kind=kind))
+        assert calls == [1]
+        assert np.array_equal(seamed.projection.matrix, plain.projection.matrix)
+        assert np.array_equal(seamed.model.classes, plain.model.classes)
+        assert np.array_equal(seamed.predict(X), plain.predict(X))
+
+    @pytest.mark.parametrize("kind", ["qda", "svm", "knn"])
     def test_pipeline_predicts_one_vector(self, kind):
         spec = feature_set("FS2")
         table = build_table(quick_dataset(), [spec.features])
@@ -528,6 +554,59 @@ class TestFeatureTable:
             assert sliced.tobytes() == direct.tobytes()
             assert sliced.shape == direct.shape
 
+    @pytest.mark.parametrize("case", ["unequal_lengths", "overlap", "snr", "two_rates"])
+    def test_subject_block_equals_per_recording_extraction(
+        self, two_subject_recordings, case
+    ):
+        # each subject's windows are extracted in one call per AR fit order
+        # (6 for FS1, 4 for PROPOSED); the rows equal extracting each
+        # recording alone, in recording order
+        recs = list(two_subject_recordings)
+        settings = {"window_ms": 250.0, "overlap_ms": 0.0, "snr_db": None, "seed": 5}
+        if case == "unequal_lengths":
+            recs = [r.with_channels(r.channels[:, : 3000 - 173 * (i % 7)])
+                    for i, r in enumerate(recs)]
+        elif case == "overlap":
+            settings["overlap_ms"] = 100.0
+        elif case == "snr":
+            settings["snr_db"] = 10.0
+        elif case == "two_rates":
+            # every other recording of each subject at twice the rate, so
+            # the two window shapes interleave within a subject's rows
+            fast = generate_synthetic(SyntheticSpec(
+                n_subjects=2, n_channels=2, n_movements=4, n_trials=3,
+                duration_s=1.5, sample_rate_hz=4000.0,
+                class_gain_matrix=separable_gain_grid(4, 2, 1.5), seed=12,
+            ))
+            recs = [b if i % 2 else a for i, (a, b) in enumerate(zip(recs, fast))]
+        sets = [feature_set("FS1"), feature_set("PROPOSED")]  # AR orders 6 and 4
+        table = build_table(recs, [s.features for s in sets], **settings)
+
+        def windows(rec):
+            if settings["snr_db"] is not None:
+                rec = mix_awgn(rec, settings["snr_db"], derive_seed(
+                    settings["seed"], "awgn", rec.subject_id, rec.movement,
+                    rec.trial, settings["snr_db"]))
+            return segment(apply_filters(rec), settings["window_ms"], settings["overlap_ms"])
+
+        read = set()
+        for spec in sets:
+            read.update(table.positions(spec.features))
+            for subject in table.subjects:
+                direct = np.concatenate([
+                    extract_matrix(spec, windows(r)) for r in recs if r.subject_id == subject
+                ])
+                assert np.array_equal(table.matrix(subject, spec.features), direct)
+        assert read == set(range(len(table.columns)))  # every column checked
+        for subject in table.subjects:
+            mine = [r for r in recs if r.subject_id == subject]
+            counts = [len(windows(r)) for r in mine]
+            assert len(table.values[subject]) == sum(counts)
+            assert table.labels[subject].tolist() == [
+                r.movement for r, c in zip(mine, counts) for _ in range(c)]
+            assert table.trials[subject].tolist() == [
+                r.trial for r, c in zip(mine, counts) for _ in range(c)]
+
     @pytest.mark.parametrize("th", [Thresholds(), Thresholds(zc=0.05, ssc=0.01, wamp=0.2)],
                              ids=["default", "other"])
     def test_shared_table_gives_the_per_set_reports(self, two_subject_recordings, th):
@@ -565,8 +644,9 @@ class TestFeatureTable:
             + [(f"AR{lag}", 4) for lag in range(1, 5)],
             key=repr,
         )
-        # one extraction per AR fit order (6 and 4), not one per lag
-        assert len(calls) == 2 * len(two_subject_recordings)
+        # one extraction per AR fit order (6 and 4) and subject, not one per
+        # lag or per recording
+        assert len(calls) == 2 * len(table.subjects)
 
     def test_flat_feature_list_rejected(self, amplitude_recordings):
         # one set is [features], not the ids themselves

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal as sps
 
 from emgpr.dataset import Recording
@@ -13,6 +15,7 @@ from emgpr.preprocess import (
     design_filters,
     normalize_features,
     segment,
+    window_grid,
 )
 
 
@@ -136,6 +139,46 @@ class TestSegment:
             assert wins.shape == ((n - nwin) // step + 1, 1, nwin)
             for i, window in enumerate(wins):
                 assert np.array_equal(window, rec.channels[:, i * step : i * step + nwin])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_samples=st.integers(1, 3000),
+        fs=st.floats(100.0, 8000.0),
+        window_ms=st.floats(0.5, 400.0),
+        overlap_share=st.floats(0.0, 1.2),
+    )
+    def test_window_grid_is_what_segment_cuts(self, n_samples, fs, window_ms, overlap_share):
+        overlap_ms = overlap_share * window_ms
+        rec = Recording("S1", "T", 1, fs, np.arange(n_samples, dtype=float)[None])
+        n = int(round(window_ms * fs / 1000.0))
+        n_overlap = int(round(overlap_ms * fs / 1000.0))
+        if overlap_ms >= window_ms:
+            expected = (ValueError, "need overlap_ms < window_ms")
+        elif n_overlap >= n:
+            expected = (ValueError, "the overlap must be shorter than the window")
+        elif n > n_samples:
+            expected = (WindowLongerThanTrial, "exceeds trial length")
+        elif n < 8:
+            expected = (ValueError, ">= 8 samples")
+        else:
+            count, n_grid, step = window_grid(n_samples, fs, window_ms, overlap_ms)
+            assert (n_grid, step) == (n, n - n_overlap)
+            assert segment(rec, window_ms, overlap_ms).shape == (count, 1, n)
+            assert count == (n_samples - n) // step + 1
+            return
+        for call in (lambda: segment(rec, window_ms, overlap_ms),
+                     lambda: window_grid(n_samples, fs, window_ms, overlap_ms)):
+            with pytest.raises(expected[0], match=expected[1]) as raised:
+                call()
+            assert raised.type is expected[0]
+
+    def test_segment_into_out(self):
+        rec = self._rec(1.0)
+        out = np.full((5, 2, 1000), np.nan)
+        written = segment(rec, 250.0, out=out[1:])
+        assert np.shares_memory(written, out)
+        assert np.array_equal(out[1:], segment(rec, 250.0))
+        assert np.isnan(out[0]).all()
 
     def test_window_below_min_samples(self):
         rec = self._rec(1.0, fs=1000.0)

@@ -186,4 +186,6 @@ class TestSharedTable:
         trace = forward_select(tilt_recordings, config(MIXED_POOL, threshold=0.01))
         assert len(trace.steps) > 2
         n = len(tilt_recordings)
-        assert calls == {"apply_filters": n, "extract_matrix": 3 * n}  # AR orders 1, 2, 4
+        subjects = len({rec.subject_id for rec in tilt_recordings})
+        # one extraction per subject and AR order (1, 2 and 4)
+        assert calls == {"apply_filters": n, "extract_matrix": 3 * subjects}
