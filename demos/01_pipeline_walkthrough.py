@@ -29,7 +29,7 @@ print(f"dataset: {len(recordings)} recordings "
       f"({recordings[0].n_channels} channels, "
       f"{recordings[0].duration_s:.0f} s at {recordings[0].sample_rate_hz:.0f} Hz)")
 
-# stage 1: causal bandpass + notch
+# stage 1: causal bandpass + notch, one SOS cascade in one pass
 filtered = [apply_filters(rec) for rec in recordings]
 print(f"filtered: length preserved "
       f"({recordings[0].n_samples} -> {filtered[0].n_samples} samples)")

@@ -22,6 +22,7 @@ from .errors import (
     MissingFile,
     SignalBelowNoise,
     ZeroPowerChannel,
+    check_number,
 )
 from .seeding import derive_seed
 
@@ -44,8 +45,7 @@ class Recording:
             raise ValueError(f"unknown movement label {self.movement!r}")
         if self.trial < 1:
             raise ValueError("trial index starts at 1")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
+        check_number("sample_rate_hz", self.sample_rate_hz, 0, open_low=True)
         ch = np.asarray(self.channels, dtype=float)
         if ch.ndim != 2 or ch.shape[1] < 1:
             raise ValueError("channels must be a (n_channels, n_samples) matrix")
@@ -101,6 +101,7 @@ class DatasetManifest:
             )
         if self.trials_per_movement < 2:
             raise ValueError("leave-one-trial-out needs >= 2 trials per movement")
+        check_number("sample_rate_hz", self.sample_rate_hz, 0, open_low=True)
         for m in self.movements:
             if m not in MOVEMENTS:
                 raise ValueError(f"unknown movement label {m!r}")

@@ -18,9 +18,9 @@ MIN_WINDOW_SAMPLES = 8
 class FilterSpec:
     """Bandpass + notch cascade parameters.
 
-    The bandpass is a Butterworth biquad cascade, the notch a single IIR
-    biquad; both are applied causally in a single pass so the chain stays
-    usable in a streaming/prosthesis setting.
+    The bandpass is a Butterworth biquad cascade and the notch one more IIR
+    biquad at its end; the cascade is applied causally in a single pass so
+    the chain stays usable in a streaming/prosthesis setting.
     """
 
     band_low_hz: float = 20.0
@@ -44,36 +44,38 @@ class FilterSpec:
 
 
 @functools.lru_cache(maxsize=64)
-def design_filters(spec: FilterSpec, sample_rate_hz: float):
-    """Return (bandpass sos, notch (b, a)) for the given rate.
+def design_filters(spec: FilterSpec, sample_rate_hz: float) -> np.ndarray:
+    """Return the whole chain as one (order + 1, 6) SOS cascade.
 
-    Memoised on (spec, rate); the returned arrays are shared between callers
-    and therefore read-only.
+    The Butterworth bandpass sections come first and the notch is the last
+    section: `iirnotch` gives a biquad (b, a) with a[0] == 1, so its row
+    [b, a] is exact.  Memoised on (spec, rate); the returned array is shared
+    between callers and therefore read-only.
     """
     nyq = sample_rate_hz / 2.0
     if spec.band_high_hz >= nyq:
         raise NyquistViolation(
             f"band edge {spec.band_high_hz} Hz >= Nyquist {nyq} Hz"
         )
-    sos = signal.butter(
+    bandpass = signal.butter(
         spec.order,
         [spec.band_low_hz / nyq, spec.band_high_hz / nyq],
         btype="bandpass",
         output="sos",
     )
-    b_notch, a_notch = signal.iirnotch(spec.notch_hz, spec.notch_q, fs=sample_rate_hz)
-    for coefficients in (sos, b_notch, a_notch):
-        coefficients.flags.writeable = False
-    return sos, (b_notch, a_notch)
+    notch = np.concatenate(signal.iirnotch(spec.notch_hz, spec.notch_q, fs=sample_rate_hz))
+    sos = np.vstack([bandpass, notch])
+    sos.flags.writeable = False
+    return sos
 
 
 def apply_filters(rec: Recording, spec: FilterSpec = None) -> Recording:
-    """Causal bandpass + notch on every channel; length is preserved."""
+    """Causal bandpass + notch on every channel in one `sosfilt` pass; length
+    is preserved."""
     spec = spec or FilterSpec()
-    sos, (b_notch, a_notch) = design_filters(spec, rec.sample_rate_hz)
-    sos = sos.copy()  # sosfilt rejects a read-only coefficient buffer
-    y = signal.sosfilt(sos, rec.channels, axis=-1)
-    return rec.with_channels(signal.lfilter(b_notch, a_notch, y, axis=-1))
+    # sosfilt rejects a read-only coefficient buffer
+    sos = design_filters(spec, rec.sample_rate_hz).copy()
+    return rec.with_channels(signal.sosfilt(sos, rec.channels, axis=-1))
 
 
 def window_grid(n_samples: int, sample_rate_hz: float, window_ms: float,

@@ -251,6 +251,17 @@ class TestEvaluate:
         assert code == 2
         assert err.startswith("error: ") and named in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -5.0])
+    def test_bad_manifest_sample_rate_exits_2(self, rate, small_dataset, tmp_path, capsys):
+        manifest = json.loads(small_dataset.read_text())
+        manifest["sample_rate_hz"] = rate
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        code = run_cli("evaluate", "--manifest", path, "--out-dir", tmp_path / "out")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: sample_rate_hz must be ") and "Traceback" not in err
+
     def test_overlap_rounding_to_the_window_exits_2(self, small_dataset, tmp_path, capsys):
         # at 2 kHz both lengths round to 500 samples
         code = run_cli(

@@ -337,8 +337,22 @@ class TestCsvIo:
                 filename_template="{movement}{trial}.csv",
             )
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -5.0, True])
+    def test_sample_rate_must_be_finite_and_positive(self, tmp_path, rate):
+        with pytest.raises(ValueError, match="sample_rate_hz"):
+            DatasetManifest(
+                root_path=str(tmp_path), layout="two_channel_csv", subjects=["S1"],
+                movements=["T"], trials_per_movement=2, sample_rate_hz=rate,
+                filename_template="{movement}{trial}.csv",
+            )
+
 
 class TestRecording:
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -5.0, True])
+    def test_sample_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ValueError, match="sample_rate_hz"):
+            Recording("S1", "T", 1, rate, np.zeros((1, 10)))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Recording("S1", "XX", 1, 2000.0, np.zeros((1, 10)))
