@@ -150,17 +150,26 @@ def _train_qda(spec: ModelSpec, X, classes, codes) -> QdaModel:
 # SVM (one-vs-one, SMO)
 
 
-def rbf_kernel(A: np.ndarray, B: np.ndarray, sigma: float) -> np.ndarray:
-    sq = (
-        np.sum(A * A, axis=1)[:, None]
-        + np.sum(B * B, axis=1)[None, :]
-        - 2.0 * A @ B.T
-    )
-    # in place from here: a training kernel holds one (n, n) buffer
+def _sq_norms(A: np.ndarray) -> np.ndarray:
+    return np.sum(A * A, axis=1)
+
+
+def _rbf(A: np.ndarray, a_sq: np.ndarray, B: np.ndarray, b_sq: np.ndarray,
+         sigma: float) -> np.ndarray:
+    """The RBF kernel of the rows of A and B from their squared norms, as
+    (|a|^2 + |b|^2) - (2A)B^T.  It holds two (len(A), len(B)) buffers: the
+    outer sum, which becomes the kernel in place, and the Gram product."""
+    sq = a_sq[:, None] + b_sq[None, :]
+    sq -= 2.0 * A @ B.T
     np.maximum(sq, 0.0, out=sq)
-    np.negative(sq, out=sq)
-    sq /= 2.0 * sigma * sigma
+    # -d / (2 s^2) as d / -(2 s^2): negation is exact, so the bits are equal
+    sq /= -(2.0 * sigma * sigma)
     return np.exp(sq, out=sq)
+
+
+def rbf_kernel(A: np.ndarray, B: np.ndarray, sigma: float) -> np.ndarray:
+    """exp(-|a - b|^2 / (2 sigma^2)) for every row a of A and b of B."""
+    return _rbf(A, _sq_norms(A), B, _sq_norms(B), sigma)
 
 
 def _smo(K: np.ndarray, rows, ys, c: float, tol: float, max_passes: int):
@@ -290,25 +299,29 @@ class SvmModel:
         np.add.at(self.coef, (where.reshape(-1), column),
                   np.concatenate([coef for _, coef, _ in machines.values()]))
         self.bias = np.array([b for _, _, b in machines.values()], dtype=float)
+        self._support_sq = _sq_norms(self.support)  # reused by every predict
+        # votes = (f > 0) @ ballot + second_votes: each machine votes for its
+        # first class where f > 0 and for its second class otherwise
+        onehot = np.eye(len(classes), dtype=np.intp)
+        self._ballot = onehot[self._first] - onehot[self._second]
+        self._second_votes = onehot[self._second].sum(axis=0)
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         """(rows, machines) decision values; > 0 votes for the pair's first class."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return rbf_kernel(X, self.support, self.sigma) @ self.coef + self.bias
+        K = _rbf(X, _sq_norms(X), self.support, self._support_sq, self.sigma)
+        return K @ self.coef + self.bias
 
     def predict(self, X: np.ndarray):
         X, one = _query_rows(X, self.d_in)
         f = self.decision_values(X)
-        n, k = f.shape[0], len(self.classes)
-        winners = np.where(f > 0, self._first, self._second)
-        votes = np.bincount((winners + k * np.arange(n)[:, None]).ravel(),
-                            minlength=n * k).reshape(n, k)
+        votes = (f > 0) @ self._ballot + self._second_votes
         leaders = votes == votes.max(axis=1, keepdims=True)
         best = np.argmax(votes, axis=1)
         tied = np.flatnonzero(leaders.sum(axis=1) > 1)
         if len(tied):
             # vote tie: decide by the decision values summed in machine order
-            scores = np.zeros((len(tied), k))
+            scores = np.zeros((len(tied), len(self.classes)))
             for m, (i, j) in enumerate(zip(self._first, self._second)):
                 scores[:, i] += f[tied, m]
                 scores[:, j] -= f[tied, m]

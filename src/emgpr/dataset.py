@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,12 @@ class Recording:
         if self.trial < 1:
             raise ValueError("trial index starts at 1")
         check_number("sample_rate_hz", self.sample_rate_hz, 0, open_low=True)
-        ch = np.asarray(self.channels, dtype=float)
+        object.__setattr__(self, "channels", self._checked(self.channels))
+
+    def _checked(self, channels) -> np.ndarray:
+        """`channels` as a finite (n_channels, n_samples) float matrix, or a
+        ValueError that locates the first sample that is not finite."""
+        ch = np.asarray(channels, dtype=float)
         if ch.ndim != 2 or ch.shape[1] < 1:
             raise ValueError("channels must be a (n_channels, n_samples) matrix")
         finite = np.isfinite(ch)
@@ -57,7 +62,7 @@ class Recording:
                 f"channel {channel + 1}, sample index {sample} is "
                 f"{float(ch[channel, sample])}, not a finite number"
             )
-        object.__setattr__(self, "channels", ch)
+        return ch
 
     @property
     def n_channels(self) -> int:
@@ -72,7 +77,11 @@ class Recording:
         return self.n_samples / self.sample_rate_hz
 
     def with_channels(self, channels: np.ndarray) -> "Recording":
-        return replace(self, channels=channels)
+        """This recording with other channels, e.g. filtered or noisy ones.
+        Only the channels are checked; the labels and rate are already valid."""
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, channels=self._checked(channels))
+        return new
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property, partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -109,21 +109,27 @@ def with_lmav_nsv(base: FeatureSetSpec) -> FeatureSetSpec:
 # computed at most once per block.  Reductions run along rows only, and the
 # per-row log/exp/pow finishing steps use the scalar libm calls, so a row's
 # value never depends on the other rows of its block.
+#
+# A one-window block has two rows, so the fixed cost of each numpy call is
+# much of its price.  The kernels therefore call the ufuncs behind the
+# Python-level wrappers, with the same values: np.add.reduce(y, 1) for
+# y.sum(axis=1) and for np.count_nonzero(mask, axis=1), and `_diff` for
+# np.diff(y, axis=1).
 
 
-def _centre(y: np.ndarray) -> np.ndarray:
-    """Rows minus their means, as np.var centres them."""
-    return y - y.sum(axis=1, keepdims=True) / y.shape[1]
+def _diff(y: np.ndarray) -> np.ndarray:
+    """First differences along rows: ``np.diff(y, axis=1)``."""
+    return np.subtract(y[:, 1:], y[:, :-1])
 
 
 def _sum_sq(y: np.ndarray) -> np.ndarray:
-    return (y * y).sum(axis=1)
+    return np.add.reduce(y * y, 1)
 
 
 def _variance(y: np.ndarray) -> np.ndarray:
     """Per-row population variance, bit-equal to np.var of the row."""
-    c = _centre(y)
-    return np.multiply(c, c, out=c).sum(axis=1) / y.shape[1]
+    c = y - np.add.reduce(y, 1, keepdims=True) / y.shape[1]
+    return np.add.reduce(np.multiply(c, c, out=c), 1) / y.shape[1]
 
 
 def _per_row(fn, values: np.ndarray) -> np.ndarray:
@@ -141,44 +147,64 @@ def _mobility(var: np.ndarray, var_diff: np.ndarray) -> np.ndarray:
     return np.where(flat, 0.0, np.sqrt(var_diff / np.where(flat, 1.0, var)))
 
 
-def _dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two blocks whose rows are contiguous.
-
-    A (1, m) @ (m, 1) product per row goes to the same BLAS dot as np.dot of
-    the two rows, so each value is bit-equal to the 1-D np.dot.
-    """
-    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
-
-
 def _levinson(x: np.ndarray, order: int) -> np.ndarray:
     """Yule-Walker AR coefficients a_1..a_p of every row via Levinson-Durbin.
 
     Biased autocorrelation; convention x_t = sum_k a_k x_{t-k} + e_t.  A row
     with r_0 <= EPS gets all zeros; a row whose prediction error falls to EPS
     leaves the recursion with the coefficients found so far and zeros beyond.
+
+    Every dot product is a (1, m) @ (m, 1) product per row over contiguous
+    rows, which goes to the same BLAS dot as np.dot of the two 1-D rows, so
+    a row's coefficients never depend on the other rows of its block.  The
+    recursion runs in `out` itself until a row leaves; only then are the
+    rows still in it tracked by index and copied out.
     """
     rows, n = x.shape
-    r = np.stack([_dot_rows(x[:, : n - lag], x[:, lag:]) for lag in range(order + 1)],
-                 axis=1) / n
+    r = np.empty((rows, order + 1))
+    for lag in range(order + 1):
+        np.matmul(x[:, None, : n - lag], x[:, lag:, None], out=r[:, None, lag : lag + 1])
+    r /= n
     out = np.zeros((rows, order))
-    live = np.flatnonzero(~(r[:, 0] <= EPS))  # rows still in the recursion
-    r, a, err = r[live], out[live], r[live, 0]
     r_rev = r[:, ::-1].copy()  # r_rev[:, p - k : p] is r[k], ..., r[1]
+    a, err = out, r[:, :1].copy()
+    live = None  # out's row of each row of a, once a row has left
     for k in range(order):
-        acc = _dot_rows(a[:, :k], r_rev[:, order - k : order]) if k else 0.0
-        kappa = (r[:, k + 1] - acc) / err
-        if k:
-            head = a[:, :k]
-            a[:, :k] = head - kappa[:, None] * head[:, ::-1]
-        a[:, k] = kappa
-        err = err * (1.0 - kappa * kappa)
-        done = err <= EPS
-        if done.any():
+        # (err <= EPS).any(), as fmin skips NaN; at k = 0 it is r_0 <= EPS
+        if np.fmin.reduce(err, None, initial=np.inf) <= EPS:
+            done = err[:, 0] <= EPS
+            if live is None:
+                live = np.arange(rows)
             out[live[done]] = a[done]
             keep = ~done
             live, r, r_rev, a, err = live[keep], r[keep], r_rev[keep], a[keep], err[keep]
-    out[live] = a
+        kappa = a[:, k : k + 1]  # the new coefficient is the reflection coefficient
+        if k:
+            acc = np.matmul(a[:, None, :k], r_rev[:, order - k : order, None])[:, 0]
+            np.subtract(r[:, k + 1 : k + 2], acc, out=kappa)
+            np.divide(kappa, err, out=kappa)
+            head = a[:, :k]
+            head -= kappa * a[:, k - 1 :: -1]
+        else:
+            np.divide(r[:, 1:2], err, out=kappa)
+        err *= 1.0 - kappa * kappa
+    if live is not None:
+        out[live] = a
     return out
+
+
+class _lazy:
+    """A block intermediate computed on first use.  The value is stored in
+    the instance, which shadows this non-data descriptor from then on.
+    Unlike functools.cached_property before Python 3.12, it takes no lock."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+
+    def __get__(self, block, owner=None):
+        value = block.__dict__[self.name] = self.fn(block)
+        return value
 
 
 class _Block:
@@ -190,67 +216,67 @@ class _Block:
         self.n = x.shape[1]
         self.ar_order = ar_order
 
-    @cached_property
+    @_lazy
     def abs(self):
         return np.abs(self.x)
 
-    @cached_property
+    @_lazy
     def sum_abs(self):
-        return self.abs.sum(axis=1)
+        return np.add.reduce(self.abs, 1)
 
-    @cached_property
+    @_lazy
     def sum_sq(self):
         return _sum_sq(self.x)
 
-    @cached_property
+    @_lazy
     def mean(self):
-        return self.x.sum(axis=1) / self.n
+        return np.add.reduce(self.x, 1) / self.n
 
-    @cached_property
+    @_lazy
     def centred(self):
         return self.x - self.mean[:, None]
 
-    @cached_property
+    @_lazy
     def sum_sq_dev(self):
         return _sum_sq(self.centred)
 
-    @cached_property
+    @_lazy
     def var(self):
         return self.sum_sq_dev / self.n
 
-    @cached_property
+    @_lazy
     def d1(self):
-        return np.diff(self.x, axis=1)
+        return _diff(self.x)
 
-    @cached_property
+    @_lazy
     def abs_d1(self):
         return np.abs(self.d1)
 
-    @cached_property
+    @_lazy
     def sum_abs_d1(self):
-        return self.abs_d1.sum(axis=1)
+        return np.add.reduce(self.abs_d1, 1)
 
-    @cached_property
+    @_lazy
     def sum_sq_d1(self):
         return _sum_sq(self.d1)
 
-    @cached_property
+    @_lazy
     def var_d1(self):
         return _variance(self.d1)
 
-    @cached_property
+    @_lazy
     def d2(self):
-        return np.diff(self.d1, axis=1)
+        return _diff(self.d1)
 
-    @cached_property
+    @_lazy
     def mob(self):
         return _mobility(self.var, self.var_d1)
 
-    @cached_property
+    @_lazy
     def ar(self):
         return _levinson(self.x, self.ar_order)
 
-    @cached_property
+    @_lazy
     def moments(self):
         """Spectral-moment descriptors from the signal and its derivatives.
 
@@ -264,8 +290,8 @@ class _Block:
         m4 = np.sqrt(_sum_sq(self.d2))
         # power normalization flattens the dynamic range before the log
         m0n, m2n, m4n = (_per_row(lambda v: v ** 0.1, m) / 0.1 for m in (m0, m2, m4))
-        wl_d1 = np.abs(self.d2).sum(axis=1)
-        wl_d2 = np.abs(np.diff(self.d2, axis=1)).sum(axis=1)
+        wl_d1 = np.add.reduce(np.abs(self.d2), 1)
+        wl_d2 = np.add.reduce(np.abs(_diff(self.d2)), 1)
         return {
             "M0": log(m0n + EPS),
             "M2": log(np.abs(m0n - m2n) + EPS),
@@ -281,7 +307,7 @@ def _skewness(b: _Block, th: Thresholds) -> np.ndarray:
     xc = b.centred
     cube = xc * xc
     cube *= xc
-    m3c = cube.sum(axis=1) / b.n
+    m3c = np.add.reduce(cube, 1) / b.n
     flat = b.var < EPS
     g1 = m3c / _per_row(lambda v: v ** 1.5, np.where(flat, 1.0, b.var))
     return np.where(flat, 0.0, g1 * math.sqrt(b.n * (b.n - 1)) / (b.n - 2))
@@ -296,24 +322,24 @@ def _complexity(b: _Block, th: Thresholds) -> np.ndarray:
 
 def _zero_crossings(b: _Block, th: Thresholds) -> np.ndarray:
     x = b.x
-    return np.count_nonzero((x[:, :-1] * x[:, 1:] < 0) & (b.abs_d1 >= th.zc), axis=1)
+    return np.add.reduce((x[:, :-1] * x[:, 1:] < 0) & (b.abs_d1 >= th.zc), 1)
 
 
 def _slope_sign_changes(b: _Block, th: Thresholds) -> np.ndarray:
     # (x_i - x_{i-1}) * (x_i - x_{i+1}) > ssc, written on the first differences
-    return np.count_nonzero(b.d1[:, :-1] * b.d1[:, 1:] < -th.ssc, axis=1)
+    return np.add.reduce(b.d1[:, :-1] * b.d1[:, 1:] < -th.ssc, 1)
 
 
 def _tkeo(b: _Block, th: Thresholds) -> np.ndarray:
     x = b.x
-    return (x[:, 1:-1] * x[:, 1:-1] - x[:, :-2] * x[:, 2:]).sum(axis=1) / (b.n - 2)
+    return np.add.reduce(x[:, 1:-1] * x[:, 1:-1] - x[:, :-2] * x[:, 2:], 1) / (b.n - 2)
 
 
 def _nsv(b: _Block, th: Thresholds) -> np.ndarray:
     """Log RMS deviation between the window MAV and the sample cube roots."""
     dev = np.subtract((b.sum_abs / b.n)[:, None], np.cbrt(b.abs))
     dev *= dev
-    return 0.5 * _per_row(math.log, np.maximum(dev.sum(axis=1) / b.n, EPS))
+    return 0.5 * _per_row(math.log, np.maximum(np.add.reduce(dev, 1) / b.n, EPS))
 
 
 #: feature id -> (fewest samples a window needs, kernel).
@@ -321,15 +347,16 @@ _KERNELS = {
     "MAV": (1, lambda b, th: b.sum_abs / b.n),
     "IEMG": (1, lambda b, th: b.sum_abs),
     "WL": (2, lambda b, th: b.sum_abs_d1),
-    "WAMP": (2, lambda b, th: np.count_nonzero(b.abs_d1 > th.wamp, axis=1)),
+    "WAMP": (2, lambda b, th: np.add.reduce(b.abs_d1 > th.wamp, 1)),
     "ZC": (2, _zero_crossings),
     "SSC": (3, _slope_sign_changes),
     "VAR": (2, lambda b, th: b.sum_sq_dev / (b.n - 1)),
     "RMS": (1, lambda b, th: np.sqrt(b.sum_sq / b.n)),
-    "LOG": (1, lambda b, th: _per_row(math.exp, np.log(b.abs + EPS).sum(axis=1) / b.n)),
+    "LOG": (1, lambda b, th: _per_row(math.exp,
+                                      np.add.reduce(np.log(b.abs + EPS), 1) / b.n)),
     "DAMV": (2, lambda b, th: b.sum_abs_d1 / (b.n - 1)),
     "DASDV": (2, lambda b, th: np.sqrt(b.sum_sq_d1 / (b.n - 1))),
-    "MYOP": (1, lambda b, th: np.count_nonzero(b.abs > th.myop, axis=1) / b.n),
+    "MYOP": (1, lambda b, th: np.add.reduce(b.abs > th.myop, 1) / b.n),
     "SKW": (3, _skewness),
     "MOB": (3, lambda b, th: b.mob),
     "COM": (4, _complexity),
@@ -349,24 +376,34 @@ _KERNELS = {
 CATALOG = tuple(_KERNELS)
 
 
-def _evaluate(features, thresholds: Thresholds, x: np.ndarray) -> np.ndarray:
-    """(rows, len(features)) values of a feature list on a C-contiguous block.
+@lru_cache(maxsize=256)
+def _plan(features: tuple):
+    """What `_evaluate` needs of a feature list, resolved once per list: the
+    AR fit order, the fewest samples a window needs, the length checks in the
+    order they are made, and the kernels.
 
     AR lags share one fit whose order is the largest requested lag (a list
-    asking for AR1..AR4 reads all four coefficients off one 4th-order fit).
+    asking for AR1..AR4 reads all four coefficients off one 4th-order fit),
+    so the fit order is checked first, then each feature in list order.
     """
-    n = x.shape[1]
     order = max((int(fid[2:]) for fid in features if fid.startswith("AR")), default=0)
-    if n < 2 * order + 1:
-        raise WindowTooShort(f"AR{order}", n, 2 * order + 1)
-    for fid in features:
-        needed = _KERNELS[fid][0]
-        if n < needed:
-            raise WindowTooShort(fid, n, needed)
+    checks = ((f"AR{order}", 2 * order + 1),) if order else ()
+    checks += tuple((fid, _KERNELS[fid][0]) for fid in features)
+    needed = max(k for _, k in checks)
+    return order, needed, checks, tuple(_KERNELS[fid][1] for fid in features)
+
+
+def _evaluate(features, thresholds: Thresholds, x: np.ndarray) -> np.ndarray:
+    """(rows, len(features)) values of a feature list on a C-contiguous block."""
+    order, needed, checks, kernels = _plan(tuple(features))
+    n = x.shape[1]
+    if n < needed:
+        fid, k = next(check for check in checks if n < check[1])
+        raise WindowTooShort(fid, n, k)
     block = _Block(x, order)
-    out = np.empty((x.shape[0], len(features)))
-    for i, fid in enumerate(features):
-        out[:, i] = _KERNELS[fid][1](block, thresholds)
+    out = np.empty((x.shape[0], len(kernels)))
+    for i, kernel in enumerate(kernels):
+        out[:, i] = kernel(block, thresholds)
     return out
 
 

@@ -268,6 +268,39 @@ class TestSvm:
             assert np.all(np.abs(coef) <= 0.7 + 1e-12)
 
 
+def rbf_expression(A, B, sigma):
+    """The RBF kernel as one expression, in the order rbf_kernel computes it."""
+    sq = np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :] - 2.0 * A @ B.T
+    return np.exp(-np.maximum(sq, 0.0) / (2.0 * sigma * sigma))
+
+
+class TestRbfKernel:
+    """rbf_kernel builds the kernel in place in two buffers; every value is
+    bit-equal to the one-expression form."""
+
+    @pytest.mark.parametrize("n, m, d", [(1, 1, 1), (1, 40, 9), (40, 1, 3), (300, 200, 9)])
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 4.0])
+    def test_bit_equal_to_expression(self, n, m, d, sigma):
+        rng = np.random.default_rng(n * 1000 + m)
+        A = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-2, 1, (n, 1))
+        B = rng.standard_normal((m, d))
+        assert rbf_kernel(A, B, sigma).tobytes() == rbf_expression(A, B, sigma).tobytes()
+        # the training kernel, with exact zeros on its diagonal distances
+        K = rbf_kernel(A, A, sigma)
+        assert K.tobytes() == rbf_expression(A, A, sigma).tobytes()
+        assert K.shape == (n, n) and np.all(K <= 1.0)
+
+    def test_decision_values_use_the_kept_norms(self):
+        rng = np.random.default_rng(31)
+        X, y = blobs(rng, CENTERS3, sigma=0.8)
+        model = train(ModelSpec(kind="svm", svm_sigma=0.5), X, y)
+        queries = rng.uniform(-2.0, 6.0, (50, 2))
+        for rows in (queries, queries[:1], queries[7]):
+            want = (rbf_expression(np.atleast_2d(rows), model.support, model.sigma)
+                    @ model.coef + model.bias)
+            assert model.decision_values(rows).tobytes() == want.tobytes()
+
+
 def assert_trains_like_reference(model, X, y, spec):
     """machines (support vectors, coefficients, bias) and converged equal
     the per-pair scalar trainer's, bit for bit."""

@@ -363,6 +363,17 @@ class TestRecording:
         with pytest.raises(ValueError):
             Recording("S1", "T", 1, 2000.0, np.zeros(10))
 
+    def test_with_channels_keeps_labels_and_checks_channels(self):
+        rec = Recording("S2", "TM", 3, 1000.0, np.ones((2, 30)))
+        new = rec.with_channels(np.arange(40).reshape(2, 20))
+        assert (new.subject_id, new.movement, new.trial, new.sample_rate_hz) == \
+            ("S2", "TM", 3, 1000.0)
+        assert new.channels.dtype == float and new.channels.shape == (2, 20)
+        assert rec.channels.shape == (2, 30)  # the source recording is unchanged
+        for bad in (np.zeros(10), np.zeros((2, 0)), np.zeros((1, 2, 3))):
+            with pytest.raises(ValueError, match="channels must be"):
+                rec.with_channels(bad)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample_is_located(self, value):
         channels = np.zeros((2, 50))

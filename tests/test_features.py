@@ -7,9 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from emgpr import features
 from emgpr.errors import UnknownFeature, WindowTooShort
 from emgpr.features import (
     CATALOG,
+    EPS,
     FEATURE_SET_NAMES,
     Thresholds,
     extract,
@@ -285,6 +287,121 @@ class TestBlockIndependence:
                         want = (ar_fit(x, order)[int(fid[2:]) - 1]
                                 if fid.startswith("AR") else channel_feature(fid, x, th))
                         assert value == want, (spec.features, fid)
+
+
+def levinson_exit(x, order):
+    """The step at which the Levinson-Durbin recursion of one channel stops,
+    in plain floats: 0 when r_0 <= EPS, k when the prediction error falls to
+    EPS after k steps (so the fit keeps k coefficients), order otherwise."""
+    n = len(x)
+    r = [sum(x[i] * x[i + lag] for i in range(n - lag)) / n for lag in range(order + 1)]
+    if r[0] <= EPS:
+        return 0
+    a, err = [], r[0]
+    for k in range(order):
+        kappa = (r[k + 1] - sum(a[j] * r[k - j] for j in range(k))) / err
+        a = [a[j] - kappa * a[k - 1 - j] for j in range(k)] + [kappa]
+        err *= 1.0 - kappa * kappa
+        if err <= EPS:
+            return k + 1
+    return order
+
+
+def early_exit_channels(n=256):
+    """Channels whose prediction error collapses after one to five steps,
+    each at power-of-two scales (exact in floating point), so that between
+    them they leave the recursion at every step; plus an all-zero channel."""
+    t = np.arange(n)
+    bases = [
+        np.linspace(1.0, 2.0, n),
+        np.sin(0.3 * t),
+        np.sin(0.3 * t) + np.sin(1.1 * t),
+        np.sin(0.2 * t) + np.sin(0.9 * t) + (t / n) ** 2,
+        np.sin(0.5 * t) + 0.5 * np.sin(1.7 * t) + t / n,
+        np.sin(0.3 * t) + np.sin(1.1 * t) + np.sin(2.3 * t),
+    ]
+    return np.array([2.0 ** m * b for b in bases for m in range(-24, -10)] + [np.zeros(n)])
+
+
+class TestLevinsonEarlyExit:
+    """Rows that leave the AR recursion early, at every step, in blocks of
+    every size: each row equals its channel extracted alone, bit for bit,
+    and holds zeros after its exit step."""
+
+    @staticmethod
+    def ar_set(order):
+        return feature_set("CUSTOM", [f"AR{lag}" for lag in range(1, order + 1)])
+
+    def check_rows(self, spec, order, xs, values):
+        for x, row in zip(xs, values):
+            alone = extract(spec, x[None]).values
+            assert row.tobytes() == alone.tobytes()
+            step = levinson_exit(x.tolist(), order)
+            assert not row[step:].any(), (step, row)
+            assert step == 0 or row[step - 1] != 0.0
+
+    @pytest.mark.parametrize("order", [4, 6])
+    def test_exit_at_every_step_in_one_block(self, order):
+        spec, xs = self.ar_set(order), early_exit_channels()
+        assert xs.size <= features._CHUNK_SAMPLES  # one block
+        steps = {levinson_exit(x.tolist(), order) for x in xs}
+        assert set(range(order)) <= steps
+        matrix = extract_matrix(spec, xs[:, None, :])
+        self.check_rows(spec, order, xs, matrix)
+
+    @pytest.mark.parametrize("order", [4, 6])
+    def test_block_where_every_row_leaves_early(self, order):
+        spec, xs = self.ar_set(order), early_exit_channels()
+        early = np.array([x for x in xs if levinson_exit(x.tolist(), order) < order])
+        assert len(early) > 2
+        self.check_rows(spec, order, early, extract_matrix(spec, early[:, None, :]))
+        # and a block with no rows at all: a window without channels
+        assert extract(spec, early[:0]).values.shape == (0,)
+
+    def test_blocks_of_one_and_two_rows(self):
+        order = 6
+        spec, xs = self.ar_set(order), early_exit_channels()
+        # a one-channel window is a block of one row, a two-channel window a
+        # block of two: pair each channel with its neighbour and its mirror
+        for i in range(len(xs)):
+            self.check_rows(spec, order, xs[i : i + 1], [extract(spec, xs[i][None]).values])
+            for j in {min(i + 1, len(xs) - 1), len(xs) - 1 - i}:
+                pair = extract(spec, xs[[i, j]]).values.reshape(2, order)
+                self.check_rows(spec, order, xs[[i, j]], pair)
+
+
+class TestPlanCache:
+    """A feature list's plan is resolved once and reused; it must not go stale."""
+
+    @pytest.mark.parametrize("ids, n, named", [
+        (feature_set("PROPOSED").features, 8, "AR4"),
+        (("MAV", "COM", "AR2"), 4, "AR2"),
+        (("MAV", "SSC", "COM"), 3, "COM"),
+        (("MAV", "SSC", "COM"), 2, "SSC"),
+        (("SSC", "AR1"), 2, "AR1"),  # the fit order is checked before the list
+        (("M0", "ZC"), 4, "M0"),
+        (("MAV", "RMS"), 0, "MAV"),
+    ])
+    def test_short_window_still_rejected_after_a_long_one(self, ids, n, named):
+        spec = feature_set("CUSTOM", ids)
+        rng = np.random.default_rng(7)
+        for _ in range(2):  # the second pass finds the plan already made
+            long_window = rng.standard_normal((2, 400))
+            assert extract(spec, long_window).values.shape == (2 * len(spec),)
+            with pytest.raises(WindowTooShort) as caught:
+                extract(spec, rng.standard_normal((2, n)))
+            assert caught.value.feature_id == named
+
+    @pytest.mark.parametrize("name", ["PROPOSED", "FS1", "FS4"])
+    def test_reordered_ids_give_permuted_columns(self, name):
+        ids = feature_set(name).features
+        perm = np.random.default_rng(len(ids)).permutation(len(ids))
+        windows = np.stack(branch_windows(40))
+        base = extract_matrix(feature_set(name), windows).reshape(40, 2, len(ids))
+        for order in (perm, perm[::-1]):
+            spec = feature_set("CUSTOM", [ids[i] for i in order])
+            moved = extract_matrix(spec, windows).reshape(40, 2, len(ids))
+            assert moved.tobytes() == np.ascontiguousarray(base[:, :, order]).tobytes()
 
 
 #: Window channels of 8-64 samples.  Magnitudes below 1e-100 are set to 0,
