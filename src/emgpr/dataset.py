@@ -135,14 +135,14 @@ class DatasetManifest:
         return cls(**json.loads(Path(path).read_text()))
 
 
-def _parse_csv(path: Path) -> np.ndarray:
+def _parse_csv(path: Path, expected: int = None) -> np.ndarray:
     """Read a headerless numeric table, one column per channel.
 
-    Tolerates comma and/or whitespace separation and blank lines; a cell that
-    is not a finite number (including nan and inf) raises MalformedRow.
+    Tolerates comma and/or whitespace separation and blank lines.  A cell that
+    is not a finite number (including nan and inf) raises MalformedRow; a row
+    without `expected` columns (default: the first row's) ChannelCountMismatch.
     """
     rows = []
-    expected = None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             cells = line.replace(",", " ").split()
@@ -173,15 +173,17 @@ def _is_finite(cell: str) -> bool:
 
 
 def load_dataset(manifest: DatasetManifest) -> list:
-    """Load one Recording per (subject, movement, trial) the manifest declares."""
-    recordings = []
+    """Load one Recording per (subject, movement, trial) the manifest declares;
+    every file must have as many columns as the first one loaded."""
+    recordings, expected = [], None
     for subject in manifest.subjects:
         for movement in manifest.movements:
             for trial in range(1, manifest.trials_per_movement + 1):
                 path = manifest.file_path(subject, movement, trial)
                 if not path.is_file():
                     raise MissingFile(path)
-                channels = _parse_csv(path)
+                channels = _parse_csv(path, expected)
+                expected = len(channels)
                 recordings.append(
                     Recording(
                         subject_id=subject,
@@ -229,8 +231,9 @@ class SyntheticSpec:
     class-specific mixture of a low and a high sub-band (weight = tilt), so
     classes also differ spectrally, the way distinct movements recruit
     different motor-unit populations; leave it None for classes whose only
-    cue is channel amplitude.  tilt_split_hz defaults to 150 + 100 c Hz for
-    channel c, capped at 0.8 of Nyquist.
+    cue is channel amplitude.  Channel c splits its sub-bands at
+    150 + 100 c Hz, capped at 0.8 of Nyquist; each split must lie strictly
+    inside `band` (InvalidBand otherwise).
     """
 
     n_subjects: int = 1
@@ -242,7 +245,6 @@ class SyntheticSpec:
     class_gain_matrix: tuple = None
     band: tuple = (20.0, 500.0)
     class_tilt_matrix: tuple = None
-    tilt_split_hz: tuple = None
     seed: int = 0
 
     def __post_init__(self):
@@ -274,19 +276,16 @@ class SyntheticSpec:
                 raise ValueError("class_tilt_matrix must be n_movements x n_channels")
             if any(not 0.0 <= v <= 1.0 for row in tilt for v in row):
                 raise ValueError("tilt weights must lie in [0, 1]")
-            splits = self.tilt_split_hz
-            if splits is None:
-                splits = tuple(
-                    min(150.0 + 100.0 * c, 0.8 * self.sample_rate_hz / 2.0)
-                    for c in range(self.n_channels)
-                )
-            splits = tuple(float(v) for v in splits)
-            if len(splits) != self.n_channels or any(
-                not low < v < high for v in splits
-            ):
-                raise InvalidBand("tilt_split_hz must lie strictly inside band")
-            object.__setattr__(self, "tilt_split_hz", splits)
+            if any(not low < split < high for split in self.tilt_splits_hz):
+                raise InvalidBand(f"tilt splits {self.tilt_splits_hz} must lie "
+                                  f"strictly inside band {self.band}")
         object.__setattr__(self, "class_tilt_matrix", tilt)
+
+    @property
+    def tilt_splits_hz(self) -> tuple:
+        """Per channel, the frequency splitting the tilt's low and high band."""
+        cap = 0.8 * self.sample_rate_hz / 2.0
+        return tuple(min(150.0 + 100.0 * c, cap) for c in range(self.n_channels))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -375,7 +374,7 @@ def generate_synthetic(spec: SyntheticSpec) -> list:
                 signal.butter(4, [split / nyq, high / nyq], btype="bandpass",
                               output="sos"),
             )
-            for split in spec.tilt_split_hz
+            for split in spec.tilt_splits_hz
         ]
 
     def unit_rms(x):

@@ -422,11 +422,12 @@ def build_table(
     and not inf, calibrated white noise is mixed into the raw recordings
     (seeded per subject/movement/trial) before filtering.
 
-    A subject's windows are segmented into one array (one per window shape,
-    should its recordings differ in sample rate) and each AR fit order is
-    one `extract_matrix` call over it, so one subject's filtered windows are
-    held in memory at a time.  Rows run in recording order, then window
-    order.
+    A subject's windows are segmented into one array and each AR fit order
+    is one `extract_matrix` call over it, so one subject's filtered windows
+    are held in memory at a time.  Rows run in recording order, then window
+    order.  Every recording of a subject must give the first one's channel
+    count and window length in samples; ValueError names the one that does
+    not, before any recording is mixed or filtered.
     """
     if any(isinstance(features, str) for features in feature_sets):
         raise ValueError("feature_sets must hold feature-id lists, e.g. [spec.features]")
@@ -447,16 +448,18 @@ def build_table(
         recs = by_subject[subject]
         grids = [window_grid(rec.n_samples, rec.sample_rate_hz, window_ms, overlap_ms)
                  for rec in recs]
+        first, shape = recs[0], (recs[0].n_channels, grids[0][1])
+        for rec, (_, n, _) in zip(recs, grids):
+            if (rec.n_channels, n) != shape:
+                raise ValueError(
+                    f"recording {subject}/{rec.movement}/trial {rec.trial} gives "
+                    f"(channels, window samples) {(rec.n_channels, n)}, but "
+                    f"{subject}/{first.movement}/trial {first.trial} gives {shape}")
         counts = [count for count, _, _ in grids]
-        rows_of, row = {}, 0  # window shape -> the table rows its windows fill
-        for rec, (count, n, _) in zip(recs, grids):
-            rows_of.setdefault((rec.n_channels, n), []).extend(range(row, row + count))
-            row += count
         # preallocated, not joined from per-recording arrays, which would
         # hold the subject's windows twice
-        windows_of = {shape: np.empty((len(rows),) + shape) for shape, rows in rows_of.items()}
-        filled = dict.fromkeys(windows_of, 0)
-        for rec, (count, n, _) in zip(recs, grids):
+        windows, row = np.empty((sum(counts),) + shape), 0
+        for rec, count in zip(recs, counts):
             if snr_db is not None:
                 rec = mix_awgn(
                     rec,
@@ -465,19 +468,14 @@ def build_table(
                                 rec.trial, snr_db),
                 )
             rec = apply_filters(rec, filter_spec)
-            shape = (rec.n_channels, n)
-            at = filled[shape]
-            segment(rec, window_ms, overlap_ms, out=windows_of[shape][at : at + count])
-            filled[shape] = at + count
+            segment(rec, window_ms, overlap_ms, out=windows[row : row + count])
+            row += count
 
-        block = np.empty((row, recs[0].n_channels, len(columns)))
-        for shape, windows in windows_of.items():
-            part = np.empty(windows.shape[:2] + (len(columns),))
-            for spec, positions in groups:
-                part[:, :, positions] = extract_matrix(spec, windows, thresholds).reshape(
-                    windows.shape[:2] + (len(positions),)
-                )
-            block[rows_of[shape]] = part
+        block = np.empty(windows.shape[:2] + (len(columns),))
+        for spec, positions in groups:
+            block[:, :, positions] = extract_matrix(spec, windows, thresholds).reshape(
+                windows.shape[:2] + (len(positions),)
+            )
         values[subject] = block
         labels[subject] = np.repeat([rec.movement for rec in recs], counts)
         trials[subject] = np.repeat([rec.trial for rec in recs], counts)

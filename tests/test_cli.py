@@ -273,6 +273,23 @@ class TestEvaluate:
         assert err.startswith("error: ") and "500 and 500 samples" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("subcommand", ["evaluate", "extract"])
+    def test_file_with_an_extra_column_exits_2_naming_it(
+        self, subcommand, small_dataset, tmp_path, capsys
+    ):
+        dataset = tmp_path / "dataset"
+        shutil.copytree(small_dataset.parent, dataset)
+        manifest = json.loads(small_dataset.read_text())
+        manifest["root_path"] = str(dataset)
+        (dataset / "manifest.json").write_text(json.dumps(manifest))
+        odd = dataset / "S1_I_t2.csv"
+        odd.write_text("".join(f"{line},0.0\n" for line in odd.read_text().splitlines()))
+        code = run_cli(subcommand, "--manifest", dataset / "manifest.json",
+                       "--out-dir", tmp_path / "out")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {odd}:1: expected 2 columns, got 3\n"
+
     def test_config_file_with_flag_override(self, small_dataset, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"feature_set": "FS1", "classifier": "knn"}))

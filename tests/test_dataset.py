@@ -174,11 +174,15 @@ class TestSynthetic:
     def test_tilt_validation(self):
         with pytest.raises(ValueError):
             small_spec(class_tilt_matrix=((0.5, 1.5), (0.1, 0.2), (0.3, 0.4)))
+        # channel c splits at 150 + 100 c Hz, capped at 0.8 of Nyquist, and
+        # every split must lie strictly inside the band
+        tilt = ((0.1, 0.2), (0.3, 0.4), (0.5, 0.6))
+        assert small_spec(class_tilt_matrix=tilt).tilt_splits_hz == (150.0, 250.0)
+        assert small_spec(class_tilt_matrix=tilt, sample_rate_hz=400.0,
+                          band=(20.0, 190.0)).tilt_splits_hz == (150.0, 160.0)
         with pytest.raises(InvalidBand):
-            small_spec(
-                class_tilt_matrix=((0.1, 0.2), (0.3, 0.4), (0.5, 0.6)),
-                tilt_split_hz=(10.0, 250.0),
-            )
+            small_spec(class_tilt_matrix=tilt, band=(20.0, 150.0))
+        small_spec(band=(20.0, 150.0))  # no tilt, no splits to check
 
     def test_gain_grid_rows_distinct_and_separated(self):
         grid = separable_gain_grid(10, 2, 2.0)
@@ -203,7 +207,6 @@ class TestSynthetic:
         assert separable_spec().band == SyntheticSpec().band
 
     def test_separable_spec_defaults_are_the_dataclass_defaults(self):
-        # tilt splits included: a tilted spec without splits gets the same ones
         assert separable_spec() == SyntheticSpec(
             class_tilt_matrix=separable_tilt_matrix(10, 2)
         )
@@ -283,6 +286,16 @@ class TestCsvIo:
         manifest = self._manifest(tmp_path, movements=("T",), trials=2)
         with pytest.raises(ChannelCountMismatch):
             load_dataset(manifest)
+
+    def test_file_with_other_column_count_is_named(self, tmp_path):
+        # each file is consistent alone; the second has one column more
+        # than the first file of the dataset
+        (tmp_path / "S1_T_t1.csv").write_text("0.1,0.2\n0.3,0.4\n")
+        (tmp_path / "S1_T_t2.csv").write_text("\n0.1,0.2,0.3\n0.4,0.5,0.6\n")
+        manifest = self._manifest(tmp_path, movements=("T",), trials=2)
+        with pytest.raises(ChannelCountMismatch) as err:
+            load_dataset(manifest)
+        assert str(err.value) == f"{tmp_path / 'S1_T_t2.csv'}:2: expected 2 columns, got 3"
 
     def test_whitespace_and_comma_tolerant(self, tmp_path):
         (tmp_path / "S1_T_t1.csv").write_text("0.1 0.2\n0.3,\t0.4\n")

@@ -1,7 +1,7 @@
 import functools
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -468,7 +468,7 @@ class TestSweeps:
             duration_s=5.0, sample_rate_hz=2000.0,
             class_gain_matrix=separable_gain_grid(10, 2, 1.5),
             class_tilt_matrix=separable_tilt_matrix(10, 2),
-            tilt_split_hz=(150.0, 250.0), seed=5,
+            seed=5,
         )
         recs = generate_synthetic(spec)
         reports = sweep_window(
@@ -554,7 +554,8 @@ class TestFeatureTable:
             assert sliced.tobytes() == direct.tobytes()
             assert sliced.shape == direct.shape
 
-    @pytest.mark.parametrize("case", ["unequal_lengths", "overlap", "snr", "two_rates"])
+    @pytest.mark.parametrize("case", ["unequal_lengths", "overlap", "snr",
+                                      "rates_rounding_alike"])
     def test_subject_block_equals_per_recording_extraction(
         self, two_subject_recordings, case
     ):
@@ -570,15 +571,11 @@ class TestFeatureTable:
             settings["overlap_ms"] = 100.0
         elif case == "snr":
             settings["snr_db"] = 10.0
-        elif case == "two_rates":
-            # every other recording of each subject at twice the rate, so
-            # the two window shapes interleave within a subject's rows
-            fast = generate_synthetic(SyntheticSpec(
-                n_subjects=2, n_channels=2, n_movements=4, n_trials=3,
-                duration_s=1.5, sample_rate_hz=4000.0,
-                class_gain_matrix=separable_gain_grid(4, 2, 1.5), seed=12,
-            ))
-            recs = [b if i % 2 else a for i, (a, b) in enumerate(zip(recs, fast))]
+        elif case == "rates_rounding_alike":
+            # 2001 Hz gives the 500-sample windows of 2000 Hz, so both rates
+            # share the subject's one window array
+            recs = [replace(r, sample_rate_hz=2001.0) if i % 2 else r
+                    for i, r in enumerate(recs)]
         sets = [feature_set("FS1"), feature_set("PROPOSED")]  # AR orders 6 and 4
         table = build_table(recs, [s.features for s in sets], **settings)
 
@@ -606,6 +603,31 @@ class TestFeatureTable:
                 r.movement for r, c in zip(mine, counts) for _ in range(c)]
             assert table.trials[subject].tolist() == [
                 r.trial for r, c in zip(mine, counts) for _ in range(c)]
+
+    @pytest.mark.parametrize("odd, shape", [
+        (lambda r: replace(r, sample_rate_hz=4000.0), (2, 1000)),
+        (lambda r: r.with_channels(np.vstack([r.channels, r.channels[:1]])), (3, 500)),
+    ], ids=["window_length", "channel_count"])
+    def test_subject_of_two_window_shapes_is_refused_before_any_work(
+        self, two_subject_recordings, monkeypatch, odd, shape
+    ):
+        # S1/I/trial 2 is the fifth recording of the first subject: the
+        # check names it and the first recording, and runs before any
+        # recording is mixed or filtered
+        calls = []
+        for name in ("mix_awgn", "apply_filters"):
+            real = getattr(evaluate_module, name)
+            monkeypatch.setattr(evaluate_module, name,
+                                lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
+        recs = list(two_subject_recordings)
+        assert (recs[4].subject_id, recs[4].movement, recs[4].trial) == ("S1", "I", 2)
+        recs[4] = odd(recs[4])
+        with pytest.raises(ValueError) as err:
+            build_table(recs, [feature_set("PROPOSED").features], snr_db=10.0)
+        assert str(err.value) == (
+            f"recording S1/I/trial 2 gives (channels, window samples) {shape}, "
+            "but S1/T/trial 1 gives (2, 500)")
+        assert calls == []
 
     @pytest.mark.parametrize("th", [Thresholds(), Thresholds(zc=0.05, ssc=0.01, wamp=0.2)],
                              ids=["default", "other"])

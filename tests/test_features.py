@@ -437,3 +437,69 @@ class TestProperties:
         for fid in ("ZC", "SSC", "WAMP", "MYOP"):
             assert channel_feature(fid, c * x, scaled) == channel_feature(fid, x, th), fid
 
+
+
+#: How each catalog feature moves when a window is scaled by c and the
+#: counting thresholds with it (ZC, WAMP and MYOP by c, SSC by c²).
+SCALE_INVARIANT = (
+    "WAMP", "ZC", "SSC", "MYOP", "SKW", "MOB", "COM",
+    "AR1", "AR2", "AR3", "AR4", "AR5", "AR6",
+    "IRREGULARITY_FACTOR", "SPARSENESS", "WL_RATIO",
+)
+#: f(c x) = c**degree f(x)
+HOMOGENEOUS = {"MAV": 1, "IEMG": 1, "WL": 1, "VAR": 2, "RMS": 1, "LOG": 1,
+               "DAMV": 1, "DASDV": 1, "TKEO": 2}
+#: f(c x) = f(x) + k ln c, the same k for every window
+LOG_SHIFT = {"MFL": 1 / math.log(10), "M0": 0.1, "M2": 0.1, "M4": 0.1, "LMAV": 0.5}
+
+
+class TestScalingClasses:
+    @pytest.fixture(scope="class")
+    def windows(self):
+        from emgpr import generate_synthetic, separable_spec
+        from emgpr.preprocess import segment
+
+        recs = generate_synthetic(separable_spec(n_movements=4, n_trials=1,
+                                                 duration_s=1.0, seed=3))
+        return np.concatenate([segment(r, 250.0) for r in recs])  # (16, 2, 500)
+
+    @staticmethod
+    def table(windows, c):
+        th = Thresholds()
+        scaled = Thresholds(zc=c * th.zc, ssc=c * c * th.ssc, wamp=c * th.wamp,
+                            myop=c * th.myop)
+        values = extract_matrix(feature_set("CUSTOM", CATALOG), c * windows, scaled)
+        return {fid: values.reshape(windows.shape[:2] + (-1,))[..., i]
+                for i, fid in enumerate(CATALOG)}
+
+    @pytest.mark.parametrize("c", [1e-3, 10.0])
+    def test_every_feature_has_its_class(self, windows, c):
+        classes = [*SCALE_INVARIANT, *HOMOGENEOUS, *LOG_SHIFT, "COV", "NSV"]
+        assert sorted(classes) == sorted(CATALOG)
+        base, moved = self.table(windows, 1.0), self.table(windows, c)
+        for fid in SCALE_INVARIANT:
+            np.testing.assert_allclose(moved[fid], base[fid], rtol=1e-8, atol=0, err_msg=fid)
+        for fid, degree in HOMOGENEOUS.items():
+            np.testing.assert_allclose(moved[fid], c ** degree * base[fid], rtol=1e-7,
+                                       atol=0, err_msg=fid)
+        for fid, k in LOG_SHIFT.items():
+            np.testing.assert_allclose(moved[fid] - base[fid], k * math.log(c), rtol=0,
+                                       atol=1e-8, err_msg=fid)
+        # COV = std / (|mean| + EPS), so scaling moves only the guard:
+        # COV(c x) (|mean| + EPS / c) = COV(x) (|mean| + EPS)
+        mean = np.abs(windows.mean(axis=2))
+        np.testing.assert_allclose(moved["COV"] * (mean + EPS / c),
+                                   base["COV"] * (mean + EPS), rtol=1e-12, atol=0)
+
+    def test_nsv_is_in_no_class(self):
+        # NSV subtracts sample cube roots (units^(1/3)) from the window MAV
+        # (units), so two windows scaled alike move apart: the shifts differ
+        # (not invariant, not a constant log shift) and so do the ratios (not
+        # homogeneous of any degree)
+        c = 1e-3
+        a, b = np.array([1.0, 8.0]), np.array([1.0, 27.0])
+        assert nsv(a) == pytest.approx(0.5 * math.log(9.25), rel=1e-12)  # dev 3.5, 2.5
+        shift = [nsv(c * w) - nsv(w) for w in (a, b)]
+        ratio = [nsv(c * w) / nsv(w) for w in (a, b)]
+        assert shift == pytest.approx([-2.984, -4.043], abs=1e-3)
+        assert ratio == pytest.approx([-1.683, -0.625], abs=1e-3)
