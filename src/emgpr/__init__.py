@@ -2,7 +2,7 @@
 
 Pipeline pieces, usable separately or through `emgpr.evaluate.crossvalidate`
 (whose feature table, `build_table`, can be shared by several feature sets,
-and whose folds each fit one `Pipeline` with `fit_pipeline`):
+as `sweep` does, and whose folds each fit one `Pipeline` with `fit_pipeline`):
 recordings (load/synthesize/mix noise) -> causal bandpass+notch -> disjoint
 windows -> time-domain features (incl. the log-compressed LMAV/NSV pair) ->
 min-max scaling -> uncorrelated LDA -> QDA / RBF-SVM / KNN -> trial-wise
@@ -63,8 +63,7 @@ from .evaluate import (
     crossvalidate,
     fit_pipeline,
     metrics,
-    sweep_snr,
-    sweep_window,
+    sweep,
 )
 from .selection import SelectionConfig, SelectionTrace, forward_select
 from .seeding import derive_seed

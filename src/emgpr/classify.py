@@ -32,7 +32,8 @@ from .reduce import check_class_sizes, class_codes, group_rows
 SVM_TOL = 1e-3
 SVM_MAX_PASSES = 10
 
-_KIND_ALIASES = {"qda": "qda", "svm": "svm", "svm_rbf": "svm", "knn": "knn"}
+#: every classifier name ModelSpec accepts -> its kind
+KIND_NAMES = {"qda": "qda", "svm": "svm", "svm_rbf": "svm", "knn": "knn"}
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,7 @@ class ModelSpec:
     knn_k: int = 3
 
     def __post_init__(self):
-        kind = _KIND_ALIASES.get(self.kind.lower()) if isinstance(self.kind, str) else None
+        kind = KIND_NAMES.get(self.kind.lower()) if isinstance(self.kind, str) else None
         if kind is None:
             raise ValueError(f"unknown classifier kind {self.kind!r}")
         object.__setattr__(self, "kind", kind)

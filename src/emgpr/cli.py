@@ -4,11 +4,12 @@ Every run resolves its full configuration (defaults < --config file < flags),
 writes it to run.json in the output directory, and derives all randomness
 from the master seed, so `emgpr replay run.json` reproduces every output file
 bit for bit.  Each subcommand is a thin shell over one library entry point
-(`extract`/`res`/`scatter` slice one `build_table`, the sweeps call
-`sweep_window`/`sweep_snr`).  Every option is declared once, in a table of
-flag, default and help; the parser and the defaults are both read from those
-tables, and `main` alone creates the output directory and records run.json,
-with the "error" printed when the subcommand fails.
+(`extract`/`res`/`scatter` slice one `build_table`; `sweep-window` and
+`sweep-snr` share one handler that calls `sweep` over window_ms or snr_db).
+Every option is declared once, in a table of flag, default and help; the
+parser and the defaults are both read from those tables, and `main` alone
+creates the output directory and records run.json, with the "error" printed
+when the subcommand fails.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ import inspect
 import json
 import sys
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
-from .classify import ModelSpec
+from .classify import KIND_NAMES, ModelSpec
 from .dataset import (
     DatasetManifest,
     SyntheticSpec,
@@ -39,8 +41,7 @@ from .evaluate import (
     build_table,
     compare_groups,
     crossvalidate,
-    sweep_snr,
-    sweep_window,
+    sweep,
 )
 from .features import (
     FEATURE_SET_NAMES,
@@ -51,7 +52,7 @@ from .features import (
 )
 from .preprocess import FilterSpec, normalize_features
 from .reduce import fit_ulda, project, res_index, scatter_export
-from .selection import SelectionConfig, forward_select
+from .selection import OBJECTIVES, SelectionConfig, forward_select
 
 
 class _Option(NamedTuple):
@@ -98,7 +99,7 @@ _SET = {
 
 _CLASSIFIER = {
     "classifier": _opt("--classifier", ModelSpec.kind, "classifier kind",
-                       choices=["qda", "svm", "knn"]),
+                       choices=list(KIND_NAMES)),
     "qda_shrinkage": _opt("--qda-shrinkage", ModelSpec.qda_shrinkage,
                           "covariance shrinkage in [0,1]", type=float),
     "svm_sigma": _opt("--svm-sigma", ModelSpec.svm_sigma, "RBF kernel width", type=float),
@@ -366,20 +367,13 @@ def _cmd_evaluate(cfg: dict, out: Path) -> int:
     return _write_reports(out, "report", [report], report.to_dict())
 
 
-def _cmd_sweep_window(cfg: dict, out: Path) -> int:
-    reports = sweep_window(
-        _load_recordings(cfg), _feature_spec(cfg), _model_spec(cfg),
-        sizes=cfg["sizes"], **_table_settings(cfg),
-    )
-    return _write_reports(out, "sweep_window", reports, [r.to_dict() for r in reports])
-
-
-def _cmd_sweep_snr(cfg: dict, out: Path) -> int:
-    reports = sweep_snr(
-        _load_recordings(cfg), _feature_spec(cfg), _model_spec(cfg),
-        snrs=cfg["snrs"], **_table_settings(cfg),
-    )
-    return _write_reports(out, "sweep_snr", reports, [r.to_dict() for r in reports])
+def _cmd_sweep(setting: str, grid: str, stem: str, cfg: dict, out: Path) -> int:
+    """`sweep` over the values of the option `grid`, into <stem>.json/.csv."""
+    # a --config file may give the grid as integers; the flag gives floats
+    values = [float(v) for v in cfg[grid]]
+    reports = sweep(_load_recordings(cfg), [_feature_spec(cfg)], _model_spec(cfg),
+                    setting, values, **_table_settings(cfg))
+    return _write_reports(out, stem, reports, [r.to_dict() for r in reports])
 
 
 def _cmd_select(cfg: dict, out: Path) -> int:
@@ -466,12 +460,14 @@ _SUBCOMMANDS = {
                         "mix calibrated white noise into the raw signal at this SNR in dB",
                         type=float)},
     ]),
-    "sweep-window": (_cmd_sweep_window, "evaluate across window lengths", [
+    "sweep-window": (partial(_cmd_sweep, "window_ms", "sizes", "sweep_window"),
+                     "evaluate across window lengths", [
         _OUT, _PIPELINE, _SET, _SEED, _CLASSIFIER,
         {"sizes": _opt("--sizes", [float(v) for v in DEFAULT_WINDOW_SIZES],
                        "window lengths in ms", type=float, nargs="+")},
     ]),
-    "sweep-snr": (_cmd_sweep_snr, "evaluate across noise levels", [
+    "sweep-snr": (partial(_cmd_sweep, "snr_db", "snrs", "sweep_snr"),
+                  "evaluate across noise levels", [
         *_TABLE, _SEED, _CLASSIFIER,
         {"snrs": _opt("--snrs", [float(v) for v in DEFAULT_SNR_GRID],
                       "SNR grid in dB", type=float, nargs="+")},
@@ -486,7 +482,7 @@ _SUBCOMMANDS = {
                               type=float),
             "objective": _opt("--objective", SelectionConfig.objective,
                               "selection objective; f1 is macro F1",
-                              choices=["f1", "macro_f1", "ovr_accuracy"]),
+                              choices=list(OBJECTIVES)),
         },
     ]),
     "res": (_cmd_res, "per-subject cluster separability index", _TABLE),

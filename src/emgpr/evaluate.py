@@ -3,7 +3,8 @@
 crossvalidate runs in two stages: build_table mixes noise, filters, segments
 and extracts every recording once into a FeatureTable, and the fold loop
 fits on a column slice of that table, so several feature sets can be scored
-against one table.  Each fold holds one trial of every movement out and
+against one table; sweep builds one such table per grid value and scores
+every set on it.  Each fold holds one trial of every movement out and
 fits one Pipeline (min-max bounds, the ULDA projection and the classifier)
 with fit_pipeline on the training folds only, so no test information leaks
 into the fitted chain.
@@ -20,7 +21,7 @@ from scipy import special
 from .classify import ModelSpec, train
 from .dataset import MOVEMENTS, NO_MIX, mix_awgn
 from .errors import DegenerateClasses, EmgprError, EmptyMatrix, InsufficientGroups
-from .features import FeatureSetSpec, Thresholds, extract_matrix
+from .features import FeatureSetSpec, Thresholds, ar_fit_order, ar_lag, extract_matrix
 from .preprocess import (
     FilterSpec,
     MinMax,
@@ -333,15 +334,10 @@ def _mixing_snr(snr_db):
 
 
 def _set_columns(features) -> tuple:
-    """The table column each feature of a set reads, in set order.
-
-    A column is keyed (feature id, AR fit order); the order is None for
-    non-AR features.  A set reads all its AR lags off one fit at its largest
-    lag, as `extract` does.
-    """
-    lags = [int(fid[2:]) for fid in features if fid.startswith("AR")]
-    order = max(lags, default=None)
-    return tuple((fid, order if fid.startswith("AR") else None) for fid in features)
+    """The (feature id, AR fit order) column key of each feature of a set, in
+    set order; the order is None for a feature that is not an AR lag."""
+    order = ar_fit_order(features)
+    return tuple((fid, order if ar_lag(fid) else None) for fid in features)
 
 
 def _extraction_groups(columns) -> list:
@@ -576,28 +572,22 @@ def crossvalidate(
     )
 
 
+#: The paper's grids: window lengths in ms and mixing SNRs in dB.
 DEFAULT_WINDOW_SIZES = tuple(range(50, 351, 50))
 DEFAULT_SNR_GRID = tuple(range(0, 21))
 
 
-def sweep_window(recordings, feature_set, model_spec,
-                 sizes=DEFAULT_WINDOW_SIZES, **kwargs) -> list:
-    """One crossvalidate per window size."""
-    return [
-        crossvalidate(recordings, feature_set, model_spec,
-                      window_ms=float(size), **kwargs)
-        for size in sizes
-    ]
-
-
-def sweep_snr(recordings, feature_set, model_spec,
-              snrs=DEFAULT_SNR_GRID, **kwargs) -> list:
-    """One crossvalidate per SNR level, noise mixed before preprocessing."""
-    return [
-        crossvalidate(recordings, feature_set, model_spec,
-                      snr_db=float(snr), **kwargs)
-        for snr in snrs
-    ]
+def sweep(recordings, feature_sets, model_spec: ModelSpec, setting: str, values,
+          **settings) -> list:
+    """One report per (value, set), value by value: at each value of the
+    `build_table` keyword `setting` ("window_ms", "snr_db", ...), one table
+    built with `settings` serves every set, each scored by `crossvalidate`."""
+    reports = []
+    for value in values:
+        table = build_table(recordings, [s.features for s in feature_sets],
+                            **settings, **{setting: value})
+        reports += [crossvalidate(table, s, model_spec) for s in feature_sets]
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,16 @@ def with_lmav_nsv(base: FeatureSetSpec) -> FeatureSetSpec:
     return FeatureSetSpec("CUSTOM", tuple(base.features) + ("LMAV", "NSV"))
 
 
+def ar_lag(fid: str) -> int:
+    """The lag k of an AR<k> feature id; 0 for every other feature."""
+    return int(fid[2:]) if fid.startswith("AR") else 0
+
+
+def ar_fit_order(features) -> int:
+    """A list reads all its AR lags off one fit at its largest lag; 0 if none."""
+    return max(map(ar_lag, features), default=0)
+
+
 # ---------------------------------------------------------------------------
 # batch kernels
 #
@@ -382,11 +392,10 @@ def _plan(features: tuple):
     AR fit order, the fewest samples a window needs, the length checks in the
     order they are made, and the kernels.
 
-    AR lags share one fit whose order is the largest requested lag (a list
-    asking for AR1..AR4 reads all four coefficients off one 4th-order fit),
-    so the fit order is checked first, then each feature in list order.
+    The AR lags share one fit (`ar_fit_order`), so the fit order is checked
+    first, then each feature in list order.
     """
-    order = max((int(fid[2:]) for fid in features if fid.startswith("AR")), default=0)
+    order = ar_fit_order(features)
     checks = ((f"AR{order}", 2 * order + 1),) if order else ()
     checks += tuple((fid, _KERNELS[fid][0]) for fid in features)
     needed = max(k for _, k in checks)

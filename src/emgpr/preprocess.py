@@ -9,7 +9,7 @@ import numpy as np
 from scipy import signal
 
 from .dataset import Recording
-from .errors import NyquistViolation, WindowLongerThanTrial, check_number
+from .errors import DimensionMismatch, NyquistViolation, WindowLongerThanTrial, check_number
 
 MIN_WINDOW_SAMPLES = 8
 
@@ -133,19 +133,21 @@ class MinMax:
 def normalize_features(matrix: np.ndarray, fitted: MinMax = None):
     """Column-wise min-max scaling to [0, 1].
 
-    With fitted bounds (train-time fit) the same bounds are reused and the
-    result is clipped to [0, 1]; a degenerate column (max == min) maps to 0.
-    A 1-D input is one row and gives a 1-D result.
+    With fitted bounds (train-time fit) the same bounds are reused, rows of
+    another width are a DimensionMismatch, and the result is clipped to [0, 1];
+    a degenerate column (max == min) maps to 0.  A 1-D input is one row and
+    gives a 1-D result.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.size == 0:
         raise ValueError("empty feature matrix")
+    clip = fitted is not None
     if fitted is None:
         rows = np.atleast_2d(matrix)
         fitted = MinMax(mins=rows.min(axis=0), maxs=rows.max(axis=0))
-        clip = False
-    else:
-        clip = True
+    elif matrix.shape[-1:] != fitted.mins.shape:
+        raise DimensionMismatch(f"bounds were fitted on {fitted.mins.size} features, "
+                                f"got rows of {matrix.shape[-1] if matrix.ndim else 1}")
     span = fitted.maxs - fitted.mins
     safe = np.where(span > 0, span, 1.0)
     out = (matrix - fitted.mins) / safe

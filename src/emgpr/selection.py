@@ -17,15 +17,19 @@ from dataclasses import dataclass, field
 from .classify import ModelSpec
 from .errors import check_number
 from .evaluate import DEFAULT_WINDOW_MS, build_table, crossvalidate
-from .features import CATALOG, FeatureSetSpec, Thresholds
+from .features import CATALOG, FeatureSetSpec, Thresholds, ar_lag
 from .preprocess import FilterSpec
+
+
+#: every objective SelectionConfig accepts; macro_f1 is another name for f1
+OBJECTIVES = ("f1", "macro_f1", "ovr_accuracy", "accuracy")
 
 
 @dataclass(frozen=True)
 class SelectionConfig:
     pool: tuple = CATALOG
     improvement_threshold: float = 0.25  # percentage points of the objective
-    objective: str = "f1"  # macro F1; "ovr_accuracy" also supported
+    objective: str = "f1"  # macro F1; one of OBJECTIVES
     model_spec: ModelSpec = field(default_factory=ModelSpec)
     window_ms: float = DEFAULT_WINDOW_MS
     overlap_ms: float = 0.0
@@ -36,9 +40,9 @@ class SelectionConfig:
         if not self.pool:
             raise ValueError("candidate pool must be non-empty")
         check_number("improvement_threshold", self.improvement_threshold, 0, open_low=True)
-        objective = {"macro_f1": "f1"}.get(self.objective, self.objective)
-        if objective not in ("f1", "ovr_accuracy", "accuracy"):
+        if self.objective not in OBJECTIVES:
             raise ValueError(f"unsupported objective {self.objective!r}")
+        objective = {"macro_f1": "f1"}.get(self.objective, self.objective)
         object.__setattr__(self, "objective", objective)
 
     def to_dict(self) -> dict:
@@ -96,8 +100,10 @@ class SelectionTrace:
 
 def forward_select(recordings, cfg: SelectionConfig) -> SelectionTrace:
     """Run the greedy loop and return the audit trace."""
-    lags = sorted({int(fid[2:]) for fid in cfg.pool if fid.startswith("AR")})
-    serves = [cfg.pool] + [[f"AR{lag}" for lag in lags if lag <= p] for p in lags]
+    # every prefix of the pool's AR lags, in lag order: a candidate reads its
+    # lags off a fit at its largest one, which ends one of these prefixes
+    ar = sorted({fid for fid in cfg.pool if ar_lag(fid)}, key=ar_lag)
+    serves = [cfg.pool] + [ar[: i + 1] for i in range(len(ar))]
     table = build_table(recordings, serves, thresholds=cfg.thresholds,
                         window_ms=cfg.window_ms, overlap_ms=cfg.overlap_ms,
                         filter_spec=cfg.filter_spec)

@@ -28,12 +28,12 @@ from emgpr import (
     res_index,
     segment,
     separable_gain_grid,
-    sweep_snr,
+    sweep,
     with_lmav_nsv,
 )
 from emgpr.cli import main as cli_main
 from emgpr.dataset import DatasetManifest, Recording, load_dataset
-from emgpr.evaluate import ConfusionMatrix, compare_groups
+from emgpr.evaluate import DEFAULT_SNR_GRID, ConfusionMatrix, compare_groups
 from emgpr.features import CATALOG, Thresholds
 
 from channel_features import channel_feature
@@ -200,9 +200,9 @@ class TestCriterion07SnrMachinery:
             duration_s=2.0, sample_rate_hz=2000.0,
             class_gain_matrix=separable_gain_grid(5, 2, 2.0), seed=9,
         )
-        reports = sweep_snr(
-            generate_synthetic(small), feature_set("FS2"),
-            ModelSpec(kind="qda"), seed=3,
+        reports = sweep(
+            generate_synthetic(small), [feature_set("FS2")],
+            ModelSpec(kind="qda"), "snr_db", DEFAULT_SNR_GRID, seed=3,
         )
         assert len(reports) == 21
 

@@ -650,6 +650,26 @@ class TestSelect:
         assert trace["selected"]
         assert trace["steps"][0]["accepted"] is True
 
+    def test_every_objective_the_library_accepts_is_a_flag_value(self, small_dataset, tmp_path):
+        code = run_cli(
+            "select", "--manifest", small_dataset, "--out-dir", tmp_path,
+            "--pool", "RMS", "WL", "--objective", "accuracy",
+        )
+        assert code == 0
+        assert json.loads((tmp_path / "selection.json").read_text())["objective"] == "accuracy"
+
+    def test_choice_lists_are_the_library_constants(self):
+        from emgpr.classify import KIND_NAMES
+        from emgpr.selection import OBJECTIVES
+
+        def choices(subcommand, dest):
+            (action,) = [a for a in subcommand_parser(subcommand)._actions if a.dest == dest]
+            return action.choices
+
+        assert choices("select", "objective") == list(OBJECTIVES)
+        for subcommand in ("evaluate", "sweep-window", "sweep-snr", "select"):
+            assert choices(subcommand, "classifier") == list(KIND_NAMES)
+
 
 class TestResAndScatter:
     def test_res_values(self, small_dataset, tmp_path):

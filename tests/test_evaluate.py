@@ -24,11 +24,11 @@ from emgpr import (
     mix_awgn,
     segment,
     separable_gain_grid,
-    sweep_snr,
-    sweep_window,
+    sweep,
+    with_lmav_nsv,
 )
 from emgpr.dataset import NO_MIX
-from emgpr.errors import EmptyMatrix, InsufficientGroups
+from emgpr.errors import DimensionMismatch, EmptyMatrix, InsufficientGroups
 from emgpr import evaluate as evaluate_module
 from emgpr.evaluate import CSV_HEADER, ConfusionMatrix, compare_groups, fit_pipeline
 
@@ -272,7 +272,7 @@ class TestCrossvalidate:
         for call in (
             lambda: mix_awgn(recs[0], snr_db, seed=0),
             lambda: crossvalidate(recs, *args, snr_db=snr_db),
-            lambda: sweep_snr(recs, *args, snrs=(snr_db,)),
+            lambda: sweep(recs, [args[0]], args[1], "snr_db", (snr_db,)),
         ):
             with pytest.raises(ValueError, match="snr_db"):
                 call()
@@ -363,6 +363,16 @@ class TestCrossvalidate:
         for i in (0, len(X) // 2, len(X) - 1):
             assert pipeline.predict(X[i]) == pipeline.predict(X[i : i + 1])[0]
 
+    def test_pipeline_refuses_a_row_of_another_width(self):
+        # a one-value row must not broadcast across all 12 columns
+        spec = feature_set("FS2")
+        table = build_table(quick_dataset(), [spec.features])
+        X, y = table.matrix("S1", spec.features), table.labels["S1"]
+        pipeline = fit_pipeline(X, y, ModelSpec(kind="qda"))
+        for rows, width in ((np.array([[0.5]]), 1), (X[:2, :5], 5)):
+            with pytest.raises(DimensionMismatch, match=f"fitted on 12 features, got rows of {width}$"):
+                pipeline.predict(rows)
+
     def test_csv_rows_shape(self):
         recs = quick_dataset()
         report = crossvalidate(recs, feature_set("FS2"), ModelSpec(kind="qda"))
@@ -445,9 +455,9 @@ class TestCrossvalidateProperties:
 class TestSweeps:
     def test_window_sweep_emits_one_report_per_size(self):
         recs = quick_dataset(duration_s=1.5)
-        reports = sweep_window(
-            recs, feature_set("FS2"), ModelSpec(kind="qda"),
-            sizes=(100.0, 250.0, 350.0),
+        reports = sweep(
+            recs, [feature_set("FS2")], ModelSpec(kind="qda"),
+            "window_ms", (100.0, 250.0, 350.0),
         )
         assert [r.window_ms for r in reports] == [100.0, 250.0, 350.0]
 
@@ -471,8 +481,8 @@ class TestSweeps:
             seed=5,
         )
         recs = generate_synthetic(spec)
-        reports = sweep_window(
-            recs, feature_set("FS2"), ModelSpec(kind="knn"), sizes=(50.0, 350.0)
+        reports = sweep(
+            recs, [feature_set("FS2")], ModelSpec(kind="knn"), "window_ms", (50.0, 350.0)
         )
         (mean_short, std_short), (mean_long, std_long) = (
             r.summary()["f1"] for r in reports
@@ -515,17 +525,54 @@ class TestSweeps:
 
     def test_snr_sweep_grid_and_seeding(self):
         recs = quick_dataset(duration_s=1.0, n_movements=3)
-        reports = sweep_snr(
-            recs, feature_set("FS2"), ModelSpec(kind="qda"),
-            snrs=(0.0, 10.0), seed=7,
+        reports = sweep(
+            recs, [feature_set("FS2")], ModelSpec(kind="qda"),
+            "snr_db", (0.0, 10.0), seed=7,
         )
         assert [r.snr_db for r in reports] == [0.0, 10.0]
-        again = sweep_snr(
-            recs, feature_set("FS2"), ModelSpec(kind="qda"),
-            snrs=(0.0, 10.0), seed=7,
+        again = sweep(
+            recs, [feature_set("FS2")], ModelSpec(kind="qda"),
+            "snr_db", (0.0, 10.0), seed=7,
         )
         assert json.dumps([r.to_dict() for r in reports], sort_keys=True) == \
             json.dumps([r.to_dict() for r in again], sort_keys=True)
+
+    @pytest.mark.parametrize("setting, values", [
+        ("window_ms", (100.0, 250.0)),
+        ("snr_db", (0.0, 10.0)),
+    ])
+    def test_sets_share_one_table_per_value(
+        self, two_subject_recordings, monkeypatch, setting, values
+    ):
+        # FS1 reads its AR lags at order 6 and PROPOSED at order 4, so each
+        # subject's table is two extract_matrix calls, whatever the set count
+        sets = [feature_set("FS1"), feature_set("PROPOSED"), with_lmav_nsv(feature_set("FS2"))]
+        model = ModelSpec(kind="qda")
+        calls = []
+
+        def counted(spec, windows, thresholds):
+            calls.append(spec.features)
+            return extract_matrix(spec, windows, thresholds)
+
+        monkeypatch.setattr(evaluate_module, "extract_matrix", counted)
+        reports = sweep(two_subject_recordings, sets, model, setting, values, seed=4)
+        assert len(calls) == len(values) * 2 * 2  # values x subjects x AR orders
+        monkeypatch.undo()
+
+        grid = [(value, spec) for value in values for spec in sets]
+        assert [(getattr(r, setting), r.feature_set) for r in reports] == [
+            (value, spec.name) for value, spec in grid
+        ]
+        for report, (value, spec) in zip(reports, grid):
+            plain = crossvalidate(two_subject_recordings, spec, model,
+                                  seed=4, **{setting: value})
+            assert json.dumps(report.to_dict()) == json.dumps(plain.to_dict())
+
+    def test_swept_setting_fixed_as_well_is_rejected(self):
+        recs = quick_dataset(n_movements=2, n_trials=2, duration_s=0.5)
+        with pytest.raises(TypeError, match="window_ms"):
+            sweep(recs, [feature_set("FS2")], ModelSpec(kind="qda"),
+                  "window_ms", (100.0,), window_ms=250.0)
 
 
 @pytest.fixture(scope="module")

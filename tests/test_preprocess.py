@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import signal as sps
 
 from emgpr.dataset import Recording
-from emgpr.errors import NyquistViolation, WindowLongerThanTrial
+from emgpr.errors import DimensionMismatch, NyquistViolation, WindowLongerThanTrial
 from emgpr.preprocess import (
     FilterSpec,
     MinMax,
@@ -264,6 +264,17 @@ class TestNormalize:
         assert out.min() >= 0.0 and out.max() <= 1.0
         again, _ = normalize_features(out)
         assert np.allclose(again, out, atol=1e-12)
+
+    @pytest.mark.parametrize("rows, width", [
+        (np.array([[0.5]]), 1),
+        (np.arange(10.0).reshape(2, 5), 5),
+        (np.array([0.5, 1.5, 2.5]), 3),
+    ], ids=["one-column", "five-columns", "1-d"])
+    def test_rows_of_another_width_than_the_fit_rejected(self, rows, width):
+        # a fit on 2 columns; a 1-column row would broadcast across both
+        _, bounds = normalize_features(np.array([[0.0, 10.0], [10.0, 20.0]]))
+        with pytest.raises(DimensionMismatch, match=f"fitted on 2 features, got rows of {width}$"):
+            normalize_features(rows, bounds)
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):
