@@ -92,14 +92,14 @@ _WINDOW = {"window_ms": _opt("--window-ms", SelectionConfig.window_ms,
 _SET = {
     "feature_set": _opt("--feature-set", "PROPOSED",
                         "named feature set; use CUSTOM with --features",
-                        choices=sorted(FEATURE_SET_NAMES)),
+                        type=str.upper, choices=sorted(FEATURE_SET_NAMES)),
     "features": _opt("--features", None, "explicit feature ids for a CUSTOM set",
                      nargs="+", metavar="ID"),
 }
 
 _CLASSIFIER = {
     "classifier": _opt("--classifier", ModelSpec.kind, "classifier kind",
-                       choices=list(KIND_NAMES)),
+                       type=str.lower, choices=list(KIND_NAMES)),
     "qda_shrinkage": _opt("--qda-shrinkage", ModelSpec.qda_shrinkage,
                           "covariance shrinkage in [0,1]", type=float),
     "svm_sigma": _opt("--svm-sigma", ModelSpec.svm_sigma, "RBF kernel width", type=float),

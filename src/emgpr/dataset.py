@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -248,8 +248,12 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.n_movements <= len(MOVEMENTS):
-            raise ValueError(f"n_movements must be in 1..{len(MOVEMENTS)}")
+        for name in ("n_subjects", "n_channels", "n_trials"):
+            check_number(name, getattr(self, name), 1, integer=True)
+        check_number("n_movements", self.n_movements, 1, len(MOVEMENTS), integer=True)
+        for name in ("duration_s", "sample_rate_hz"):
+            check_number(name, getattr(self, name), 0, open_low=True)
+        object.__setattr__(self, "band", tuple(self.band))
         low, high = self.band
         if not 0 < low < high < self.sample_rate_hz / 2:
             raise InvalidBand(
@@ -258,28 +262,26 @@ class SyntheticSpec:
         gains = self.class_gain_matrix
         if gains is None:
             gains = separable_gain_grid(self.n_movements, self.n_channels)
-        gains = tuple(tuple(float(g) for g in row) for row in gains)
-        if len(gains) != self.n_movements or any(
-            len(r) != self.n_channels for r in gains
-        ):
-            raise ValueError("class_gain_matrix must be n_movements x n_channels")
+        gains = self._matrix("class_gain_matrix", gains)
         if len(set(gains)) != len(gains):
             raise ValueError("class_gain_matrix rows must be distinct")
         object.__setattr__(self, "class_gain_matrix", gains)
 
-        tilt = self.class_tilt_matrix
-        if tilt is not None:
-            tilt = tuple(tuple(float(v) for v in row) for row in tilt)
-            if len(tilt) != self.n_movements or any(
-                len(r) != self.n_channels for r in tilt
-            ):
-                raise ValueError("class_tilt_matrix must be n_movements x n_channels")
+        if self.class_tilt_matrix is not None:
+            tilt = self._matrix("class_tilt_matrix", self.class_tilt_matrix)
             if any(not 0.0 <= v <= 1.0 for row in tilt for v in row):
                 raise ValueError("tilt weights must lie in [0, 1]")
             if any(not low < split < high for split in self.tilt_splits_hz):
                 raise InvalidBand(f"tilt splits {self.tilt_splits_hz} must lie "
                                   f"strictly inside band {self.band}")
-        object.__setattr__(self, "class_tilt_matrix", tilt)
+            object.__setattr__(self, "class_tilt_matrix", tilt)
+
+    def _matrix(self, name: str, rows) -> tuple:
+        """`rows` as float tuples, or ValueError unless n_movements x n_channels."""
+        rows = tuple(tuple(float(v) for v in row) for row in rows)
+        if len(rows) != self.n_movements or any(len(r) != self.n_channels for r in rows):
+            raise ValueError(f"{name} must be n_movements x n_channels")
+        return rows
 
     @property
     def tilt_splits_hz(self) -> tuple:
@@ -330,32 +332,18 @@ def separable_tilt_matrix(n_movements: int, n_channels: int) -> tuple:
     return tuple(rows)
 
 
-def separable_spec(
-    n_subjects: int = SyntheticSpec.n_subjects,
-    n_channels: int = SyntheticSpec.n_channels,
-    n_movements: int = SyntheticSpec.n_movements,
-    n_trials: int = SyntheticSpec.n_trials,
-    duration_s: float = SyntheticSpec.duration_s,
-    sample_rate_hz: float = SyntheticSpec.sample_rate_hz,
-    gain_ratio: float = 2.0,
-    seed: int = SyntheticSpec.seed,
-    band: tuple = SyntheticSpec.band,
-    amplitude_only: bool = False,
-) -> SyntheticSpec:
+def separable_spec(gain_ratio: float = 2.0, amplitude_only: bool = False,
+                   **fields) -> SyntheticSpec:
     """The canonical strongly-separable dataset spec: class gains on a
-    geometric grid plus, unless amplitude_only, a per-class spectral tilt."""
+    geometric grid plus, unless amplitude_only, a per-class spectral tilt.
+    `fields` are SyntheticSpec's other than the two class matrices."""
+    spec = SyntheticSpec(**fields, class_gain_matrix=None, class_tilt_matrix=None)
+    n_movements, n_channels = spec.n_movements, spec.n_channels
     tilt = None if amplitude_only else separable_tilt_matrix(n_movements, n_channels)
-    return SyntheticSpec(
-        n_subjects=n_subjects,
-        n_channels=n_channels,
-        n_movements=n_movements,
-        n_trials=n_trials,
-        duration_s=duration_s,
-        sample_rate_hz=sample_rate_hz,
+    return replace(
+        spec,
         class_gain_matrix=separable_gain_grid(n_movements, n_channels, gain_ratio),
-        band=tuple(band),
         class_tilt_matrix=tilt,
-        seed=seed,
     )
 
 

@@ -403,11 +403,11 @@ class FeatureTable:
 def build_table(
     recordings,
     feature_sets,
-    thresholds: Thresholds = None,
+    thresholds: Thresholds = Thresholds(),
     window_ms: float = DEFAULT_WINDOW_MS,
     overlap_ms: float = 0.0,
     snr_db: float = None,
-    filter_spec: FilterSpec = None,
+    filter_spec: FilterSpec = FilterSpec(),
     seed: int = 0,
 ) -> FeatureTable:
     """Mix noise, filter, segment and extract every recording once.
@@ -427,8 +427,6 @@ def build_table(
     """
     if any(isinstance(features, str) for features in feature_sets):
         raise ValueError("feature_sets must hold feature-id lists, e.g. [spec.features]")
-    thresholds = thresholds or Thresholds()
-    filter_spec = filter_spec or FilterSpec()
     snr_db = _mixing_snr(snr_db)
     columns = tuple(dict.fromkeys(
         key for features in feature_sets for key in _set_columns(features)

@@ -69,10 +69,9 @@ def design_filters(spec: FilterSpec, sample_rate_hz: float) -> np.ndarray:
     return sos
 
 
-def apply_filters(rec: Recording, spec: FilterSpec = None) -> Recording:
+def apply_filters(rec: Recording, spec: FilterSpec = FilterSpec()) -> Recording:
     """Causal bandpass + notch on every channel in one `sosfilt` pass; length
     is preserved."""
-    spec = spec or FilterSpec()
     # sosfilt rejects a read-only coefficient buffer
     sos = design_filters(spec, rec.sample_rate_hz).copy()
     return rec.with_channels(signal.sosfilt(sos, rec.channels, axis=-1))

@@ -12,10 +12,11 @@ mixes no noise and draws no random number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass
 
 from .classify import ModelSpec
-from .errors import check_number
+from .errors import EmgprError, check_number
 from .evaluate import DEFAULT_WINDOW_MS, build_table, crossvalidate
 from .features import CATALOG, FeatureSetSpec, Thresholds, ar_lag
 from .preprocess import FilterSpec
@@ -30,11 +31,11 @@ class SelectionConfig:
     pool: tuple = CATALOG
     improvement_threshold: float = 0.25  # percentage points of the objective
     objective: str = "f1"  # macro F1; one of OBJECTIVES
-    model_spec: ModelSpec = field(default_factory=ModelSpec)
+    model_spec: ModelSpec = ModelSpec()
     window_ms: float = DEFAULT_WINDOW_MS
     overlap_ms: float = 0.0
-    thresholds: Thresholds = field(default_factory=Thresholds)
-    filter_spec: FilterSpec = field(default_factory=FilterSpec)
+    thresholds: Thresholds = Thresholds()
+    filter_spec: FilterSpec = FilterSpec()
 
     def __post_init__(self):
         if not self.pool:
@@ -76,15 +77,7 @@ class SelectionTrace:
         return {
             "objective": self.objective,
             "selected": list(self.selected),
-            "steps": [
-                {
-                    "candidate": s.candidate,
-                    "score_before": s.score_before,
-                    "score_after": s.score_after,
-                    "accepted": s.accepted,
-                }
-                for s in self.steps
-            ],
+            "steps": [asdict(s) for s in self.steps],
         }
 
     def table(self) -> str:
@@ -99,7 +92,14 @@ class SelectionTrace:
 
 
 def forward_select(recordings, cfg: SelectionConfig) -> SelectionTrace:
-    """Run the greedy loop and return the audit trace."""
+    """Run the greedy loop and return the audit trace.
+
+    Each pass scores every pool feature not yet selected and takes the best;
+    a candidate whose folds all fail scores NaN and is never taken.  The first
+    pick is always accepted; the search ends at a pick below the threshold or
+    when no candidate is left or can be scored.  EmgprError when none can be
+    scored at the first pass, naming one and its first fold failure.
+    """
     # every prefix of the pool's AR lags, in lag order: a candidate reads its
     # lags off a fit at its largest one, which ends one of these prefixes
     ar = sorted({fid for fid in cfg.pool if ar_lag(fid)}, key=ar_lag)
@@ -108,38 +108,29 @@ def forward_select(recordings, cfg: SelectionConfig) -> SelectionTrace:
                         window_ms=cfg.window_ms, overlap_ms=cfg.overlap_ms,
                         filter_spec=cfg.filter_spec)
 
-    def score(feature_ids) -> float:
-        spec = FeatureSetSpec("CUSTOM", tuple(feature_ids))
-        report = crossvalidate(table, spec, cfg.model_spec)
-        return 100.0 * report.summary()[cfg.objective][0]
-
-    def best_candidate(current):
-        best_fid, best_score = None, -float("inf")
-        for fid in cfg.pool:
-            if fid in current:
+    steps, selected, current = [], [], 0.0
+    while True:
+        scored = []
+        for i, fid in enumerate(cfg.pool):
+            if fid in selected:
                 continue
-            s = score(list(current) + [fid])
-            if s > best_score:
-                best_fid, best_score = fid, s
-        return best_fid, best_score
-
-    steps = []
-    seed_fid, seed_score = best_candidate(())
-    selected = [seed_fid]
-    current_score = seed_score
-    steps.append(SelectionStep(seed_fid, 0.0, seed_score, True))
-
-    while len(selected) < len(set(cfg.pool)):
-        fid, new_score = best_candidate(selected)
-        if fid is None:
-            break
-        accepted = new_score - current_score >= cfg.improvement_threshold
-        steps.append(SelectionStep(fid, current_score, new_score, accepted))
+            spec = FeatureSetSpec("CUSTOM", (*selected, fid))
+            report = crossvalidate(table, spec, cfg.model_spec)
+            score = 100.0 * report.summary()[cfg.objective][0]
+            if not math.isnan(score):
+                scored.append((score, -i, fid))
+        if not scored:  # no candidate is left, or none can be scored
+            if selected:
+                break
+            why = (f"fold {f.subject}/trial{f.fold_trial} failed with {f.error}"
+                   for f in report.failures)
+            raise EmgprError(f"no candidate in the pool can be scored: {fid}: "
+                             + next(why, "no fold was scored"))
+        score, _, fid = max(scored)
+        accepted = not selected or score - current >= cfg.improvement_threshold
+        steps.append(SelectionStep(fid, current, score, accepted))
         if not accepted:
             break
         selected.append(fid)
-        current_score = new_score
-
-    return SelectionTrace(
-        steps=tuple(steps), selected=tuple(selected), objective=cfg.objective
-    )
+        current = score
+    return SelectionTrace(tuple(steps), tuple(selected), cfg.objective)

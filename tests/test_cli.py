@@ -54,6 +54,22 @@ class TestSynth:
         run = json.loads((tmp_path / "run.json").read_text())
         assert run["config"]["amplitude_only"] is True
 
+    @pytest.mark.parametrize("flags, config, named", [
+        ([], {"n_subjects": 2.0}, "n_subjects"),
+        ([], {"n_trials": "3"}, "n_trials"),
+        (["--n-subjects", 0], {}, "n_subjects"),
+        (["--duration-s", -1], {}, "duration_s"),
+        (["--n-channels", 0], {}, "n_channels"),
+    ], ids=["float-subjects", "text-trials", "no-subjects", "negative-duration",
+            "no-channels"])
+    def test_bad_count_or_length_exits_2(self, flags, config, named, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        code = run_cli("synth", "--config", path, "--out-dir", tmp_path / "out", *flags)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {named} must be ") and "Traceback" not in err
+
     def test_relative_out_dir_loads_from_any_directory(
         self, tmp_path, monkeypatch, small_dataset
     ):
@@ -302,6 +318,20 @@ class TestEvaluate:
         run = json.loads((out / "run.json").read_text())
         assert run["config"]["feature_set"] == "FS1"  # from the config file
         assert run["config"]["classifier"] == "qda"  # flag wins
+
+    def test_names_are_matched_in_any_case(self, small_dataset, tmp_path):
+        # each flag applies the library's case rule, so every spelling a
+        # --config file accepts is a flag value too
+        runs = {"typed": ("proposed", "QDA"), "canonical": ("PROPOSED", "qda")}
+        for name, (feature_set_name, classifier) in runs.items():
+            assert run_cli("evaluate", "--manifest", small_dataset, "--out-dir",
+                           tmp_path / name, "--feature-set", feature_set_name,
+                           "--classifier", classifier) == 0
+        typed, canonical = (read_bytes_map(tmp_path / name) for name in runs)
+        config = json.loads(typed.pop("run.json"))["config"]
+        assert (config["feature_set"], config["classifier"]) == ("PROPOSED", "qda")
+        del canonical["run.json"]
+        assert typed == canonical
 
 
 class TestSweeps:
@@ -658,8 +688,23 @@ class TestSelect:
         assert code == 0
         assert json.loads((tmp_path / "selection.json").read_text())["objective"] == "accuracy"
 
+    def test_no_scorable_candidate_exits_2(self, tmp_path, capsys):
+        # a 1 s trial holds one 1000 ms window, so with two trials each
+        # training fold has one window per class and every candidate fails
+        assert run_cli("synth", "--out-dir", tmp_path, "--n-movements", 3,
+                       "--n-trials", 2, "--duration-s", 1.0) == 0
+        capsys.readouterr()
+        code = run_cli("select", "--manifest", tmp_path / "dataset" / "manifest.json",
+                       "--out-dir", tmp_path / "sel", "--window-ms", 1000,
+                       "--pool", "RMS", "WL")
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("error: no candidate in the pool can be scored: WL: fold S1/")
+        assert not (tmp_path / "sel" / "selection.json").exists()
+
     def test_choice_lists_are_the_library_constants(self):
         from emgpr.classify import KIND_NAMES
+        from emgpr.features import FEATURE_SET_NAMES
         from emgpr.selection import OBJECTIVES
 
         def choices(subcommand, dest):
@@ -667,6 +712,7 @@ class TestSelect:
             return action.choices
 
         assert choices("select", "objective") == list(OBJECTIVES)
+        assert choices("evaluate", "feature_set") == sorted(FEATURE_SET_NAMES)
         for subcommand in ("evaluate", "sweep-window", "sweep-snr", "select"):
             assert choices(subcommand, "classifier") == list(KIND_NAMES)
 

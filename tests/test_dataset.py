@@ -205,6 +205,24 @@ class TestSynthetic:
         assert len(recordings) == 3
         assert all(np.all(np.isfinite(r.channels)) for r in recordings)
         assert separable_spec().band == SyntheticSpec().band
+        # a list band, as the CLI gives it, records the same spec
+        assert separable_spec(band=[30, 400]) == separable_spec(band=(30, 400))
+        assert small_spec(band=[30.0, 400.0]).band == (30.0, 400.0)
+
+    @pytest.mark.parametrize("matrix", ["class_gain_matrix", "class_tilt_matrix"])
+    def test_separable_spec_sets_both_class_matrices(self, matrix):
+        with pytest.raises(TypeError, match=matrix):
+            separable_spec(**{matrix: ((1.0, 1.0),) * 10})
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_subjects", 0), ("n_subjects", 2.0), ("n_channels", 0), ("n_channels", True),
+        ("n_trials", 0), ("n_trials", "3"), ("n_movements", 0), ("n_movements", 11),
+        ("duration_s", 0.0), ("duration_s", -1.0), ("duration_s", math.nan),
+        ("sample_rate_hz", math.inf), ("sample_rate_hz", "2000"),
+    ])
+    def test_counts_and_lengths_are_checked(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            small_spec(**{field: value})
 
     def test_separable_spec_defaults_are_the_dataclass_defaults(self):
         assert separable_spec() == SyntheticSpec(

@@ -1,8 +1,10 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import emgpr.evaluate
+import emgpr.selection
 from emgpr import (
     ModelSpec,
     SelectionConfig,
@@ -12,6 +14,9 @@ from emgpr import (
     generate_synthetic,
     separable_spec,
 )
+from emgpr.dataset import Recording
+from emgpr.errors import EmgprError
+from emgpr.evaluate import FoldFailure
 from emgpr.selection import SelectionStep, SelectionTrace
 
 AMPLITUDE_FEATURES = {"MAV", "RMS", "IEMG", "LMAV"}
@@ -80,6 +85,45 @@ class TestForwardSelect:
         )
         table = trace.table()
         assert "selected:" in table and "RMS" in table
+
+    def test_no_scorable_first_candidate_is_a_located_error(self):
+        # movement T only in trial 1 and I only in trial 2: every fold's
+        # training trials lack a movement, so every candidate fails every fold
+        rng = np.random.default_rng(0)
+        recordings = [Recording("S1", movement, trial, 2000.0, rng.standard_normal((2, 2000)))
+                      for movement, trial in (("T", 1), ("I", 2))]
+        with pytest.raises(EmgprError, match=r"no candidate in the pool can be scored: "
+                           r"ZC: fold S1/trial1 failed with DegenerateClasses"):
+            forward_select(recordings, config(("RMS", "ZC")))
+
+    @staticmethod
+    def fail_every_fold(monkeypatch, fails):
+        """Candidate sets for which `fails` holds score NaN: every fold fails."""
+        def crossvalidate_failing(table, spec, model_spec):
+            report = crossvalidate(table, spec, model_spec)
+            if not fails(spec.features):
+                return report
+            failure = FoldFailure("S1", 1, "RankZero: no fold")
+            return replace(report, folds=(), failures=(failure,))
+
+        monkeypatch.setattr(emgpr.selection, "crossvalidate", crossvalidate_failing)
+
+    def test_unscorable_candidate_is_never_taken(self, amplitude_recordings, monkeypatch):
+        # RMS ties MAV at the top and comes first, so it is picked when it scores
+        assert forward_select(amplitude_recordings,
+                              config(("RMS", "MAV", "WL"))).selected == ("RMS",)
+        expected = forward_select(amplitude_recordings, config(("MAV", "WL")))
+        self.fail_every_fold(monkeypatch, lambda features: "RMS" in features)
+        trace = forward_select(amplitude_recordings, config(("RMS", "MAV", "WL")))
+        assert trace == expected
+
+    def test_no_scorable_later_candidate_ends_the_search(self, amplitude_recordings,
+                                                         monkeypatch):
+        full = forward_select(amplitude_recordings, config(("RMS", "MAV", "WL")))
+        self.fail_every_fold(monkeypatch, lambda features: len(features) > 1)
+        trace = forward_select(amplitude_recordings, config(("RMS", "MAV", "WL")))
+        assert len(full.steps) > 1 and trace.steps == full.steps[:1]
+        assert trace.selected == (full.steps[0].candidate,)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
