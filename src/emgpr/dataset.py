@@ -253,6 +253,9 @@ class SyntheticSpec:
         check_number("n_movements", self.n_movements, 1, len(MOVEMENTS), integer=True)
         for name in ("duration_s", "sample_rate_hz"):
             check_number(name, getattr(self, name), 0, open_low=True)
+        if round(self.duration_s * self.sample_rate_hz) < 1:
+            raise ValueError(f"duration_s must be at least one sample long at "
+                             f"{self.sample_rate_hz:g} Hz, got {self.duration_s!r}")
         object.__setattr__(self, "band", tuple(self.band))
         low, high = self.band
         if not 0 < low < high < self.sample_rate_hz / 2:

@@ -6,8 +6,12 @@ fits on a column slice of that table, so several feature sets can be scored
 against one table; sweep builds one such table per grid value and scores
 every set on it.  Each fold holds one trial of every movement out and
 fits one Pipeline (min-max bounds, the ULDA projection and the classifier)
-with fit_pipeline on the training folds only, so no test information leaks
-into the fitted chain.
+on the training folds only, so no test information leaks into the fitted
+chain.  The part of a fold that no set changes (its rows, the
+missing-movement check, the class codes, and the min-max fit over every
+table column, which works column by column) is computed once per table, at
+the first set scored on it, and sliced for each set; fit_scaled fits the
+rest, as fit_pipeline does after its own scaling.
 """
 
 from __future__ import annotations
@@ -199,7 +203,14 @@ def fit_pipeline(X: np.ndarray, y, model_spec: ModelSpec) -> Pipeline:
 
     The labels are encoded once, for both fits."""
     norm, bounds = normalize_features(X)
-    encoded = class_codes(y)
+    return fit_scaled(norm, y, bounds, model_spec, class_codes(y))
+
+
+def fit_scaled(norm: np.ndarray, y, bounds: MinMax, model_spec: ModelSpec,
+               encoded) -> Pipeline:
+    """The chain after min-max scaling: fit ULDA and the classifier on
+    training rows `norm`, already scaled with `bounds`, whose labels `y` are
+    encoded as `encoded` (`class_codes(y)`)."""
     projection = fit_ulda(norm, y, _encoded=encoded)
     model = train(model_spec, project(projection, norm), y, _encoded=encoded)
     return Pipeline(bounds=bounds, projection=projection, model=model)
@@ -359,6 +370,32 @@ def _extraction_groups(columns) -> list:
     return groups
 
 
+def _describe(exc: EmgprError) -> str:
+    """A fold failure as a report records it."""
+    return f"{type(exc).__name__}: {exc}"
+
+
+@dataclass(frozen=True, eq=False)
+class TableFold:
+    """The part of one subject's fold that no feature set changes.
+
+    `test` masks the rows of the held-out trial.  When the training trials
+    lack a movement, `error` is the DegenerateClasses failure that every set
+    records and the other fields are None.  Otherwise the fold holds the
+    training labels, their `class_codes`, min-max bounds fitted on the
+    training rows of every table column, and those rows scaled with them,
+    channel-major as `FeatureTable.matrix` lays them out.
+    """
+
+    held_out: int
+    test: np.ndarray
+    error: str = None
+    y_train: np.ndarray = None
+    encoded: tuple = None
+    bounds: MinMax = None
+    scaled: np.ndarray = None
+
+
 @dataclass(frozen=True, eq=False)
 class FeatureTable:
     """Per-window features of a dataset, computed once and sliced per set.
@@ -367,6 +404,7 @@ class FeatureTable:
     block whose last axis is keyed by `columns`, with `labels[subject]` and
     `trials[subject]` per window.  `movements` is the class order over all
     subjects; the remaining fields are the settings the table was built with.
+    `folds` splits a subject once and keeps the split for every set.
     """
 
     values: dict
@@ -380,6 +418,7 @@ class FeatureTable:
     snr_db: float  # None when no noise was mixed
     filter_spec: FilterSpec
     seed: int
+    _folds: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def subjects(self) -> tuple:
@@ -394,10 +433,49 @@ class FeatureTable:
                 raise ValueError(f"feature table has no column {key!r}")
         return [index[key] for key in keys]
 
+    def flat_positions(self, subject, features) -> np.ndarray:
+        """Where a feature list's channel-major columns sit in one subject's
+        (windows, channels * columns) rows: channel * len(columns) + position."""
+        n_channels = self.values[subject].shape[1]
+        return (np.arange(n_channels)[:, None] * len(self.columns)
+                + self.positions(features)).ravel()
+
     def matrix(self, subject, features) -> np.ndarray:
         """Channel-major (windows, channels * features) matrix of one subject."""
         block = self.values[subject]
-        return block[:, :, self.positions(features)].reshape(len(block), -1)
+        return np.take(block.reshape(len(block), -1),
+                       self.flat_positions(subject, features), axis=1)
+
+    def folds(self, subject) -> tuple:
+        """One TableFold per held-out trial of a subject, in trial order.
+
+        The split is made at the first call and kept, so every set scored on
+        this table shares it; it holds one scaled copy of the subject's
+        training rows per fold.
+        """
+        if subject not in self._folds:
+            self._folds[subject] = tuple(self._split(subject))
+        return self._folds[subject]
+
+    def _split(self, subject):
+        block = self.values[subject]
+        rows = block.reshape(len(block), -1)
+        y, trial_ids = self.labels[subject], self.trials[subject]
+        trials_of = {m: set(trial_ids[y == m].tolist()) for m in self.movements}
+        for held_out in sorted(set(trial_ids.tolist())):
+            test = trial_ids == held_out
+            try:
+                missing = [m for m in self.movements if trials_of[m] <= {held_out}]
+                if missing:
+                    raise DegenerateClasses(f"declared classes with no samples: {missing}")
+                y_train = y[~test]
+                encoded = class_codes(y_train)
+            except EmgprError as exc:
+                yield TableFold(int(held_out), test, error=_describe(exc))
+                continue
+            scaled, bounds = normalize_features(rows[~test])
+            yield TableFold(int(held_out), test, y_train=y_train, encoded=encoded,
+                            bounds=bounds, scaled=scaled)
 
 
 def build_table(
@@ -506,7 +584,9 @@ def crossvalidate(
 
     Only this loop knows the table's movement order: a fold whose training
     trials lack a movement fails with DegenerateClasses, and every fold is
-    scored in movement order, whatever the fitted model's class order.
+    scored in movement order, whatever the fitted model's class order.  Each
+    fold's split, class codes and min-max fit come from `FeatureTable.folds`,
+    sliced to the set's columns, so a table computes them once for every set.
     """
     if isinstance(recordings, FeatureTable):
         if settings:
@@ -520,37 +600,27 @@ def crossvalidate(
 
     folds, failures = [], []
     for subject in table.subjects:
-        X = table.matrix(subject, feature_set.features)
-        y = table.labels[subject]
-        trial_ids = table.trials[subject]
-        trials_of = {m: set(trial_ids[y == m].tolist()) for m in labels}
-
-        for held_out in sorted(set(trial_ids.tolist())):
-            train_mask = trial_ids != held_out
-            test_mask = ~train_mask
-            try:
-                missing = [m for m in labels if trials_of[m] <= {held_out}]
-                if missing:
-                    raise DegenerateClasses(f"declared classes with no samples: {missing}")
-                pipeline = fit_pipeline(X[train_mask], y[train_mask], model_spec)
-                predicted = pipeline.predict(X[test_mask])
-                cm = ConfusionMatrix.from_predictions(y[test_mask], predicted, labels)
-                folds.append(
-                    FoldEval(
-                        subject=subject,
-                        fold_trial=int(held_out),
-                        confusion=cm,
-                        scores=metrics(cm),
-                    )
-                )
-            except EmgprError as exc:
-                failures.append(
-                    FoldFailure(
-                        subject=subject,
-                        fold_trial=int(held_out),
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
+        columns = table.flat_positions(subject, feature_set.features)
+        X, y = table.matrix(subject, feature_set.features), table.labels[subject]
+        for fold in table.folds(subject):
+            error = fold.error
+            if error is None:
+                try:
+                    bounds = MinMax(mins=fold.bounds.mins[columns],
+                                    maxs=fold.bounds.maxs[columns])
+                    # take, not [:, columns], gives the C order fit_pipeline's
+                    # rows have, so ULDA sums in the same order
+                    pipeline = fit_scaled(np.take(fold.scaled, columns, axis=1),
+                                          fold.y_train, bounds, model_spec, fold.encoded)
+                    predicted = pipeline.predict(X[fold.test])
+                    cm = ConfusionMatrix.from_predictions(y[fold.test], predicted, labels)
+                    folds.append(FoldEval(subject=subject, fold_trial=fold.held_out,
+                                          confusion=cm, scores=metrics(cm)))
+                except EmgprError as exc:
+                    error = _describe(exc)
+            if error is not None:
+                failures.append(FoldFailure(subject=subject, fold_trial=fold.held_out,
+                                            error=error))
 
     scalars = {name: getattr(table, name)
                for name in ("window_ms", "overlap_ms", "snr_db", "seed")}

@@ -94,16 +94,19 @@ class SelectionTrace:
 def forward_select(recordings, cfg: SelectionConfig) -> SelectionTrace:
     """Run the greedy loop and return the audit trace.
 
-    Each pass scores every pool feature not yet selected and takes the best;
-    a candidate whose folds all fail scores NaN and is never taken.  The first
-    pick is always accepted; the search ends at a pick below the threshold or
-    when no candidate is left or can be scored.  EmgprError when none can be
-    scored at the first pass, naming one and its first fold failure.
+    Each pass scores every pool feature not yet selected, a repeated id once,
+    and takes the best; a candidate whose folds all fail scores NaN and is
+    never taken.  The first pick is always accepted; the search ends at a
+    pick below the threshold or when no candidate is left or can be scored.
+    EmgprError when none can be scored at the first pass, naming one and its
+    first fold failure.
     """
+    # a repeated id is scored once, at its first position, which wins its ties
+    pool = tuple(dict.fromkeys(cfg.pool))
     # every prefix of the pool's AR lags, in lag order: a candidate reads its
     # lags off a fit at its largest one, which ends one of these prefixes
-    ar = sorted({fid for fid in cfg.pool if ar_lag(fid)}, key=ar_lag)
-    serves = [cfg.pool] + [ar[: i + 1] for i in range(len(ar))]
+    ar = sorted({fid for fid in pool if ar_lag(fid)}, key=ar_lag)
+    serves = [pool] + [ar[: i + 1] for i in range(len(ar))]
     table = build_table(recordings, serves, thresholds=cfg.thresholds,
                         window_ms=cfg.window_ms, overlap_ms=cfg.overlap_ms,
                         filter_spec=cfg.filter_spec)
@@ -111,7 +114,7 @@ def forward_select(recordings, cfg: SelectionConfig) -> SelectionTrace:
     steps, selected, current = [], [], 0.0
     while True:
         scored = []
-        for i, fid in enumerate(cfg.pool):
+        for i, fid in enumerate(pool):
             if fid in selected:
                 continue
             spec = FeatureSetSpec("CUSTOM", (*selected, fid))

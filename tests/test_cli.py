@@ -60,8 +60,9 @@ class TestSynth:
         (["--n-subjects", 0], {}, "n_subjects"),
         (["--duration-s", -1], {}, "duration_s"),
         (["--n-channels", 0], {}, "n_channels"),
+        (["--duration-s", 0.0001], {}, "duration_s"),
     ], ids=["float-subjects", "text-trials", "no-subjects", "negative-duration",
-            "no-channels"])
+            "no-channels", "duration-below-one-sample"])
     def test_bad_count_or_length_exits_2(self, flags, config, named, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))

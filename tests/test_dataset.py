@@ -218,6 +218,7 @@ class TestSynthetic:
         ("n_subjects", 0), ("n_subjects", 2.0), ("n_channels", 0), ("n_channels", True),
         ("n_trials", 0), ("n_trials", "3"), ("n_movements", 0), ("n_movements", 11),
         ("duration_s", 0.0), ("duration_s", -1.0), ("duration_s", math.nan),
+        ("duration_s", 0.0001),  # > 0, but rounds to no sample at 2 kHz
         ("sample_rate_hz", math.inf), ("sample_rate_hz", "2000"),
     ])
     def test_counts_and_lengths_are_checked(self, field, value):

@@ -30,7 +30,13 @@ from emgpr import (
 from emgpr.dataset import NO_MIX
 from emgpr.errors import DimensionMismatch, EmptyMatrix, InsufficientGroups
 from emgpr import evaluate as evaluate_module
-from emgpr.evaluate import CSV_HEADER, ConfusionMatrix, compare_groups, fit_pipeline
+from emgpr.evaluate import (
+    CSV_HEADER,
+    ConfusionMatrix,
+    compare_groups,
+    fit_pipeline,
+    fit_scaled,
+)
 
 
 def binary_cm(tp, fn, fp, tn):
@@ -286,14 +292,15 @@ class TestCrossvalidate:
         spec, model_spec = feature_set("FS2"), ModelSpec(kind="qda")
 
         def fitted_chains(recordings):
-            """The report and the Pipeline of each fold, in fold order."""
+            """The report and the Pipeline of each fold, in fold order: the
+            fold loop fits each chain with fit_scaled, on rows it scaled."""
             chains = []
 
             def recording_fit(*args, **kwargs):
-                chains.append(fit_pipeline(*args, **kwargs))
+                chains.append(fit_scaled(*args, **kwargs))
                 return chains[-1]
 
-            monkeypatch.setattr(evaluate_module, "fit_pipeline", recording_fit)
+            monkeypatch.setattr(evaluate_module, "fit_scaled", recording_fit)
             report = crossvalidate(recordings, spec, model_spec)
             monkeypatch.undo()
             assert not report.failures and len(chains) == len(report.folds)
@@ -749,3 +756,83 @@ class TestFeatureTable:
         report = crossvalidate(table, feature_set("CUSTOM", ["RMS", "AR1"]),
                                ModelSpec(kind="qda"))
         assert report.ok and report.snr_db is None
+
+
+#: CUSTOM sets scored on one table; DEAD reads only WAMP, which DEAD_TH gates
+#: to a constant 0, so every fold of it fails with RankZero
+SHARED_SETS = (("RMS", "WL"), ("MAV", "ZC", "SKW"), ("LMAV", "NSV", "WL", "WAMP"))
+DEAD = ("WAMP",)
+DEAD_TH = Thresholds(wamp=1e9)
+
+
+class TestSharedFolds:
+    """A table splits, encodes and scales each fold once; every set slices it
+    and gets the report a table of its own columns gives."""
+
+    @staticmethod
+    def plain(recordings, features, **settings):
+        return crossvalidate(recordings, feature_set("CUSTOM", features),
+                             ModelSpec(kind="qda"), **settings).to_dict()
+
+    @pytest.mark.parametrize("order", [
+        SHARED_SETS,
+        SHARED_SETS[::-1],
+        (DEAD, SHARED_SETS[0], DEAD, SHARED_SETS[1], DEAD, SHARED_SETS[2]),
+    ], ids=["forward", "reverse", "interleaved_with_failing_set"])
+    def test_each_set_gets_its_plain_report(self, two_subject_recordings, order):
+        table = build_table(two_subject_recordings, [*SHARED_SETS, DEAD],
+                            thresholds=DEAD_TH)
+        for features in order:
+            shared = crossvalidate(table, feature_set("CUSTOM", features),
+                                   ModelSpec(kind="qda")).to_dict()
+            assert shared == self.plain(two_subject_recordings, features,
+                                        thresholds=DEAD_TH), features
+            failures = {f["error"].split(":")[0] for f in shared["failures"]}
+            assert failures == ({"RankZero"} if features == DEAD else set())
+
+    def test_fold_lacking_a_movement_fails_for_every_set(self):
+        # movement I is recorded in trial 2 only, so fold 2 cannot train on it
+        recs = [r for r in quick_dataset() if r.movement != "I" or r.trial == 2]
+        table = build_table(recs, [*SHARED_SETS, DEAD], thresholds=DEAD_TH)
+        missing = {"subject": "S1", "fold_trial": 2,
+                   "error": "DegenerateClasses: declared classes with no samples: ['I']"}
+        for features in (*SHARED_SETS, DEAD):
+            shared = crossvalidate(table, feature_set("CUSTOM", features),
+                                   ModelSpec(kind="qda")).to_dict()
+            assert shared == self.plain(recs, features, thresholds=DEAD_TH)
+            assert missing in shared["failures"]
+            assert [f["fold_trial"] for f in shared["folds"]] == (
+                [] if features == DEAD else [1, 3])
+
+    def test_tables_scored_alternately_keep_their_own_folds(self):
+        a, b = quick_dataset(seed=9), quick_dataset(seed=10)
+        tables = {id(a): build_table(a, SHARED_SETS), id(b): build_table(b, SHARED_SETS)}
+        for features in SHARED_SETS:
+            for recs in (a, b):
+                shared = crossvalidate(tables[id(recs)], feature_set("CUSTOM", features),
+                                       ModelSpec(kind="qda")).to_dict()
+                assert shared == self.plain(recs, features)
+        first, second = (t.folds("S1") for t in tables.values())
+        assert not any(np.array_equal(u.scaled, v.scaled) for u, v in zip(first, second))
+
+    def test_each_fold_is_split_once_per_table(self, monkeypatch):
+        # the set-independent part runs at the first set only: one class
+        # encoding and one min-max fit per fold, however many sets follow
+        calls = {"class_codes": 0, "fit": 0}
+        encode, scale = evaluate_module.class_codes, evaluate_module.normalize_features
+
+        def counted_codes(y):
+            calls["class_codes"] += 1
+            return encode(y)
+
+        def counted_scale(rows, fitted=None):
+            calls["fit"] += fitted is None
+            return scale(rows, fitted)
+
+        monkeypatch.setattr(evaluate_module, "class_codes", counted_codes)
+        monkeypatch.setattr(evaluate_module, "normalize_features", counted_scale)
+        table = build_table(quick_dataset(), SHARED_SETS)
+        for features in SHARED_SETS:
+            crossvalidate(table, feature_set("CUSTOM", features), ModelSpec(kind="qda"))
+        assert calls == {"class_codes": 3, "fit": 3}
+        assert table.folds("S1") is table.folds("S1")

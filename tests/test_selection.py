@@ -75,6 +75,25 @@ class TestForwardSelect:
         trace = forward_select(amplitude_recordings, config(pool))
         assert list(trace.selected).count("RMS") <= 1
 
+    def test_repeated_pool_id_is_scored_once(self, amplitude_recordings, monkeypatch):
+        # the repeat is cross-validated once per pass, as if the pool held
+        # it once; the config keeps the pool as given
+        def counted_select(pool):
+            calls = []
+
+            def counting(*args):
+                calls.append(args[1].features)
+                return crossvalidate(*args)
+
+            monkeypatch.setattr(emgpr.selection, "crossvalidate", counting)
+            return forward_select(amplitude_recordings, config(pool)), calls
+
+        repeated, repeated_calls = counted_select(("RMS", "RMS", "WL"))
+        unique, unique_calls = counted_select(("RMS", "WL"))
+        assert repeated == unique and repeated_calls == unique_calls
+        assert len(unique_calls) == 3
+        assert config(("RMS", "RMS", "WL")).to_dict()["pool"] == ["RMS", "RMS", "WL"]
+
     def test_trace_serialization_and_table(self, amplitude_recordings):
         trace = forward_select(amplitude_recordings, config(("RMS", "ZC")))
         d = trace.to_dict()
