@@ -5,7 +5,8 @@ the SVM trains one-vs-one RBF machines with a deterministic SMO solver, and
 KNN memorizes the training set and votes over cityblock neighbors.
 
 Training encodes the labels once, in sorted order as ULDA does
-(`reduce.class_codes`).  QDA groups the rows by class with one stable sort,
+(`reduce.class_codes`).  QDA groups the rows by class with the encoding's
+stable sort, so a caller that fitted ULDA on the same encoding sorts once,
 then shrinks and factors every class covariance in one batched step; it
 predicts all classes' Mahalanobis terms from one stacked product with the
 inverse Cholesky factors.
@@ -26,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SingularCovariance, check_number
-from .reduce import check_class_sizes, class_codes, group_rows
+from .reduce import ClassCodes, check_class_sizes, class_codes, group_rows
 
 #: SMO stopping rule: KKT tolerance, and the work cap in sweeps of n pair updates.
 SVM_TOL = 1e-3
@@ -122,10 +123,10 @@ def _cholesky(covs: np.ndarray, classes) -> np.ndarray:
         raise
 
 
-def _train_qda(spec: ModelSpec, X, classes, codes) -> QdaModel:
-    k, d = len(classes), X.shape[1]
-    rows, bounds, means = group_rows(X, codes, k)
-    counts = np.diff(bounds)
+def _train_qda(spec: ModelSpec, X, encoded: ClassCodes) -> QdaModel:
+    classes, counts, bounds = encoded.classes, encoded.counts, encoded.bounds
+    d = X.shape[1]
+    rows, means = group_rows(X, encoded)
     check_class_sizes(classes, counts)  # each scatter is divided by n - 1
     # np.cov's arithmetic per class: centre, Gram product, times 1/(n - 1)
     centred = rows - np.repeat(means, counts, axis=0)
@@ -331,7 +332,8 @@ class SvmModel:
         return labels[0] if one else labels
 
 
-def _train_svm(spec: ModelSpec, X, classes, codes) -> SvmModel:
+def _train_svm(spec: ModelSpec, X, encoded: ClassCodes) -> SvmModel:
+    classes, codes = encoded.classes, encoded.codes
     pairs = [(i, j) for i in range(len(classes)) for j in range(i + 1, len(classes))]
     rows = [np.flatnonzero((codes == i) | (codes == j)) for i, j in pairs]
     ys = [np.where(codes[r] == i, 1.0, -1.0) for r, (i, _) in zip(rows, pairs)]
@@ -383,8 +385,9 @@ class KnnModel:
         return labels[0] if one else labels
 
 
-def _train_knn(spec: ModelSpec, X, classes, codes) -> KnnModel:
-    return KnnModel(X=X.copy(), classes=classes, codes=codes, k=spec.knn_k)
+def _train_knn(spec: ModelSpec, X, encoded: ClassCodes) -> KnnModel:
+    return KnnModel(X=X.copy(), classes=encoded.classes, codes=encoded.codes,
+                    k=spec.knn_k)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +405,7 @@ def train(spec: ModelSpec, X: np.ndarray, y, *, _encoded=None):
     y = np.asarray(y)
     if X.ndim != 2 or len(X) != len(y):
         raise ValueError("X must be (n_samples, d) aligned with y")
-    return _KINDS[spec.kind](spec, X, *(class_codes(y) if _encoded is None else _encoded))
+    return _KINDS[spec.kind](spec, X, class_codes(y) if _encoded is None else _encoded)
 
 
 def predict(model, x):

@@ -7,11 +7,15 @@ against one table; sweep builds one such table per grid value and scores
 every set on it.  Each fold holds one trial of every movement out and
 fits one Pipeline (min-max bounds, the ULDA projection and the classifier)
 on the training folds only, so no test information leaks into the fitted
-chain.  The part of a fold that no set changes (its rows, the
-missing-movement check, the class codes, and the min-max fit over every
-table column, which works column by column) is computed once per table, at
+chain.  The part of a fold that no set changes (the missing-movement
+check, the class codes and their grouping, the min-max fit over every table
+column, which works column by column, the scaled training and held-out rows
+and the held-out labels as movement indices) is computed once per table, at
 the first set scored on it, and sliced for each set; fit_scaled fits the
-rest, as fit_pipeline does after its own scaling.
+rest, as fit_pipeline does after its own scaling.  Each fold is scored in
+movement indices: the model's predictions are mapped back to them and
+counted in one bincount, the counting ConfusionMatrix.from_predictions does
+after encoding its labels.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .preprocess import (
     segment,
     window_grid,
 )
-from .reduce import UldaProjection, class_codes, fit_ulda, project
+from .reduce import ClassCodes, UldaProjection, class_codes, fit_ulda, project
 from .seeding import derive_seed
 
 #: The five one-vs-rest scores as (report name, per-class field, macro
@@ -57,18 +61,51 @@ METRIC_NAMES = tuple(_SCALAR_FIELDS)
 DEFAULT_WINDOW_MS = 250.0
 
 
+def _label_codes(values, labels) -> np.ndarray:
+    """Each value's index into `labels`; ValueError naming a value that is
+    not one of them."""
+    index = {label: i for i, label in enumerate(labels)}
+    present, inverse = np.unique(np.asarray(values), return_inverse=True)
+    try:
+        return np.array([index[v] for v in present.tolist()], dtype=np.intp)[inverse]
+    except KeyError as unknown:
+        raise ValueError(
+            f"label {unknown.args[0]!r} is not one of {tuple(labels)!r}"
+        ) from None
+
+
+def _pair_counts(true_codes, pred_codes, k: int) -> np.ndarray:
+    """(k, k) counts of (true, predicted) code pairs, codes in [0, k), from
+    one bincount."""
+    return np.bincount(true_codes * k + pred_codes, minlength=k * k).reshape(k, k)
+
+
 @dataclass(frozen=True)
 class ConfusionMatrix:
-    """K x K counts; rows are true classes, columns predicted."""
+    """K x K counts; rows are true classes, columns predicted.
+
+    ValueError when a label repeats, the shape is not (K, K), or a count is
+    negative or not a whole number (a float count is never truncated).
+    """
 
     counts: np.ndarray
     labels: tuple
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=int)
+        for i, label in enumerate(self.labels):
+            if label in self.labels[:i]:
+                raise ValueError(f"label {label!r} is repeated in {self.labels!r}")
+        counts = np.asarray(self.counts)
         k = len(self.labels)
         if counts.shape != (k, k):
             raise ValueError("counts must be (K, K) matching labels")
+        if counts.dtype.kind not in "biu":
+            whole = np.isfinite(counts) & (counts == np.trunc(counts))
+            if not whole.all():
+                i, j = np.argwhere(~whole)[0].tolist()
+                raise ValueError(
+                    f"counts[{i}, {j}] is {counts[i, j].item()!r}, not a whole number")
+        counts = counts.astype(int, copy=False)
         if (counts < 0).any():
             raise ValueError("counts must be non-negative")
         object.__setattr__(self, "counts", counts)
@@ -76,26 +113,15 @@ class ConfusionMatrix:
     @classmethod
     def from_predictions(cls, y_true, y_pred, labels) -> "ConfusionMatrix":
         """Counts of (true, predicted) label pairs; ValueError when the two
-        differ in length or hold a label outside `labels`."""
+        differ in length, hold a label outside `labels` or `labels` repeats
+        one."""
         labels = tuple(labels)
         if len(y_true) != len(y_pred):
             raise ValueError(
                 f"y_true has {len(y_true)} labels but y_pred has {len(y_pred)}"
             )
-        index = {label: i for i, label in enumerate(labels)}
-
-        def codes(values):
-            present, inverse = np.unique(np.asarray(values), return_inverse=True)
-            try:
-                return np.array([index[v] for v in present.tolist()], dtype=np.intp)[inverse]
-            except KeyError as unknown:
-                raise ValueError(
-                    f"label {unknown.args[0]!r} is not one of {labels!r}"
-                ) from None
-
-        k = len(labels)
-        pairs = codes(y_true) * k + codes(y_pred)
-        counts = np.bincount(pairs, minlength=k * k).reshape(k, k)
+        counts = _pair_counts(_label_codes(y_true, labels), _label_codes(y_pred, labels),
+                              len(labels))
         return cls(counts=counts, labels=labels)
 
     @property
@@ -379,21 +405,25 @@ def _describe(exc: EmgprError) -> str:
 class TableFold:
     """The part of one subject's fold that no feature set changes.
 
-    `test` masks the rows of the held-out trial.  When the training trials
-    lack a movement, `error` is the DegenerateClasses failure that every set
-    records and the other fields are None.  Otherwise the fold holds the
-    training labels, their `class_codes`, min-max bounds fitted on the
-    training rows of every table column, and those rows scaled with them,
-    channel-major as `FeatureTable.matrix` lays them out.
+    When the training trials lack a movement, `error` is the
+    DegenerateClasses failure that every set records and the other fields
+    are None.  Otherwise the fold holds the training labels, their
+    `class_codes` (the encoding and its class grouping), min-max bounds
+    fitted on the training rows of every table column, and those rows scaled
+    with them; and the held-out trial's labels as indices into the table's
+    movements (`test_codes`) and its rows scaled and clipped with the same
+    bounds (`test_scaled`).  Rows are channel-major, as `FeatureTable.matrix`
+    lays them out.
     """
 
     held_out: int
-    test: np.ndarray
     error: str = None
     y_train: np.ndarray = None
-    encoded: tuple = None
+    encoded: ClassCodes = None
     bounds: MinMax = None
     scaled: np.ndarray = None
+    test_codes: np.ndarray = None
+    test_scaled: np.ndarray = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -450,8 +480,8 @@ class FeatureTable:
         """One TableFold per held-out trial of a subject, in trial order.
 
         The split is made at the first call and kept, so every set scored on
-        this table shares it; it holds one scaled copy of the subject's
-        training rows per fold.
+        this table shares it; it holds one scaled copy of the subject's rows
+        per fold, training and held-out.
         """
         if subject not in self._folds:
             self._folds[subject] = tuple(self._split(subject))
@@ -461,6 +491,7 @@ class FeatureTable:
         block = self.values[subject]
         rows = block.reshape(len(block), -1)
         y, trial_ids = self.labels[subject], self.trials[subject]
+        codes = _label_codes(y, self.movements)
         trials_of = {m: set(trial_ids[y == m].tolist()) for m in self.movements}
         for held_out in sorted(set(trial_ids.tolist())):
             test = trial_ids == held_out
@@ -471,11 +502,13 @@ class FeatureTable:
                 y_train = y[~test]
                 encoded = class_codes(y_train)
             except EmgprError as exc:
-                yield TableFold(int(held_out), test, error=_describe(exc))
+                yield TableFold(int(held_out), error=_describe(exc))
                 continue
             scaled, bounds = normalize_features(rows[~test])
-            yield TableFold(int(held_out), test, y_train=y_train, encoded=encoded,
-                            bounds=bounds, scaled=scaled)
+            test_scaled, _ = normalize_features(rows[test], bounds)
+            yield TableFold(int(held_out), y_train=y_train, encoded=encoded,
+                            bounds=bounds, scaled=scaled, test_codes=codes[test],
+                            test_scaled=test_scaled)
 
 
 def build_table(
@@ -585,8 +618,11 @@ def crossvalidate(
     Only this loop knows the table's movement order: a fold whose training
     trials lack a movement fails with DegenerateClasses, and every fold is
     scored in movement order, whatever the fitted model's class order.  Each
-    fold's split, class codes and min-max fit come from `FeatureTable.folds`,
-    sliced to the set's columns, so a table computes them once for every set.
+    fold's split, class codes and grouping, min-max fit and scaled held-out
+    rows come from `FeatureTable.folds`, sliced to the set's columns, so a
+    table computes them once for every set.  A fold's predictions are mapped
+    to movement indices and counted against the held-out codes in one
+    bincount, as `ConfusionMatrix.from_predictions` counts labels.
     """
     if isinstance(recordings, FeatureTable):
         if settings:
@@ -597,11 +633,13 @@ def crossvalidate(
     else:
         table = build_table(recordings, [feature_set.features], **settings)
     labels = table.movements
+    # every movement trains in a fold that is scored, so a fitted model's
+    # classes are the movements sorted: class i is movement movement_of[i]
+    movement_of = np.argsort(np.asarray(labels))
 
     folds, failures = [], []
     for subject in table.subjects:
         columns = table.flat_positions(subject, feature_set.features)
-        X, y = table.matrix(subject, feature_set.features), table.labels[subject]
         for fold in table.folds(subject):
             error = fold.error
             if error is None:
@@ -612,8 +650,15 @@ def crossvalidate(
                     # rows have, so ULDA sums in the same order
                     pipeline = fit_scaled(np.take(fold.scaled, columns, axis=1),
                                           fold.y_train, bounds, model_spec, fold.encoded)
-                    predicted = pipeline.predict(X[fold.test])
-                    cm = ConfusionMatrix.from_predictions(y[fold.test], predicted, labels)
+                    # Pipeline.predict after its scaling, on rows the fold scaled
+                    model = pipeline.model
+                    predicted = model.predict(project(
+                        pipeline.projection, np.take(fold.test_scaled, columns, axis=1)))
+                    counts = _pair_counts(
+                        fold.test_codes,
+                        movement_of[np.searchsorted(model.classes, predicted)],
+                        len(labels))
+                    cm = ConfusionMatrix(counts=counts, labels=labels)
                     folds.append(FoldEval(subject=subject, fold_trial=fold.held_out,
                                           confusion=cm, scores=metrics(cm)))
                 except EmgprError as exc:

@@ -4,8 +4,10 @@ The projection is built by two SVD stages: whiten the total scatter, then
 diagonalize the between-class scatter in the whitened space.  Projected
 training features come out mutually uncorrelated with unit variance, and the
 output dimension is at most n_classes - 1.  The labels are encoded in sorted
-order (`class_codes`) and the class means come from one grouped pass
-(`group_rows`); classifier training shares both.
+order and grouped by class with one stable sort (`class_codes`), and the
+class means come from one pass over that grouping (`group_rows`); classifier
+training reads the same encoding, so a cross-validation fold that encodes its
+training labels once sorts them once for both fits.
 """
 
 from __future__ import annotations
@@ -23,29 +25,55 @@ from .preprocess import normalize_features
 RANK_TOL = 1e-10
 
 
-def class_codes(y):
-    """(classes, codes): the sorted labels, at least two, and each row's index into them."""
+@dataclass(frozen=True, eq=False)
+class ClassCodes:
+    """Labels encoded in sorted order and grouped by class once.
+
+    `classes` are the sorted labels (at least two from `class_codes`) and
+    `codes` each row's index into them.  `order` is the stable argsort of
+    `codes`, `counts` the rows of each class and `bounds` the k + 1 offsets
+    into `order`: class i is rows order[bounds[i]:bounds[i + 1]], in row
+    order.
+    """
+
+    classes: np.ndarray
+    codes: np.ndarray
+    order: np.ndarray
+    counts: np.ndarray
+    bounds: list
+
+
+def class_codes(y) -> ClassCodes:
+    """Encode and group labels y; DegenerateClasses when they hold fewer than
+    two classes."""
     classes, codes = np.unique(y, return_inverse=True)
     if len(classes) < 2:
         raise DegenerateClasses("need at least two classes")
-    return classes, codes
+    return _grouped(classes, codes)
 
 
-def group_rows(X: np.ndarray, codes: np.ndarray, k: int):
-    """Rows of X grouped by integer class code with one stable sort.
+def _grouped(classes: np.ndarray, codes: np.ndarray) -> ClassCodes:
+    """The ClassCodes of an encoding, grouped with one stable sort."""
+    counts = np.bincount(codes, minlength=len(classes))
+    return ClassCodes(classes=classes, codes=codes,
+                      order=np.argsort(codes, kind="stable"), counts=counts,
+                      bounds=[0] + np.cumsum(counts).tolist())
 
-    Returns (rows, bounds, means): class i is rows[bounds[i]:bounds[i + 1]],
-    which holds the rows of X[codes == i] in the same order, and means[i] is
-    that slice's mean, equal to X[codes == i].mean(axis=0) bit for bit.
-    `bounds` is a list of k + 1 ints.  Every code lies in [0, k).
+
+def group_rows(X: np.ndarray, encoded: ClassCodes):
+    """Rows of X grouped by class, as `encoded` (`class_codes` of their
+    labels) orders them.
+
+    Returns (rows, means): class i is rows[bounds[i]:bounds[i + 1]] of
+    `encoded.bounds`, which holds the rows of X[codes == i] in the same
+    order, and means[i] is that slice's mean, equal to
+    X[codes == i].mean(axis=0) bit for bit.
     """
-    rows = X[np.argsort(codes, kind="stable")]
-    counts = np.bincount(codes, minlength=k)
-    bounds = [0] + np.cumsum(counts).tolist()
+    rows, bounds = X[encoded.order], encoded.bounds
     # add.reduce of each slice is the sum ndarray.mean takes, in its order
     sums = np.array([np.add.reduce(rows[a:b], axis=0)
                      for a, b in zip(bounds[:-1], bounds[1:])])
-    return rows, bounds, sums / counts[:, None]
+    return rows, sums / encoded.counts[:, None]
 
 
 def check_class_sizes(classes: np.ndarray, counts: np.ndarray) -> None:
@@ -67,14 +95,15 @@ def fit_ulda(X: np.ndarray, y, *, _encoded=None) -> UldaProjection:
 
     Deterministic up to column sign; signs are fixed by making the
     largest-magnitude entry of every column positive.  `_encoded` is
-    `class_codes(y)` from a caller that already has it.
+    `class_codes(y)` from a caller that already has it; the class means are
+    read off its grouping.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     if X.ndim != 2 or X.shape[1] < 1:
         raise ValueError("X must be (n_samples, d_in)")
-    classes, codes = class_codes(y) if _encoded is None else _encoded
-    counts = np.bincount(codes)
+    encoded = class_codes(y) if _encoded is None else _encoded
+    classes, counts = encoded.classes, encoded.counts
     check_class_sizes(classes, counts)
 
     n = X.shape[0]
@@ -90,7 +119,7 @@ def fit_ulda(X: np.ndarray, y, *, _encoded=None) -> UldaProjection:
 
     # between-class scatter factor: columns sqrt(n_k/n) * (mu_k - mu), in
     # sorted-label order
-    _, _, means = group_rows(X, codes, len(classes))
+    _, means = group_rows(X, encoded)
     Hb = np.ascontiguousarray((np.sqrt(counts / n)[:, None] * (means - mean)).T)
     P, sb, _ = np.linalg.svd(whiten.T @ Hb, full_matrices=False)
     keep_b = sb > RANK_TOL * sb[0] if sb[0] > 0 else np.zeros_like(sb, bool)
@@ -127,15 +156,16 @@ def _class_stats(reduced: np.ndarray, y):
     y = np.asarray(y)
     if len(y) != len(reduced):
         raise ValueError(f"{len(reduced)} rows but {len(y)} labels")
-    classes, codes = np.unique(y, return_inverse=True)
-    rows, bounds, means = group_rows(reduced, codes, len(classes))
+    encoded = _grouped(*np.unique(y, return_inverse=True))
+    rows, means = group_rows(reduced, encoded)
+    bounds = encoded.bounds
     stds = np.stack(
         [
             rows[a:b].std(axis=0, ddof=1) if b - a > 1 else np.zeros(reduced.shape[1])
             for a, b in zip(bounds[:-1], bounds[1:])
         ]
     )
-    return classes, means, stds
+    return encoded.classes, means, stds
 
 
 def res_index_general(reduced: np.ndarray, y) -> float:

@@ -33,10 +33,12 @@ from emgpr import evaluate as evaluate_module
 from emgpr.evaluate import (
     CSV_HEADER,
     ConfusionMatrix,
+    FeatureTable,
     compare_groups,
     fit_pipeline,
     fit_scaled,
 )
+from emgpr.preprocess import MinMax, normalize_features
 
 
 def binary_cm(tp, fn, fp, tn):
@@ -169,6 +171,27 @@ class TestConfusionMatrix:
         with pytest.raises(ValueError, match="label 'd' is not one of"):
             ConfusionMatrix.from_predictions(["a", "b"], ["d", "a"], ["a", "b"])
 
+    def test_non_integral_count_rejected(self):
+        # a fractional count was truncated to 1 before
+        with pytest.raises(ValueError, match=r"counts\[0, 0\] is 1\.7, not a whole number"):
+            ConfusionMatrix(counts=[[1.7, 0], [0, 2]], labels=("T", "I"))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"counts\[1, 0\] is"):
+                ConfusionMatrix(counts=[[1, 0], [bad, 2]], labels=("T", "I"))
+        for whole in ([[1.0, 0.0], [0.0, 2.0]], np.array([[1, 0], [0, 2]], np.uint8)):
+            cm = ConfusionMatrix(counts=whole, labels=("T", "I"))
+            assert cm.counts.dtype == int and cm.counts.tolist() == [[1, 0], [0, 2]]
+        with pytest.raises(ValueError, match="non-negative"):
+            ConfusionMatrix(counts=[[1.0, -1.0], [0.0, 2.0]], labels=("T", "I"))
+
+    def test_repeated_label_rejected(self):
+        # a repeated label gave a class with no counts that entered every
+        # macro score
+        with pytest.raises(ValueError, match=r"label 'T' is repeated in \('T', 'I', 'T'\)"):
+            ConfusionMatrix.from_predictions(["T", "I"], ["T", "I"], ("T", "I", "T"))
+        with pytest.raises(ValueError, match="label 'T' is repeated"):
+            ConfusionMatrix(counts=np.eye(3, dtype=int), labels=("T", "I", "T"))
+
 
 class TestAnova:
     def test_hand_case_exact_f(self):
@@ -223,11 +246,11 @@ class TestAnova:
         assert result["p_value"] == 0.0
 
 
-def quick_dataset(seed=9, n_movements=5, n_trials=3, duration_s=2.0):
+def quick_dataset(seed=9, n_movements=5, n_trials=3, duration_s=2.0, ratio=2.0):
     spec = SyntheticSpec(
         n_subjects=1, n_channels=2, n_movements=n_movements, n_trials=n_trials,
         duration_s=duration_s, sample_rate_hz=2000.0,
-        class_gain_matrix=separable_gain_grid(n_movements, 2, 2.0), seed=seed,
+        class_gain_matrix=separable_gain_grid(n_movements, 2, ratio), seed=seed,
     )
     return generate_synthetic(spec)
 
@@ -335,6 +358,29 @@ class TestCrossvalidate:
         assert same_chain(clean[2], dirty[2])
         assert not same_chain(clean[1], dirty[1])
         assert not same_chain(clean[3], dirty[3])
+
+    @pytest.mark.parametrize("kind", ["qda", "svm", "knn"])
+    def test_fold_counts_equal_a_pipeline_fitted_per_fold(self, kind):
+        # the table's movements run T, I, M, R, L, not in the sorted order a
+        # model keeps its classes in, so every prediction is mapped back to
+        # its movement; classes 1.1x apart leave errors off the diagonal
+        spec, model_spec = feature_set("FS2"), ModelSpec(kind=kind)
+        table = build_table(quick_dataset(ratio=1.1), [spec.features])
+        assert table.movements == ("T", "I", "M", "R", "L")
+        report = crossvalidate(table, spec, model_spec)
+        X = table.matrix("S1", spec.features)
+        y, trials = table.labels["S1"], table.trials["S1"]
+        assert [fold.fold_trial for fold in report.folds] == [1, 2, 3]
+        off_diagonal = 0
+        for fold in report.folds:
+            train_rows = trials != fold.fold_trial
+            pipeline = fit_pipeline(X[train_rows], y[train_rows], model_spec)
+            cm = ConfusionMatrix.from_predictions(
+                y[~train_rows], pipeline.predict(X[~train_rows]), table.movements)
+            assert fold.confusion.labels == table.movements
+            assert np.array_equal(fold.confusion.counts, cm.counts)
+            off_diagonal += cm.total - int(np.trace(cm.counts))
+        assert off_diagonal > 0
 
     @pytest.mark.parametrize("kind", ["qda", "svm", "knn"])
     def test_pipeline_encodes_the_labels_once(self, kind, monkeypatch):
@@ -817,22 +863,85 @@ class TestSharedFolds:
 
     def test_each_fold_is_split_once_per_table(self, monkeypatch):
         # the set-independent part runs at the first set only: one class
-        # encoding and one min-max fit per fold, however many sets follow
-        calls = {"class_codes": 0, "fit": 0}
-        encode, scale = evaluate_module.class_codes, evaluate_module.normalize_features
+        # encoding, one class grouping and one min-max fit per fold, however
+        # many sets follow; every set's ULDA and QDA fits read the fold's
+        # grouping, and its counts come from the kept held-out codes, not
+        # from from_predictions
+        from emgpr import classify, reduce
+
+        calls = {"class_codes": 0, "grouping": 0, "fit": 0}
+        encode, group = evaluate_module.class_codes, reduce._grouped
+        scale = evaluate_module.normalize_features
 
         def counted_codes(y):
             calls["class_codes"] += 1
             return encode(y)
 
+        def counted_grouping(classes, codes):
+            calls["grouping"] += 1
+            return group(classes, codes)
+
         def counted_scale(rows, fitted=None):
             calls["fit"] += fitted is None
             return scale(rows, fitted)
 
+        def refuse(*args, **kwargs):
+            raise AssertionError("called while scoring a set on a table")
+
+        read = []
+
+        def recorded(module):
+            rows_of = module.group_rows
+            return lambda X, encoded: read.append(encoded) or rows_of(X, encoded)
+
         monkeypatch.setattr(evaluate_module, "class_codes", counted_codes)
+        monkeypatch.setattr(reduce, "_grouped", counted_grouping)
         monkeypatch.setattr(evaluate_module, "normalize_features", counted_scale)
+        monkeypatch.setattr(ConfusionMatrix, "from_predictions", refuse)
+        for module in (reduce, classify):
+            monkeypatch.setattr(module, "class_codes", refuse)
+            monkeypatch.setattr(module, "group_rows", recorded(module))
         table = build_table(quick_dataset(), SHARED_SETS)
         for features in SHARED_SETS:
             crossvalidate(table, feature_set("CUSTOM", features), ModelSpec(kind="qda"))
-        assert calls == {"class_codes": 3, "fit": 3}
+        assert calls == {"class_codes": 3, "grouping": 3, "fit": 3}
         assert table.folds("S1") is table.folds("S1")
+        kept = [fold.encoded for fold in table.folds("S1")]
+        # fit_ulda and the QDA trainer each read the fold's grouping once per set
+        assert [sum(e is k for e in read) for k in kept] == [2 * len(SHARED_SETS)] * 3
+        assert len(read) == 2 * len(SHARED_SETS) * 3
+
+    def test_kept_test_rows_are_the_sliced_scaling(self):
+        # two channels of three columns; in the fold that holds trial 3 out,
+        # column (channel 0, RMS) is constant in training, and the held-out
+        # rows read below and above every column's training range
+        rng = np.random.default_rng(5)
+        trials = np.repeat([1, 2, 3], 4)
+        labels = np.tile(["I", "I", "T", "T"], 3)
+        block = rng.uniform(0.0, 1.0, (12, 2, 3))
+        block[trials != 3, 0, 0] = 0.5
+        block[trials == 3] = rng.uniform(-1.0, 2.0, (4, 2, 3))
+        # one held-out row below and one above every training range
+        block[np.flatnonzero(trials == 3)[:2]] = np.array([-5.0, 5.0])[:, None, None]
+        table = FeatureTable(
+            values={"S1": block}, labels={"S1": labels}, trials={"S1": trials},
+            movements=("T", "I"), columns=(("RMS", None), ("WL", None), ("MAV", None)),
+            thresholds=Thresholds(), window_ms=250.0, overlap_ms=0.0, snr_db=None,
+            filter_spec=FilterSpec(), seed=0)
+        rows = block.reshape(12, -1)
+        folds = table.folds("S1")
+        third = folds[2]
+        assert third.held_out == 3 and third.bounds.mins[0] == third.bounds.maxs[0]
+        held = rows[trials == 3]
+        assert (held < third.bounds.mins).any(axis=0).all()
+        assert (held > third.bounds.maxs).any(axis=0).all()
+        for fold in folds:
+            test = trials == fold.held_out
+            assert np.array_equal(fold.test_codes, [1, 1, 0, 0])
+            for features in (("RMS",), ("WL",), ("MAV", "RMS"), ("RMS", "WL", "MAV")):
+                columns = table.flat_positions("S1", features)
+                sliced = MinMax(mins=fold.bounds.mins[columns], maxs=fold.bounds.maxs[columns])
+                alone, _ = normalize_features(rows[test][:, columns], sliced)
+                assert np.array_equal(np.take(fold.test_scaled, columns, axis=1), alone)
+        assert (third.test_scaled[:, 0] == 0.0).all()  # the constant column
+        assert third.test_scaled.min() == 0.0 and third.test_scaled.max() == 1.0
