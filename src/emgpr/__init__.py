@@ -2,8 +2,9 @@
 
 Pipeline pieces, usable separately or through `emgpr.evaluate.crossvalidate`
 (whose feature table, `build_table`, can be shared by several feature sets,
-as `sweep` does, and whose folds each fit one `Pipeline` as `fit_pipeline`
-does, from a split, class coding and min-max fit the table makes once):
+as `sweep` does, and whose folds each fit ULDA and the classifier as
+`fit_pipeline` does, on a split, class coding and min-max scaling the table
+makes once):
 recordings (load/synthesize/mix noise) -> causal bandpass+notch -> disjoint
 windows -> time-domain features (incl. the log-compressed LMAV/NSV pair) ->
 min-max scaling -> uncorrelated LDA -> QDA / RBF-SVM / KNN -> trial-wise

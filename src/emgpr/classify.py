@@ -5,11 +5,12 @@ the SVM trains one-vs-one RBF machines with a deterministic SMO solver, and
 KNN memorizes the training set and votes over cityblock neighbors.
 
 Training encodes the labels once, in sorted order as ULDA does
-(`reduce.class_codes`).  QDA groups the rows by class with the encoding's
-stable sort, so a caller that fitted ULDA on the same encoding sorts once,
-then shrinks and factors every class covariance in one batched step; it
-predicts all classes' Mahalanobis terms from one stacked product with the
-inverse Cholesky factors.
+(`reduce.class_codes`), or takes the encoding a caller passes as its labels.
+QDA groups the rows by class with the encoding's stable sort, so a caller
+that fitted ULDA on the same encoding sorts once, then shrinks and factors
+every class covariance in one batched step; it predicts all classes'
+Mahalanobis terms from one stacked product with the inverse Cholesky
+factors.
 
 The SVM computes one kernel matrix over all training rows and runs the SMO
 problems of all class pairs in lockstep, one padded row of state per pair;
@@ -397,15 +398,14 @@ def _train_knn(spec: ModelSpec, X, encoded: ClassCodes) -> KnnModel:
 _KINDS = {"qda": _train_qda, "svm": _train_svm, "knn": _train_knn}
 
 
-def train(spec: ModelSpec, X: np.ndarray, y, *, _encoded=None):
-    """Train the classifier named by spec.kind on reduced features; its
-    `classes` are the sorted labels of y.  `_encoded` is `class_codes(y)`
-    from a caller that already has it."""
+def train(spec: ModelSpec, X: np.ndarray, y):
+    """Train the classifier named by spec.kind on reduced features; y is one
+    label per row of X, or their `class_codes`, and the model's `classes` are
+    the sorted labels."""
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
     if X.ndim != 2 or len(X) != len(y):
         raise ValueError("X must be (n_samples, d) aligned with y")
-    return _KINDS[spec.kind](spec, X, class_codes(y) if _encoded is None else _encoded)
+    return _KINDS[spec.kind](spec, X, class_codes(y))
 
 
 def predict(model, x):

@@ -422,20 +422,27 @@ def _cmd_scatter(cfg: dict, out: Path) -> int:
     return 0
 
 
+def _report_scores(path, metric: str) -> list:
+    """The per-subject means of `metric` in an `evaluate` report.json, in
+    subject order; ValueError naming the file when it holds none."""
+    report = json.loads(Path(path).read_text())
+    per_subject = report.get("per_subject") if isinstance(report, dict) else None
+    means = per_subject.get(metric) if isinstance(per_subject, dict) else None
+    if not isinstance(means, dict):
+        raise ValueError(f"{path} is not an evaluate report: it has no "
+                         f"per_subject {metric!r} means")
+    return [means[s] for s in sorted(means)]
+
+
 def _cmd_compare(cfg: dict, out: Path) -> int:
     if not cfg["groups"] or len(cfg["groups"]) < 2:
         raise ValueError("compare needs at least two --group arguments")
     if cfg["metric"] not in METRIC_NAMES:
         raise ValueError(f"unknown metric {cfg['metric']!r}; "
                          f"known: {', '.join(METRIC_NAMES)}")
-    groups = []
-    for group in cfg["groups"]:
-        scores = []
-        for path in str(group).split(","):
-            report = json.loads(Path(path).read_text())
-            per_subject = report["per_subject"][cfg["metric"]]
-            scores.extend(per_subject[s] for s in sorted(per_subject))
-        groups.append(scores)
+    groups = [[score for path in str(group).split(",")
+               for score in _report_scores(path, cfg["metric"])]
+              for group in cfg["groups"]]
     result = compare_groups(groups, n_comparisons=cfg["comparisons"])
     _write_json(out / "compare.json", result)
     print(

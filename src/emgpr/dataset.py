@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -108,8 +108,8 @@ class DatasetManifest:
             raise ValueError(
                 f"unknown layout {self.layout!r}; only 'two_channel_csv' loads"
             )
-        if self.trials_per_movement < 2:
-            raise ValueError("leave-one-trial-out needs >= 2 trials per movement")
+        # leave-one-trial-out needs two trials of each movement
+        check_number("trials_per_movement", self.trials_per_movement, 2, integer=True)
         check_number("sample_rate_hz", self.sample_rate_hz, 0, open_low=True)
         for m in self.movements:
             if m not in MOVEMENTS:
@@ -132,7 +132,19 @@ class DatasetManifest:
 
     @classmethod
     def load(cls, path) -> "DatasetManifest":
-        return cls(**json.loads(Path(path).read_text()))
+        """The manifest saved at `path`; ValueError naming the file when it is
+        not a JSON object of exactly the manifest's fields."""
+        saved = json.loads(Path(path).read_text())
+        if not isinstance(saved, dict):
+            raise ValueError(f"{path} must hold a JSON object of manifest fields")
+        names = [f.name for f in fields(cls)]
+        for key in names:
+            if key not in saved:
+                raise ValueError(f"{path} has no {key!r} key")
+        for key in saved:
+            if key not in names:
+                raise ValueError(f"{path} has unknown key {key!r}")
+        return cls(**saved)
 
 
 def _parse_csv(path: Path, expected: int = None) -> np.ndarray:

@@ -5,15 +5,16 @@ and extracts every recording once into a FeatureTable, and the fold loop
 fits on a column slice of that table, so several feature sets can be scored
 against one table; sweep builds one such table per grid value and scores
 every set on it.  Each fold holds one trial of every movement out and
-fits one Pipeline (min-max bounds, the ULDA projection and the classifier)
-on the training folds only, so no test information leaks into the fitted
-chain.  The part of a fold that no set changes (the missing-movement
-check, the class codes and their grouping, the min-max fit over every table
-column, which works column by column, the scaled training and held-out rows
-and the held-out labels as movement indices) is computed once per table, at
-the first set scored on it, and sliced for each set; fit_scaled fits the
-rest, as fit_pipeline does after its own scaling.  Each fold is scored in
-movement indices: the model's predictions are mapped back to them and
+fits the chain fit_pipeline fits (min-max bounds, the ULDA projection and
+the classifier) on the training folds only, so no test information leaks
+into it.  The part of a fold that no set changes (the missing-movement
+check, the class codes and their grouping, the training and held-out rows
+min-max scaled over every table column, which works column by column, and
+the held-out labels as movement indices) is computed once per table, at the
+first set scored on it.  Each set slices its columns of the scaled rows and
+fits ULDA and the classifier on them with the fold's class codes as labels,
+the two calls fit_pipeline makes after its own scaling.  Each fold is scored
+in movement indices: the model's predictions are mapped back to them and
 counted in one bincount, the counting ConfusionMatrix.from_predictions does
 after encoding its labels.
 """
@@ -28,7 +29,8 @@ from scipy import special
 
 from .classify import ModelSpec, train
 from .dataset import MOVEMENTS, NO_MIX, mix_awgn
-from .errors import DegenerateClasses, EmgprError, EmptyMatrix, InsufficientGroups
+from .errors import (DegenerateClasses, EmgprError, EmptyMatrix, InsufficientGroups,
+                     check_number)
 from .features import FeatureSetSpec, Thresholds, ar_fit_order, ar_lag, extract_matrix
 from .preprocess import (
     FilterSpec,
@@ -227,18 +229,12 @@ class Pipeline:
 def fit_pipeline(X: np.ndarray, y, model_spec: ModelSpec) -> Pipeline:
     """Fit min-max bounds, ULDA and the classifier on training rows only.
 
-    The labels are encoded once, for both fits."""
+    The labels are encoded once, and both fits take that encoding as their
+    labels."""
     norm, bounds = normalize_features(X)
-    return fit_scaled(norm, y, bounds, model_spec, class_codes(y))
-
-
-def fit_scaled(norm: np.ndarray, y, bounds: MinMax, model_spec: ModelSpec,
-               encoded) -> Pipeline:
-    """The chain after min-max scaling: fit ULDA and the classifier on
-    training rows `norm`, already scaled with `bounds`, whose labels `y` are
-    encoded as `encoded` (`class_codes(y)`)."""
-    projection = fit_ulda(norm, y, _encoded=encoded)
-    model = train(model_spec, project(projection, norm), y, _encoded=encoded)
+    encoded = class_codes(y)
+    projection = fit_ulda(norm, encoded)
+    model = train(model_spec, project(projection, norm), encoded)
     return Pipeline(bounds=bounds, projection=projection, model=model)
 
 
@@ -407,20 +403,19 @@ class TableFold:
 
     When the training trials lack a movement, `error` is the
     DegenerateClasses failure that every set records and the other fields
-    are None.  Otherwise the fold holds the training labels, their
-    `class_codes` (the encoding and its class grouping), min-max bounds
-    fitted on the training rows of every table column, and those rows scaled
-    with them; and the held-out trial's labels as indices into the table's
-    movements (`test_codes`) and its rows scaled and clipped with the same
-    bounds (`test_scaled`).  Rows are channel-major, as `FeatureTable.matrix`
-    lays them out.
+    are None.  Otherwise the fold holds the training labels' `class_codes`
+    (the encoding and its class grouping, which ULDA and the classifier take
+    as their labels) and the training rows min-max scaled over every table
+    column; and the held-out trial's labels as indices into the table's
+    movements (`test_codes`) and its rows scaled and clipped with the
+    training rows' bounds (`test_scaled`).  Min-max scaling works column by
+    column, so a set's columns of these rows are its own scaling.  Rows are
+    channel-major, as `FeatureTable.matrix` lays them out.
     """
 
     held_out: int
     error: str = None
-    y_train: np.ndarray = None
     encoded: ClassCodes = None
-    bounds: MinMax = None
     scaled: np.ndarray = None
     test_codes: np.ndarray = None
     test_scaled: np.ndarray = None
@@ -499,16 +494,14 @@ class FeatureTable:
                 missing = [m for m in self.movements if trials_of[m] <= {held_out}]
                 if missing:
                     raise DegenerateClasses(f"declared classes with no samples: {missing}")
-                y_train = y[~test]
-                encoded = class_codes(y_train)
+                encoded = class_codes(y[~test])
             except EmgprError as exc:
                 yield TableFold(int(held_out), error=_describe(exc))
                 continue
             scaled, bounds = normalize_features(rows[~test])
             test_scaled, _ = normalize_features(rows[test], bounds)
-            yield TableFold(int(held_out), y_train=y_train, encoded=encoded,
-                            bounds=bounds, scaled=scaled, test_codes=codes[test],
-                            test_scaled=test_scaled)
+            yield TableFold(int(held_out), encoded=encoded, scaled=scaled,
+                            test_codes=codes[test], test_scaled=test_scaled)
 
 
 def build_table(
@@ -618,7 +611,7 @@ def crossvalidate(
     Only this loop knows the table's movement order: a fold whose training
     trials lack a movement fails with DegenerateClasses, and every fold is
     scored in movement order, whatever the fitted model's class order.  Each
-    fold's split, class codes and grouping, min-max fit and scaled held-out
+    fold's split, class codes and grouping, and scaled training and held-out
     rows come from `FeatureTable.folds`, sliced to the set's columns, so a
     table computes them once for every set.  A fold's predictions are mapped
     to movement indices and counted against the held-out codes in one
@@ -644,16 +637,15 @@ def crossvalidate(
             error = fold.error
             if error is None:
                 try:
-                    bounds = MinMax(mins=fold.bounds.mins[columns],
-                                    maxs=fold.bounds.maxs[columns])
-                    # take, not [:, columns], gives the C order fit_pipeline's
-                    # rows have, so ULDA sums in the same order
-                    pipeline = fit_scaled(np.take(fold.scaled, columns, axis=1),
-                                          fold.y_train, bounds, model_spec, fold.encoded)
+                    # fit_pipeline after its scaling; take, not [:, columns],
+                    # gives the C order its rows have, so ULDA sums in the
+                    # same order
+                    scaled = np.take(fold.scaled, columns, axis=1)
+                    projection = fit_ulda(scaled, fold.encoded)
+                    model = train(model_spec, project(projection, scaled), fold.encoded)
                     # Pipeline.predict after its scaling, on rows the fold scaled
-                    model = pipeline.model
                     predicted = model.predict(project(
-                        pipeline.projection, np.take(fold.test_scaled, columns, axis=1)))
+                        projection, np.take(fold.test_scaled, columns, axis=1)))
                     counts = _pair_counts(
                         fold.test_codes,
                         movement_of[np.searchsorted(model.classes, predicted)],
@@ -718,8 +710,7 @@ def compare_groups(groups, n_comparisons: int = 1) -> dict:
         raise InsufficientGroups("need at least two groups")
     if any(len(g) == 0 for g in groups):
         raise InsufficientGroups("groups must be non-empty")
-    if n_comparisons < 1:
-        raise ValueError("n_comparisons must be >= 1")
+    check_number("n_comparisons", n_comparisons, 1, integer=True)
     sizes = np.asarray([len(g) for g in groups])
     total_n = int(sizes.sum())
     k = len(groups)

@@ -5,9 +5,10 @@ diagonalize the between-class scatter in the whitened space.  Projected
 training features come out mutually uncorrelated with unit variance, and the
 output dimension is at most n_classes - 1.  The labels are encoded in sorted
 order and grouped by class with one stable sort (`class_codes`), and the
-class means come from one pass over that grouping (`group_rows`); classifier
-training reads the same encoding, so a cross-validation fold that encodes its
-training labels once sorts them once for both fits.
+class means come from one pass over that grouping (`group_rows`).  `fit_ulda`
+and classifier training take either the labels or their `class_codes` as y,
+so a cross-validation fold that encodes its training labels once sorts them
+once for both fits.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class ClassCodes:
     `codes` each row's index into them.  `order` is the stable argsort of
     `codes`, `counts` the rows of each class and `bounds` the k + 1 offsets
     into `order`: class i is rows order[bounds[i]:bounds[i + 1]], in row
-    order.
+    order.  Its length is the number of codes, one per row.
     """
 
     classes: np.ndarray
@@ -42,10 +43,15 @@ class ClassCodes:
     counts: np.ndarray
     bounds: list
 
+    def __len__(self) -> int:
+        return len(self.codes)
+
 
 def class_codes(y) -> ClassCodes:
     """Encode and group labels y; DegenerateClasses when they hold fewer than
-    two classes."""
+    two classes.  A ClassCodes is returned as it is."""
+    if isinstance(y, ClassCodes):
+        return y
     classes, codes = np.unique(y, return_inverse=True)
     if len(classes) < 2:
         raise DegenerateClasses("need at least two classes")
@@ -90,19 +96,20 @@ class UldaProjection:
     d_out: int
 
 
-def fit_ulda(X: np.ndarray, y, *, _encoded=None) -> UldaProjection:
+def fit_ulda(X: np.ndarray, y) -> UldaProjection:
     """Fit the two-stage SVD reduction on a labeled feature matrix.
 
-    Deterministic up to column sign; signs are fixed by making the
-    largest-magnitude entry of every column positive.  `_encoded` is
-    `class_codes(y)` from a caller that already has it; the class means are
-    read off its grouping.
+    y is one label per row of X, or their `class_codes`; the class means are
+    read off that grouping.  ValueError when X is not 2-D or y does not give
+    one label per row.  Deterministic up to column sign; signs are fixed by
+    making the largest-magnitude entry of every column positive.
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
     if X.ndim != 2 or X.shape[1] < 1:
         raise ValueError("X must be (n_samples, d_in)")
-    encoded = class_codes(y) if _encoded is None else _encoded
+    encoded = class_codes(y)
+    if len(encoded) != len(X):
+        raise ValueError(f"{len(X)} rows but {len(encoded)} labels")
     classes, counts = encoded.classes, encoded.counts
     check_class_sizes(classes, counts)
 

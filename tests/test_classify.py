@@ -6,7 +6,7 @@ from emgpr.errors import DegenerateClasses, DimensionMismatch, SingularCovarianc
 from emgpr.evaluate import build_table, fit_pipeline
 from emgpr.features import feature_set
 from emgpr.preprocess import normalize_features
-from emgpr.reduce import project
+from emgpr.reduce import class_codes, fit_ulda, project
 
 from reference_knn import ref_predict_knn
 from reference_qda import ref_decision_values, ref_train_qda
@@ -20,6 +20,15 @@ def blobs(rng, centers, sigma=0.2, n=60):
 
 
 CENTERS3 = [(0.0, 0.0), (4.0, 0.0), (0.0, 4.0)]
+
+
+def same_state(a, b) -> bool:
+    """Whether a and b hold bit-equal arrays, through dicts, tuples and lists."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(same_state, a, b))
+    return np.array_equal(a, b)
 
 
 class TestTrainPredict:
@@ -57,6 +66,28 @@ class TestTrainPredict:
         model = train(ModelSpec(kind=kind), X, y)
         assert np.array_equal(model.classes, np.unique(y))
         assert list(predict(model, np.array(CENTERS3))) == ["z", "x", "y"]
+
+    @pytest.mark.parametrize("kind", ["qda", "svm", "knn"])
+    def test_class_codes_as_labels_fit_the_same(self, kind):
+        # ULDA and the classifier take the labels or their class_codes as y
+        rng = np.random.default_rng(8)
+        X = np.vstack([rng.normal(c, 1.5, (15, 3)) for c in [(0, 0, 0), (3, 0, 1), (0, 3, 2)]])
+        y = np.repeat(["z", "x", "y"], 15)
+        encoded = class_codes(y)
+        plain, coded = fit_ulda(X, y), fit_ulda(X, encoded)
+        assert same_state(vars(plain), vars(coded))
+        Z = project(plain, X)
+        plain, coded = train(ModelSpec(kind=kind), Z, y), train(ModelSpec(kind=kind), Z, encoded)
+        assert type(plain) is type(coded) and same_state(vars(plain), vars(coded))
+        assert np.array_equal(plain.predict(Z), coded.predict(Z))
+
+    @pytest.mark.parametrize("kind", ["qda", "svm", "knn"])
+    def test_labels_must_match_rows(self, kind):
+        X = np.random.default_rng(9).standard_normal((10, 2))
+        y = np.arange(8) % 4
+        for labels in (y, class_codes(y)):
+            with pytest.raises(ValueError, match="aligned with y"):
+                train(ModelSpec(kind=kind), X, labels)
 
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateClasses):

@@ -146,6 +146,23 @@ class TestExtract:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("edit, message", [
+        (lambda saved: saved.update(trials_per_movement="3"), "trials_per_movement"),
+        (lambda saved: saved.update(trials_per_movement=2.5), "trials_per_movement"),
+        (lambda saved: saved.pop("layout"), "has no 'layout' key"),
+        (lambda saved: saved.update(extra=1), "has unknown key 'extra'"),
+    ])
+    def test_malformed_manifest_exits_2(self, small_dataset, tmp_path, capsys, edit, message):
+        saved = json.loads(small_dataset.read_text())
+        edit(saved)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(saved))
+        out = tmp_path / "out"
+        assert run_cli("evaluate", "--manifest", manifest, "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert message in json.loads((out / "run.json").read_text())["error"]
+
     def test_report_files(self, small_dataset, tmp_path):
         code = run_cli(
             "evaluate", "--manifest", small_dataset, "--out-dir", tmp_path,
@@ -774,6 +791,35 @@ class TestCompare:
         assert result["bonferroni_p"] == pytest.approx(
             min(1.0, result["p_value"] * 5), abs=1e-15
         )
+
+    @pytest.mark.parametrize("content", [{}, [{"per_subject": {}}], {"per_subject": []}])
+    def test_a_group_file_that_is_not_a_report_exits_2(self, tmp_path, capsys, content):
+        # an empty object, and a sweep's list of reports, are no report
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        write_report(good, {"S1": 0.9, "S2": 0.8})
+        bad.write_text(json.dumps(content))
+        out = tmp_path / "out"
+        assert run_cli("compare", "--out-dir", out, "--group", good, "--group", bad) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad} is not an evaluate report")
+        assert "Traceback" not in err
+        run = json.loads((out / "run.json").read_text())
+        assert run["error"].startswith(f"{bad} is not an evaluate report")
+        assert not (out / "compare.json").exists()
+
+    @pytest.mark.parametrize("comparisons", ["2", 2.5, 0, True])
+    def test_a_configured_comparison_count_must_be_a_positive_integer(
+            self, tmp_path, capsys, comparisons):
+        report = tmp_path / "a.json"
+        write_report(report, {"S1": 0.9, "S2": 0.8})
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"comparisons": comparisons}))
+        out = tmp_path / "out"
+        assert run_cli("compare", "--config", config, "--out-dir", out,
+                       "--group", report, "--group", report) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: n_comparisons must be an integer >= 1")
+        assert "n_comparisons" in json.loads((out / "run.json").read_text())["error"]
 
     def test_unknown_metric_exits_2(self, tmp_path, capsys):
         a = tmp_path / "a.json"

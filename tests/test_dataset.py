@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -360,6 +362,29 @@ class TestCsvIo:
         again = DatasetManifest.load(tmp_path / "manifest.json")
         assert again == manifest == self._manifest(tmp_path)
         assert len(load_dataset(again)) == len(recs)
+
+    @pytest.mark.parametrize("trials", ["3", 2.5, 1, True])
+    def test_trials_per_movement_must_be_an_integer_from_two(self, tmp_path, trials):
+        with pytest.raises(ValueError, match="^trials_per_movement must be an integer >= 2"):
+            self._manifest(tmp_path, trials=trials)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda saved: saved.pop("layout"), "has no 'layout' key"),
+        (lambda saved: saved.update(trials=2), "has unknown key 'trials'"),
+    ])
+    def test_load_names_a_missing_or_unknown_key_and_the_file(self, tmp_path, edit, message):
+        path = tmp_path / "manifest.json"
+        saved = self._manifest(tmp_path).to_dict()
+        edit(saved)
+        path.write_text(json.dumps(saved))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} {message}$"):
+            DatasetManifest.load(path)
+
+    def test_load_refuses_a_file_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text("[]")
+        with pytest.raises(ValueError, match="must hold a JSON object"):
+            DatasetManifest.load(path)
 
     def test_synthetic_layout_not_loadable(self, tmp_path):
         with pytest.raises(ValueError):

@@ -19,12 +19,15 @@ from emgpr import (
     derive_seed,
     extract_matrix,
     feature_set,
+    fit_ulda,
     generate_synthetic,
     metrics,
     mix_awgn,
+    project,
     segment,
     separable_gain_grid,
     sweep,
+    train,
     with_lmav_nsv,
 )
 from emgpr.dataset import NO_MIX
@@ -36,9 +39,8 @@ from emgpr.evaluate import (
     FeatureTable,
     compare_groups,
     fit_pipeline,
-    fit_scaled,
 )
-from emgpr.preprocess import MinMax, normalize_features
+from emgpr.preprocess import normalize_features
 
 
 def binary_cm(tp, fn, fp, tn):
@@ -240,6 +242,11 @@ class TestAnova:
         with pytest.raises(InsufficientGroups):
             compare_groups([[1, 2, 3]])
 
+    @pytest.mark.parametrize("count", ["2", 2.5, 0, True])
+    def test_comparison_count_must_be_a_positive_integer(self, count):
+        with pytest.raises(ValueError, match="^n_comparisons must be an integer >= 1"):
+            compare_groups([[1, 2, 3], [2, 3, 4]], n_comparisons=count)
+
     def test_constant_but_different_groups(self):
         result = compare_groups([[1.0, 1.0], [2.0, 2.0]])
         assert math.isinf(result["f_stat"])
@@ -314,50 +321,46 @@ class TestCrossvalidate:
         ]
         spec, model_spec = feature_set("FS2"), ModelSpec(kind="qda")
 
-        def fitted_chains(recordings):
-            """The report and the Pipeline of each fold, in fold order: the
-            fold loop fits each chain with fit_scaled, on rows it scaled."""
-            chains = []
+        def fitted_projections(recordings):
+            """The report and the ULDA projection of each fold, in fold
+            order, recorded at evaluate's fit_ulda, which the fold loop calls."""
+            projections = []
 
-            def recording_fit(*args, **kwargs):
-                chains.append(fit_scaled(*args, **kwargs))
-                return chains[-1]
+            def recording_fit(*args):
+                projections.append(fit_ulda(*args))
+                return projections[-1]
 
-            monkeypatch.setattr(evaluate_module, "fit_scaled", recording_fit)
+            monkeypatch.setattr(evaluate_module, "fit_ulda", recording_fit)
             report = crossvalidate(recordings, spec, model_spec)
             monkeypatch.undo()
-            assert not report.failures and len(chains) == len(report.folds)
-            return report, dict(zip((f.fold_trial for f in report.folds), chains))
+            assert not report.failures and len(projections) == len(report.folds)
+            return report, dict(zip((f.fold_trial for f in report.folds), projections))
 
-        def same_chain(a, b):
-            return all(
-                np.array_equal(u, v)
-                for u, v in (
-                    (a.bounds.mins, b.bounds.mins),
-                    (a.bounds.maxs, b.bounds.maxs),
-                    (a.projection.mean, b.projection.mean),
-                    (a.projection.matrix, b.projection.matrix),
-                )
-            )
+        def same(a, b):
+            return np.array_equal(a.mean, b.mean) and np.array_equal(a.matrix, b.matrix)
 
-        report, dirty = fitted_chains(poisoned)
-        # each fold's chain and scores come from its training rows alone
+        report, dirty = fitted_projections(poisoned)
+        # each fold's scaling, projection and scores come from its training
+        # rows alone
         table = build_table(poisoned, [spec.features])
         X = table.matrix("S1", spec.features)
+        rows = table.values["S1"].reshape(len(X), -1)
         y, trials = table.labels["S1"], table.trials["S1"]
-        for fold in report.folds:
+        for fold, kept in zip(report.folds, table.folds("S1"), strict=True):
             train_rows = trials != fold.fold_trial
+            assert kept.held_out == fold.fold_trial
+            assert np.array_equal(kept.scaled, normalize_features(rows[train_rows])[0])
             alone = fit_pipeline(X[train_rows], y[train_rows], model_spec)
-            assert same_chain(dirty[fold.fold_trial], alone)
+            assert same(dirty[fold.fold_trial], alone.projection)
             cm = ConfusionMatrix.from_predictions(
                 y[~train_rows], alone.predict(X[~train_rows]), table.movements
             )
             assert np.array_equal(fold.confusion.counts, cm.counts)
-        # the poisoned trial reaches exactly the chains fitted on it
-        _, clean = fitted_chains(recs)
-        assert same_chain(clean[2], dirty[2])
-        assert not same_chain(clean[1], dirty[1])
-        assert not same_chain(clean[3], dirty[3])
+        # the poisoned trial reaches exactly the projections fitted on it
+        _, clean = fitted_projections(recs)
+        assert same(clean[2], dirty[2])
+        assert not same(clean[1], dirty[1])
+        assert not same(clean[3], dirty[3])
 
     @pytest.mark.parametrize("kind", ["qda", "svm", "knn"])
     def test_fold_counts_equal_a_pipeline_fitted_per_fold(self, kind):
@@ -384,28 +387,24 @@ class TestCrossvalidate:
 
     @pytest.mark.parametrize("kind", ["qda", "svm", "knn"])
     def test_pipeline_encodes_the_labels_once(self, kind, monkeypatch):
-        # fit_pipeline hands its one class encoding to fit_ulda and train;
-        # the chain equals the one their own encodings give
-        from emgpr import classify, reduce
+        # fit_pipeline groups its labels by class once, for fit_ulda and
+        # train both; the chain equals the one fitted on the labels themselves
+        from emgpr import reduce
 
         spec = feature_set("FS2")
         table = build_table(quick_dataset(), [spec.features])
         X, y = table.matrix("S1", spec.features), table.labels["S1"]
-        plain = fit_pipeline(X, y, ModelSpec(kind=kind))
-        calls, encode = [], reduce.class_codes
-        monkeypatch.setattr(evaluate_module, "class_codes",
-                            lambda y: calls.append(1) or encode(y))
-
-        def refuse(y):
-            raise AssertionError("labels encoded again")
-
-        monkeypatch.setattr(reduce, "class_codes", refuse)
-        monkeypatch.setattr(classify, "class_codes", refuse)
-        seamed = fit_pipeline(X, y, ModelSpec(kind=kind))
+        calls, group = [], reduce._grouped
+        monkeypatch.setattr(reduce, "_grouped",
+                            lambda *args: calls.append(1) or group(*args))
+        pipeline = fit_pipeline(X, y, ModelSpec(kind=kind))
         assert calls == [1]
-        assert np.array_equal(seamed.projection.matrix, plain.projection.matrix)
-        assert np.array_equal(seamed.model.classes, plain.model.classes)
-        assert np.array_equal(seamed.predict(X), plain.predict(X))
+        norm, _ = normalize_features(X)
+        projection = fit_ulda(norm, y)
+        model = train(ModelSpec(kind=kind), project(projection, norm), y)
+        assert np.array_equal(pipeline.projection.matrix, projection.matrix)
+        assert np.array_equal(pipeline.model.classes, model.classes)
+        assert np.array_equal(pipeline.predict(X), model.predict(project(projection, norm)))
 
     @pytest.mark.parametrize("kind", ["qda", "svm", "knn"])
     def test_pipeline_predicts_one_vector(self, kind):
@@ -864,9 +863,9 @@ class TestSharedFolds:
     def test_each_fold_is_split_once_per_table(self, monkeypatch):
         # the set-independent part runs at the first set only: one class
         # encoding, one class grouping and one min-max fit per fold, however
-        # many sets follow; every set's ULDA and QDA fits read the fold's
-        # grouping, and its counts come from the kept held-out codes, not
-        # from from_predictions
+        # many sets follow; every set's ULDA and QDA fits take the fold's
+        # class codes as labels and read its grouping, and its counts come
+        # from the kept held-out codes, not from from_predictions
         from emgpr import classify, reduce
 
         calls = {"class_codes": 0, "grouping": 0, "fit": 0}
@@ -899,7 +898,6 @@ class TestSharedFolds:
         monkeypatch.setattr(evaluate_module, "normalize_features", counted_scale)
         monkeypatch.setattr(ConfusionMatrix, "from_predictions", refuse)
         for module in (reduce, classify):
-            monkeypatch.setattr(module, "class_codes", refuse)
             monkeypatch.setattr(module, "group_rows", recorded(module))
         table = build_table(quick_dataset(), SHARED_SETS)
         for features in SHARED_SETS:
@@ -930,18 +928,20 @@ class TestSharedFolds:
             filter_spec=FilterSpec(), seed=0)
         rows = block.reshape(12, -1)
         folds = table.folds("S1")
-        third = folds[2]
-        assert third.held_out == 3 and third.bounds.mins[0] == third.bounds.maxs[0]
+        third, training = folds[2], rows[trials != 3]
+        assert third.held_out == 3 and training[:, 0].min() == training[:, 0].max()
         held = rows[trials == 3]
-        assert (held < third.bounds.mins).any(axis=0).all()
-        assert (held > third.bounds.maxs).any(axis=0).all()
+        assert (held < training.min(axis=0)).any(axis=0).all()
+        assert (held > training.max(axis=0)).any(axis=0).all()
         for fold in folds:
             test = trials == fold.held_out
             assert np.array_equal(fold.test_codes, [1, 1, 0, 0])
             for features in (("RMS",), ("WL",), ("MAV", "RMS"), ("RMS", "WL", "MAV")):
                 columns = table.flat_positions("S1", features)
-                sliced = MinMax(mins=fold.bounds.mins[columns], maxs=fold.bounds.maxs[columns])
+                # bounds fitted on the set's columns of the training rows alone
+                scaled, sliced = normalize_features(rows[~test][:, columns])
                 alone, _ = normalize_features(rows[test][:, columns], sliced)
+                assert np.array_equal(np.take(fold.scaled, columns, axis=1), scaled)
                 assert np.array_equal(np.take(fold.test_scaled, columns, axis=1), alone)
         assert (third.test_scaled[:, 0] == 0.0).all()  # the constant column
         assert third.test_scaled.min() == 0.0 and third.test_scaled.max() == 1.0

@@ -14,6 +14,7 @@ from emgpr.errors import (
 from emgpr.preprocess import normalize_features
 from emgpr.reduce import (
     _class_stats,
+    class_codes,
     fit_ulda,
     project,
     res_index,
@@ -116,6 +117,16 @@ class TestFitUlda:
         with pytest.raises(DegenerateClasses, match="^class 'b' has fewer than two samples$"):
             fit_ulda(np.eye(3), ["a", "a", "b"])
 
+    @pytest.mark.parametrize("n_rows, n_labels", [(10, 8), (8, 10)])
+    def test_labels_must_match_rows(self, n_rows, n_labels):
+        # fewer labels than rows once fitted on the rows they missed, and
+        # more ended in an IndexError; codes count one label per row too
+        X = np.random.default_rng(7).standard_normal((n_rows, 4))
+        y = np.arange(n_labels) % 4
+        for labels in (y, class_codes(y)):
+            with pytest.raises(ValueError, match=f"^{n_rows} rows but {n_labels} labels$"):
+                fit_ulda(X, labels)
+
     def test_rank_zero(self):
         with pytest.raises(RankZero):
             fit_ulda(np.ones((6, 3)), ["a", "a", "a", "b", "b", "b"])
@@ -126,6 +137,16 @@ class TestFitUlda:
         p = fit_ulda(X, y)
         with pytest.raises(DimensionMismatch):
             project(p, np.ones((3, 5)))
+
+
+class TestClassCodes:
+    def test_codes_pass_through_and_count_rows(self):
+        y = ["b", "a", "b", "c", "a"]
+        encoded = class_codes(y)
+        assert class_codes(encoded) is encoded
+        assert len(encoded) == 5
+        assert encoded.classes.tolist() == ["a", "b", "c"]
+        assert encoded.codes.tolist() == [1, 0, 1, 2, 0]
 
 
 class TestResIndex:
