@@ -311,13 +311,16 @@ class SvmModel:
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         """(rows, machines) decision values; > 0 votes for the pair's first class."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        K = _rbf(X, _sq_norms(X), self.support, self._support_sq, self.sigma)
+        return self._decisions(np.atleast_2d(np.asarray(X, dtype=float)))
+
+    def _decisions(self, rows: np.ndarray) -> np.ndarray:
+        """`decision_values` of float rows that are already 2-D."""
+        K = _rbf(rows, _sq_norms(rows), self.support, self._support_sq, self.sigma)
         return K @ self.coef + self.bias
 
     def predict(self, X: np.ndarray):
         X, one = _query_rows(X, self.d_in)
-        f = self.decision_values(X)
+        f = self._decisions(X)
         votes = (f > 0) @ self._ballot + self._second_votes
         leaders = votes == votes.max(axis=1, keepdims=True)
         best = np.argmax(votes, axis=1)

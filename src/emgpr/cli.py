@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import sys
 from dataclasses import fields, replace
 from functools import partial
@@ -424,13 +425,19 @@ def _cmd_scatter(cfg: dict, out: Path) -> int:
 
 def _report_scores(path, metric: str) -> list:
     """The per-subject means of `metric` in an `evaluate` report.json, in
-    subject order; ValueError naming the file when it holds none."""
+    subject order; ValueError naming the file when it holds none, or naming
+    the file and the subject when a mean is not a finite number."""
     report = json.loads(Path(path).read_text())
     per_subject = report.get("per_subject") if isinstance(report, dict) else None
     means = per_subject.get(metric) if isinstance(per_subject, dict) else None
     if not isinstance(means, dict):
         raise ValueError(f"{path} is not an evaluate report: it has no "
                          f"per_subject {metric!r} means")
+    for subject, mean in means.items():
+        if (isinstance(mean, bool) or not isinstance(mean, (int, float))
+                or not math.isfinite(mean)):
+            raise ValueError(f"{path}: the per_subject {metric!r} mean of subject "
+                             f"{subject!r} is {mean!r}, not a finite number")
     return [means[s] for s in sorted(means)]
 
 

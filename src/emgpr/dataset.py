@@ -111,6 +111,11 @@ class DatasetManifest:
         # leave-one-trial-out needs two trials of each movement
         check_number("trials_per_movement", self.trials_per_movement, 2, integer=True)
         check_number("sample_rate_hz", self.sample_rate_hz, 0, open_low=True)
+        for key in ("subjects", "movements"):
+            names = getattr(self, key)
+            # a string is iterable too, and would read as one name per letter
+            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                raise ValueError(f"{key} must be a list of strings, got {names!r}")
         for m in self.movements:
             if m not in MOVEMENTS:
                 raise ValueError(f"unknown movement label {m!r}")

@@ -7,6 +7,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import signal
+from scipy.signal._sosfilt import _sosfilt
 
 from .dataset import Recording
 from .errors import DimensionMismatch, NyquistViolation, WindowLongerThanTrial, check_number
@@ -70,11 +71,25 @@ def design_filters(spec: FilterSpec, sample_rate_hz: float) -> np.ndarray:
 
 
 def apply_filters(rec: Recording, spec: FilterSpec = FilterSpec()) -> Recording:
-    """Causal bandpass + notch on every channel in one `sosfilt` pass; length
-    is preserved."""
-    # sosfilt rejects a read-only coefficient buffer
-    sos = design_filters(spec, rec.sample_rate_hz).copy()
-    return rec.with_channels(signal.sosfilt(sos, rec.channels, axis=-1))
+    """Causal bandpass + notch on every channel in one pass from rest; length
+    is preserved.
+
+    The output is exactly `signal.sosfilt(design_filters(spec, fs).copy(),
+    rec.channels, axis=-1)`.  It calls scipy's compiled cascade loop,
+    `scipy.signal._sosfilt._sosfilt`, the kernel that `sosfilt` runs, on a
+    C-order float copy of the channels with zero initial state: on a
+    one-window chunk most of `sosfilt`'s time is its coefficient validation,
+    axis moves and array-namespace wrapping, not the filtering.  The kernel
+    is a private scipy name; tests/test_preprocess.py pins its output to
+    `signal.sosfilt` bit for bit.  The cascade is checked where it is
+    designed (`NyquistViolation` from `design_filters`), and the filtered
+    channels as every `Recording`'s are (finite, `(channels, samples)`).
+    """
+    sos = design_filters(spec, rec.sample_rate_hz)
+    x = np.array(rec.channels, dtype=float, order="C")  # filtered in place
+    # the kernel needs a writable cascade; the memoised one is read-only
+    _sosfilt(sos.copy(), x, np.zeros((x.shape[0], sos.shape[0], 2)))
+    return rec.with_channels(x)
 
 
 def window_grid(n_samples: int, sample_rate_hz: float, window_ms: float,
@@ -117,16 +132,32 @@ def segment(rec: Recording, window_ms: float, overlap_ms: float = 0.0,
     that shape, the windows are written there and `out` is returned.
     """
     count, n, step = window_grid(rec.n_samples, rec.sample_rate_hz, window_ms, overlap_ms)
-    return np.stack([rec.channels[:, s : s + n] for s in range(0, count * step, step)],
-                    out=out)
+    if out is None:
+        out = np.empty((count, rec.n_channels, n))
+    elif out.shape != (count, rec.n_channels, n):
+        raise ValueError(f"out has shape {out.shape}, the windows need "
+                         f"{(count, rec.n_channels, n)}")
+    for i in range(count):
+        out[i] = rec.channels[:, i * step : i * step + n]
+    return out
 
 
 @dataclass(frozen=True)
 class MinMax:
-    """Per-column bounds fitted on training data."""
+    """Per-column bounds fitted on training data.
+
+    The divisor (each column's span max - min, or 1 where the column is
+    degenerate, max <= min) and the positions of the degenerate columns are
+    computed once, here, for every `normalize_features` call on these bounds.
+    """
 
     mins: np.ndarray
     maxs: np.ndarray
+
+    def __post_init__(self):
+        span = self.maxs - self.mins
+        object.__setattr__(self, "_divisor", np.where(span > 0, span, 1.0))
+        object.__setattr__(self, "_degenerate", np.flatnonzero(span <= 0))
 
 
 def normalize_features(matrix: np.ndarray, fitted: MinMax = None):
@@ -140,17 +171,21 @@ def normalize_features(matrix: np.ndarray, fitted: MinMax = None):
     matrix = np.asarray(matrix, dtype=float)
     if matrix.size == 0:
         raise ValueError("empty feature matrix")
-    clip = fitted is not None
+    bounds = fitted
     if fitted is None:
         rows = np.atleast_2d(matrix)
-        fitted = MinMax(mins=rows.min(axis=0), maxs=rows.max(axis=0))
+        bounds = MinMax(mins=rows.min(axis=0), maxs=rows.max(axis=0))
     elif matrix.shape[-1:] != fitted.mins.shape:
         raise DimensionMismatch(f"bounds were fitted on {fitted.mins.size} features, "
                                 f"got rows of {matrix.shape[-1] if matrix.ndim else 1}")
-    span = fitted.maxs - fitted.mins
-    safe = np.where(span > 0, span, 1.0)
-    out = (matrix - fitted.mins) / safe
-    out[..., span <= 0] = 0.0
-    if clip:
-        out = np.clip(out, 0.0, 1.0)
-    return out, fitted
+    out = np.subtract(matrix, bounds.mins)
+    # a true division: a reciprocal multiply would round differently
+    np.divide(out, bounds._divisor, out=out)
+    if len(bounds._degenerate):
+        out[..., bounds._degenerate] = 0.0
+    if fitted is not None:
+        # np.clip(out, 0, 1) bit for bit: with 0.0 as its first operand,
+        # maximum maps -0.0 to 0.0, as clip does
+        np.maximum(0.0, out, out=out)
+        np.minimum(out, 1.0, out=out)
+    return out, bounds

@@ -439,6 +439,24 @@ class TestSvmUnionPredict:
         assert list(model.predict(rows)) == ["b"] * 3
         assert list(ref_predict_svm(model.machines, model.classes, 1.0, rows)) == ["b"] * 3
 
+    def test_vote_ties_match_reference_on_any_row_input(self):
+        # one support vector per machine, so the decision values vary by row
+        # and about a quarter of the rows vote a, b and c once each
+        machines = {(0, 1): (np.array([[1.0, 0.0]]), np.array([1.0]), -0.5),
+                    (0, 2): (np.array([[0.0, 1.0]]), np.array([-1.0]), 0.5),
+                    (1, 2): (np.array([[1.0, 1.0]]), np.array([1.0]), -0.5)}
+        model = SvmModel(np.array(list("abc")), 1.0, machines, True, 2)
+        queries = np.random.default_rng(31).uniform(-1.0, 2.0, (300, 2))
+        first = (model.decision_values(queries) > 0).astype(int)
+        votes = np.stack([first[:, 0] + first[:, 1], 1 - first[:, 0] + first[:, 2],
+                          2 - first[:, 1] - first[:, 2]], axis=1)
+        tied = (votes == 1).all(axis=1)
+        assert tied.any() and not tied.all()
+        expected = ref_predict_svm(machines, model.classes, 1.0, queries)
+        for rows in (queries, queries.tolist(), np.asfortranarray(queries)):
+            assert np.array_equal(model.predict(rows), expected)
+        assert [model.predict(q) for q in queries[tied]] == list(expected[tied])
+
     def test_one_vector_one_label(self):
         model = hand_model("abc", [0.5, -0.2, 0.1])
         label = model.predict(np.array([0.3, -0.1]))

@@ -151,6 +151,8 @@ class TestEvaluate:
         (lambda saved: saved.update(trials_per_movement=2.5), "trials_per_movement"),
         (lambda saved: saved.pop("layout"), "has no 'layout' key"),
         (lambda saved: saved.update(extra=1), "has unknown key 'extra'"),
+        (lambda saved: saved.update(movements="TI"), "movements must be a list of strings"),
+        (lambda saved: saved.update(subjects="S1"), "subjects must be a list of strings"),
     ])
     def test_malformed_manifest_exits_2(self, small_dataset, tmp_path, capsys, edit, message):
         saved = json.loads(small_dataset.read_text())
@@ -806,6 +808,29 @@ class TestCompare:
         run = json.loads((out / "run.json").read_text())
         assert run["error"].startswith(f"{bad} is not an evaluate report")
         assert not (out / "compare.json").exists()
+
+    @pytest.mark.parametrize("mean", ["x", None, True, [0.5]])
+    def test_a_subject_mean_that_is_not_a_number_exits_2(self, tmp_path, capsys, mean):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        write_report(good, {"S1": 0.9, "S2": 0.8})
+        write_report(bad, {"S1": 0.7, "S2": mean})
+        out = tmp_path / "out"
+        assert run_cli("compare", "--out-dir", out, "--group", good, "--group", bad) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: the per_subject 'f1' mean of subject 'S2' is "
+                              f"{mean!r}, not a finite number")
+        assert "Traceback" not in err
+        assert not (out / "compare.json").exists()
+
+    def test_a_subject_mean_that_is_not_finite_exits_2(self, tmp_path, capsys):
+        # json writes a float NaN as the bare token NaN, which it reads back
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        write_report(good, {"S1": 0.9, "S2": 0.8})
+        write_report(bad, {"S1": math.nan, "S2": 0.7})
+        assert run_cli("compare", "--out-dir", tmp_path / "out",
+                       "--group", good, "--group", bad) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: the per_subject 'f1' mean of subject 'S1' is nan")
 
     @pytest.mark.parametrize("comparisons", ["2", 2.5, 0, True])
     def test_a_configured_comparison_count_must_be_a_positive_integer(

@@ -394,6 +394,26 @@ class TestCsvIo:
                 filename_template="{movement}{trial}.csv",
             )
 
+    @pytest.mark.parametrize("subjects", ["S1", ("S1",), ["S1", 1], None])
+    def test_subjects_must_be_a_list_of_strings(self, tmp_path, subjects):
+        # a string would read as one subject per letter
+        with pytest.raises(ValueError, match="^subjects must be a list of strings, got "):
+            DatasetManifest(
+                root_path=str(tmp_path), layout="two_channel_csv", subjects=subjects,
+                movements=["T"], trials_per_movement=2, sample_rate_hz=2000.0,
+                filename_template="{subject}_{movement}_t{trial}.csv",
+            )
+
+    @pytest.mark.parametrize("movements", ["TI", ("T", "I"), ["T", None], {"T": 1}])
+    def test_movements_must_be_a_list_of_strings(self, tmp_path, movements):
+        # "TI" is one combined movement, not T and I
+        with pytest.raises(ValueError, match="^movements must be a list of strings, got "):
+            DatasetManifest(
+                root_path=str(tmp_path), layout="two_channel_csv", subjects=["S1"],
+                movements=movements, trials_per_movement=2, sample_rate_hz=2000.0,
+                filename_template="{subject}_{movement}_t{trial}.csv",
+            )
+
     @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -5.0, True])
     def test_sample_rate_must_be_finite_and_positive(self, tmp_path, rate):
         with pytest.raises(ValueError, match="sample_rate_hz"):

@@ -72,6 +72,42 @@ class TestFilters:
         with pytest.raises(ValueError):
             sos[0, 0] = 0.0
 
+    @pytest.mark.parametrize("n_channels", [1, 2, 3])
+    @pytest.mark.parametrize("n_samples", [8, 1000, 20000])
+    def test_compiled_kernel_equals_sosfilt(self, n_channels, n_samples):
+        # apply_filters calls scipy's private sosfilt kernel; its output must
+        # stay what the public signal.sosfilt gives, bit for bit
+        fs, spec = 4000.0, FilterSpec()
+        x = np.random.default_rng(n_samples + n_channels).standard_normal((n_channels, n_samples))
+        rec = Recording("S1", "T", 1, fs, x)
+        expected = sps.sosfilt(design_filters(spec, fs).copy(), x, axis=-1)
+        got = apply_filters(rec, spec).channels
+        assert got.dtype == expected.dtype and got.flags.c_contiguous
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert np.array_equal(rec.channels, x)  # the input is not filtered in place
+
+    @pytest.mark.parametrize("layout", ["strided", "fortran", "transposed"])
+    def test_compiled_kernel_on_channels_that_are_not_c_contiguous(self, layout):
+        fs = 2000.0
+        base = np.random.default_rng(6).standard_normal((2, 2000))
+        x = {"strided": base[:, ::2], "fortran": np.asfortranarray(base),
+             "transposed": base.T.copy().T}[layout]
+        rec = Recording("S1", "T", 1, fs, x)
+        assert not rec.channels.flags.c_contiguous
+        expected = sps.sosfilt(design_filters(FilterSpec(), fs).copy(), x, axis=-1)
+        assert np.array_equal(apply_filters(rec).channels.view(np.int64),
+                              expected.view(np.int64))
+
+    def test_memoised_cascade_unchanged_by_filtering(self):
+        spec = FilterSpec()
+        sos = design_filters(spec, 3000.0)
+        before = sos.copy()
+        apply_filters(Recording("S1", "T", 1, 3000.0,
+                                np.random.default_rng(7).standard_normal((2, 500))), spec)
+        assert design_filters(spec, 3000.0) is sos
+        assert not sos.flags.writeable
+        assert np.array_equal(sos.view(np.int64), before.view(np.int64))
+
     def test_channels_filtered_together_equal_per_channel_loop(self):
         rng = np.random.default_rng(4)
         rec = Recording("S1", "T", 1, 2000.0, rng.standard_normal((3, 3000)))
@@ -205,6 +241,29 @@ class TestSegment:
         assert np.array_equal(out[1:], segment(rec, 250.0))
         assert np.isnan(out[0]).all()
 
+    @pytest.mark.parametrize("window_ms, overlap_ms", [(250.0, 0.0), (250.0, 100.0),
+                                                       (10.0, 7.5), (2.0, 0.0)])
+    @pytest.mark.parametrize("into", [False, True])
+    def test_segment_equals_stacked_slices(self, window_ms, overlap_ms, into):
+        rec = Recording("S1", "T", 1, 4000.0,
+                        np.random.default_rng(8).standard_normal((2, 1000)))
+        count, n, step = window_grid(rec.n_samples, rec.sample_rate_hz, window_ms, overlap_ms)
+        expected = np.stack([rec.channels[:, s : s + n]
+                             for s in range(0, count * step, step)])
+        out = np.full((count, 2, n), np.nan) if into else None
+        got = segment(rec, window_ms, overlap_ms, out=out)
+        assert got.flags.c_contiguous and got.dtype == expected.dtype
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        if into:
+            assert got is out
+
+    def test_segment_out_of_another_shape_rejected(self):
+        # one channel would broadcast into a two-channel out without a check
+        rec = Recording("S1", "T", 1, 4000.0, np.ones((1, 1000)))
+        for shape in [(4, 2, 250), (3, 1, 250), (4, 1, 200)]:
+            with pytest.raises(ValueError, match=r"out has shape .*need \(4, 1, 250\)"):
+                segment(rec, 62.5, out=np.zeros(shape))
+
     def test_window_below_min_samples(self):
         rec = self._rec(1.0, fs=1000.0)
         assert segment(rec, 8.0).shape == (125, 2, 8)
@@ -279,6 +338,38 @@ class TestNormalize:
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):
             normalize_features(np.empty((0, 3)))
+
+    @pytest.mark.parametrize("rows", ["matrix", "one row"])
+    def test_fitted_scaling_equals_the_span_formula(self, rows):
+        # the reference: span and safe divisor from the bounds, the degenerate
+        # column zeroed, then np.clip
+        rng = np.random.default_rng(9)
+        train = rng.normal(2.0, 3.0, size=(40, 6))
+        train[:, 0] = np.abs(train[:, 0])
+        train[0, 0] = 0.0  # so a -0.0 feature scales to -0.0 before the clip
+        train[:, 2] = 4.0  # degenerate: max == min
+        _, bounds = normalize_features(train)
+        X = rng.normal(2.0, 6.0, size=(25, 6))  # wider, so values clip at both ends
+        X[0, :] = [-0.0, np.inf, 4.0, bounds.mins[3], bounds.maxs[4], -np.inf]
+        if rows == "one row":
+            X = X[0]
+        span = bounds.maxs - bounds.mins
+        safe = np.where(span > 0, span, 1.0)
+        expected = (X - bounds.mins) / safe
+        expected[..., span <= 0] = 0.0
+        expected = np.clip(expected, 0.0, 1.0)
+        got, same = normalize_features(X, bounds)
+        assert same is bounds and got.shape == X.shape
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert ((got == 0.0) | (got == 1.0)).sum() > 2  # clipped values are covered
+        assert not got[..., 2].any()
+
+    def test_minmax_divisor_fitted_once(self):
+        bounds = MinMax(mins=np.array([0.0, 5.0, 1.0]), maxs=np.array([2.0, 5.0, 0.0]))
+        assert np.array_equal(bounds._divisor, [2.0, 1.0, 1.0])
+        assert np.array_equal(bounds._degenerate, [1, 2])
+        out, _ = normalize_features(np.array([[1.0, 9.0, 9.0]]), bounds)
+        assert np.array_equal(out, [[0.5, 0.0, 0.0]])
 
     def test_minmax_is_plain_arrays(self):
         _, bounds = normalize_features(np.array([[1.0, 2.0], [3.0, 4.0]]))
