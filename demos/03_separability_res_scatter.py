@@ -1,20 +1,18 @@
 #!/usr/bin/env python3
 """Rank feature sets by cluster separability before any classifier runs.
 
-For each named feature set, extract all windows of one subject, reduce with
-the uncorrelated projection, and score the first two reduced dimensions with
-the RES index (mean centroid distance over mean within-class spread).
-Higher RES means cleaner clusters.  Also exports the normalized 2-D scatter
-of the winning set as CSV for plotting.
+One feature table holds every window of one subject for all named feature
+sets; each set slices its columns from it, as `emgpr res` does, is reduced
+with the uncorrelated projection, and its first two reduced dimensions are
+scored with the RES index (mean centroid distance over mean within-class
+spread).  Higher RES means cleaner clusters.  Also exports the normalized
+2-D scatter of the winning set as CSV for plotting.
 """
 
 from pathlib import Path
 
-import numpy as np
-
 from emgpr import (
-    apply_filters,
-    extract_matrix,
+    build_table,
     feature_set,
     fit_ulda,
     generate_synthetic,
@@ -22,24 +20,22 @@ from emgpr import (
     project,
     res_index,
     scatter_export,
-    segment,
     separable_spec,
 )
 
-recordings = generate_synthetic(separable_spec(seed=42))
+SETS = ("FS1", "FS2", "FS3", "FS4", "PROPOSED")
 
-windows, labels = [], []
-for rec in recordings:
-    for w in segment(apply_filters(rec), window_ms=250.0):
-        windows.append(w)
-        labels.append(rec.movement)
-labels = np.asarray(labels)
-print(f"{len(windows)} windows from {len(set(labels))} movements\n")
+recordings = generate_synthetic(separable_spec(seed=42))  # one subject
+table = build_table(recordings, [feature_set(name).features for name in SETS],
+                    window_ms=250.0)
+(subject,) = table.subjects
+labels = table.labels[subject]
+print(f"{len(labels)} windows from {len(set(labels))} movements\n")
 
 scores = {}
 reduced_two = {}
-for name in ("FS1", "FS2", "FS3", "FS4", "PROPOSED"):
-    X = extract_matrix(feature_set(name), windows)
+for name in SETS:
+    X = table.matrix(subject, feature_set(name).features)
     norm, _ = normalize_features(X)
     reduced = project(fit_ulda(norm, labels), norm)
     scores[name] = res_index(reduced[:, :2], labels)

@@ -380,7 +380,7 @@ def _cmd_sweep(setting: str, grid: str, stem: str, cfg: dict, out: Path) -> int:
 def _cmd_select(cfg: dict, out: Path) -> int:
     recordings = _load_recordings(cfg)
     sel_cfg = SelectionConfig(
-        pool=tuple(cfg["pool"]),
+        pool=cfg["pool"],
         improvement_threshold=cfg["threshold"],
         objective=cfg["objective"],
         model_spec=_model_spec(cfg),

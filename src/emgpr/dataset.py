@@ -116,6 +116,10 @@ class DatasetManifest:
             # a string is iterable too, and would read as one name per letter
             if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
                 raise ValueError(f"{key} must be a list of strings, got {names!r}")
+            # a repeated name would load, and count, its recordings twice
+            for i, name in enumerate(names):
+                if name in names[:i]:
+                    raise ValueError(f"{key} lists {name!r} more than once")
         for m in self.movements:
             if m not in MOVEMENTS:
                 raise ValueError(f"unknown movement label {m!r}")
@@ -268,6 +272,7 @@ class SyntheticSpec:
         for name in ("n_subjects", "n_channels", "n_trials"):
             check_number(name, getattr(self, name), 1, integer=True)
         check_number("n_movements", self.n_movements, 1, len(MOVEMENTS), integer=True)
+        check_number("seed", self.seed, integer=True)
         for name in ("duration_s", "sample_rate_hz"):
             check_number(name, getattr(self, name), 0, open_low=True)
         if round(self.duration_s * self.sample_rate_hz) < 1:
@@ -368,26 +373,31 @@ def separable_spec(gain_ratio: float = 2.0, amplitude_only: bool = False,
 
 
 def generate_synthetic(spec: SyntheticSpec) -> list:
-    """Deterministically synthesize recordings; same spec -> identical bits."""
+    """Deterministically synthesize recordings; same spec -> identical bits.
+
+    Each trial is one (n_channels, n_samples) array, drawn in one call in
+    channel order from the trial's own seed, as `mix_awgn` draws.  Its rows
+    are band-filtered in one call (without tilt) or each mixed from its
+    channel's low and high sub-band (with tilt), scaled to unit RMS, a
+    silent row left as it is, and multiplied by the movement's gains.
+    """
     low, high = spec.band
     nyq = spec.sample_rate_hz / 2.0
-    sos_band = signal.butter(4, [low / nyq, high / nyq], btype="bandpass",
-                             output="sos")
-    sos_pairs = None
-    if spec.class_tilt_matrix is not None:
-        sos_pairs = [
-            (
-                signal.butter(4, [low / nyq, split / nyq], btype="bandpass",
-                              output="sos"),
-                signal.butter(4, [split / nyq, high / nyq], btype="bandpass",
-                              output="sos"),
-            )
-            for split in spec.tilt_splits_hz
-        ]
+
+    def bandpass(lo, hi):
+        return signal.butter(4, [lo / nyq, hi / nyq], btype="bandpass", output="sos")
 
     def unit_rms(x):
-        rms = math.sqrt(float(np.mean(x * x)))
-        return x / rms if rms > 0 else x
+        # in place, row by row; a silent row stays as it is
+        rms = np.sqrt(np.mean(x * x, axis=-1, keepdims=True))
+        x /= np.where(rms > 0, rms, 1.0)
+        return x
+
+    if spec.class_tilt_matrix is None:
+        sos_band = bandpass(low, high)
+    else:
+        sos_pairs = [(bandpass(low, split), bandpass(split, high))
+                     for split in spec.tilt_splits_hz]
 
     n = int(round(spec.duration_s * spec.sample_rate_hz))
     recordings = []
@@ -395,32 +405,29 @@ def generate_synthetic(spec: SyntheticSpec) -> list:
         subject = f"S{s + 1}"
         for m in range(spec.n_movements):
             movement = MOVEMENTS[m]
-            gains = spec.class_gain_matrix[m]
+            gains = np.asarray(spec.class_gain_matrix[m])[:, None]
             for t in range(1, spec.n_trials + 1):
                 rng = np.random.default_rng(
                     derive_seed(spec.seed, "synth", subject, movement, t)
                 )
-                channels = np.empty((spec.n_channels, n))
-                for c in range(spec.n_channels):
-                    white = rng.standard_normal(n)
-                    if sos_pairs is None:
-                        x = unit_rms(signal.sosfilt(sos_band, white))
-                    else:
-                        sos_low, sos_high = sos_pairs[c]
+                x = rng.standard_normal((spec.n_channels, n))
+                if spec.class_tilt_matrix is None:
+                    x = signal.sosfilt(sos_band, x)
+                else:
+                    # each channel splits its sub-bands at its own frequency
+                    for c, (sos_low, sos_high) in enumerate(sos_pairs):
                         tilt = spec.class_tilt_matrix[m][c]
-                        x = unit_rms(
-                            tilt * unit_rms(signal.sosfilt(sos_low, white))
-                            + (1.0 - tilt)
-                            * unit_rms(signal.sosfilt(sos_high, white))
-                        )
-                    channels[c] = gains[c] * x
+                        x[c] = (tilt * unit_rms(signal.sosfilt(sos_low, x[c]))
+                                + (1.0 - tilt) * unit_rms(signal.sosfilt(sos_high, x[c])))
+                unit_rms(x)
+                x *= gains
                 recordings.append(
                     Recording(
                         subject_id=subject,
                         movement=movement,
                         trial=t,
                         sample_rate_hz=spec.sample_rate_hz,
-                        channels=channels,
+                        channels=x,
                     )
                 )
     return recordings
@@ -446,7 +453,10 @@ def mix_awgn(rec: Recording, snr_db: float, seed: int) -> Recording:
     power = np.mean(x * x, axis=1)
     silent = np.flatnonzero(power <= 0.0)
     if len(silent):
-        raise ZeroPowerChannel(f"channel {silent[0]} has zero power")
+        raise ZeroPowerChannel(
+            f"recording {rec.subject_id}/{rec.movement}/trial {rec.trial}: "
+            f"channel {silent[0] + 1} has zero power"
+        )
     scale = np.sqrt(power / 10.0 ** (snr_db / 10.0))
     # one draw in channel order: the same numbers as one rng.normal per channel
     noise = np.random.default_rng(seed).standard_normal(x.shape)

@@ -19,7 +19,9 @@ def check_number(name: str, value, low=None, high=None, *,
         bounds = [f"{'>' if open_low else '>='} {low:g}"] if low is not None else []
         bounds += [f"<= {high:g}"] if high is not None else []
         what = "an integer" if integer else "a finite number"
-        raise ValueError(f"{name} must be {what} {' and '.join(bounds)}, got {value!r}")
+        if bounds:
+            what += " " + " and ".join(bounds)
+        raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 class EmgprError(Exception):

@@ -531,6 +531,7 @@ def build_table(
     """
     if any(isinstance(features, str) for features in feature_sets):
         raise ValueError("feature_sets must hold feature-id lists, e.g. [spec.features]")
+    check_number("seed", seed, integer=True)
     snr_db = _mixing_snr(snr_db)
     columns = tuple(dict.fromkeys(
         key for features in feature_sets for key in _set_columns(features)

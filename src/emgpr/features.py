@@ -53,6 +53,11 @@ class FeatureSetSpec:
     features: tuple
 
     def __post_init__(self):
+        # a string is iterable too, and would read as one id per letter
+        if isinstance(self.features, str):
+            raise ValueError(
+                f"features must be a list of feature ids, got {self.features!r}")
+        object.__setattr__(self, "features", tuple(self.features))
         if not self.features:
             raise ValueError("feature set must contain at least one feature")
         for fid in self.features:
@@ -86,7 +91,7 @@ def feature_set(name: str, features=None) -> FeatureSetSpec:
     if key == "CUSTOM":
         if not features:
             raise ValueError("CUSTOM feature set needs an explicit feature list")
-        return FeatureSetSpec("CUSTOM", tuple(features))
+        return FeatureSetSpec("CUSTOM", features)
     if key not in _REGISTRY:
         raise UnknownFeature(f"unknown feature set {name!r}")
     if features is not None:
@@ -96,7 +101,7 @@ def feature_set(name: str, features=None) -> FeatureSetSpec:
 
 def with_lmav_nsv(base: FeatureSetSpec) -> FeatureSetSpec:
     """Augment a base set with LMAV and NSV for ablation comparisons."""
-    return FeatureSetSpec("CUSTOM", tuple(base.features) + ("LMAV", "NSV"))
+    return FeatureSetSpec("CUSTOM", base.features + ("LMAV", "NSV"))
 
 
 def ar_lag(fid: str) -> int:

@@ -38,6 +38,10 @@ class SelectionConfig:
     filter_spec: FilterSpec = FilterSpec()
 
     def __post_init__(self):
+        # a string is iterable too, and would read as one id per letter
+        if isinstance(self.pool, str):
+            raise ValueError(f"pool must be a list of feature ids, got {self.pool!r}")
+        object.__setattr__(self, "pool", tuple(self.pool))
         if not self.pool:
             raise ValueError("candidate pool must be non-empty")
         check_number("improvement_threshold", self.improvement_threshold, 0, open_low=True)

@@ -61,8 +61,9 @@ class TestSynth:
         (["--duration-s", -1], {}, "duration_s"),
         (["--n-channels", 0], {}, "n_channels"),
         (["--duration-s", 0.0001], {}, "duration_s"),
+        ([], {"seed": 1.5}, "seed"),
     ], ids=["float-subjects", "text-trials", "no-subjects", "negative-duration",
-            "no-channels", "duration-below-one-sample"])
+            "no-channels", "duration-below-one-sample", "fractional-seed"])
     def test_bad_count_or_length_exits_2(self, flags, config, named, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
@@ -153,6 +154,9 @@ class TestEvaluate:
         (lambda saved: saved.update(extra=1), "has unknown key 'extra'"),
         (lambda saved: saved.update(movements="TI"), "movements must be a list of strings"),
         (lambda saved: saved.update(subjects="S1"), "subjects must be a list of strings"),
+        # a repeated movement would be loaded, and its windows counted, twice
+        (lambda saved: saved["movements"].append(saved["movements"][0]),
+         "movements lists 'T' more than once"),
     ])
     def test_malformed_manifest_exits_2(self, small_dataset, tmp_path, capsys, edit, message):
         saved = json.loads(small_dataset.read_text())
@@ -265,6 +269,8 @@ class TestEvaluate:
         ("evaluate", ["--band", "20", "inf"], {}, "band_high_hz"),
         ("evaluate", [], {"filter_order": True}, "order"),
         ("evaluate", ["--filter-order", "0"], {}, "order"),
+        ("evaluate", [], {"seed": 2.5}, "seed"),
+        ("sweep-snr", [], {"seed": True}, "seed"),
     ])
     def test_bad_number_exits_2(self, subcommand, flags, config, named,
                                 small_dataset, tmp_path, capsys):

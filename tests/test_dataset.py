@@ -28,6 +28,7 @@ from emgpr.errors import (
     SignalBelowNoise,
     ZeroPowerChannel,
 )
+from reference_synth import ref_generate
 
 
 def small_spec(**overrides):
@@ -103,7 +104,9 @@ class TestMixAwgn:
     def test_names_the_first_zero_power_channel(self):
         tone = self._rec().channels[0]
         rec = Recording("S1", "T", 1, 2000.0, np.stack([tone, 0 * tone, 0 * tone]))
-        with pytest.raises(ZeroPowerChannel, match="channel 1 "):
+        # 1-based, as Recording names a sample that is not finite
+        with pytest.raises(ZeroPowerChannel,
+                           match="^recording S1/T/trial 1: channel 2 has zero power$"):
             mix_awgn(rec, 10.0, seed=0)
 
     def test_equals_one_draw_per_channel(self):
@@ -143,6 +146,28 @@ class TestMixAwgn:
 
 
 class TestSynthetic:
+    @pytest.mark.parametrize("spec", [
+        separable_spec(n_subjects=4, n_trials=2, duration_s=0.5,
+                       sample_rate_hz=4000.0, seed=7),
+        separable_spec(amplitude_only=True, n_movements=4, n_trials=2,
+                       duration_s=0.5, seed=3),
+        separable_spec(n_channels=3, n_movements=4, n_trials=2,
+                       duration_s=0.2505, seed=5),
+        SyntheticSpec(n_channels=1, n_movements=3, n_trials=2, duration_s=0.5, seed=2),
+        small_spec(class_gain_matrix=((1.0, 0.0), (1.0, 1.0), (2.0, 1.0))),
+    ], ids=["tilt-4khz-4-subjects", "amplitude-only", "3-channels-odd-length",
+            "1-channel", "zero-gain-row"])
+    def test_equals_the_per_channel_generator_byte_for_byte(self, spec):
+        recordings = generate_synthetic(spec)
+        reference = ref_generate(spec)
+        assert len(recordings) == len(reference)
+        for rec, (subject, movement, trial, rate, channels) in zip(recordings, reference):
+            assert (rec.subject_id, rec.movement, rec.trial) == (subject, movement, trial)
+            assert rec.sample_rate_hz == rate
+            assert rec.channels.dtype == np.float64
+            assert rec.channels.flags.c_contiguous
+            assert rec.channels.tobytes() == channels.tobytes()
+
     def test_deterministic(self):
         spec = small_spec()
         a = generate_synthetic(spec)
@@ -226,6 +251,16 @@ class TestSynthetic:
     def test_counts_and_lengths_are_checked(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be "):
             small_spec(**{field: value})
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, "1", None])
+    def test_seed_must_be_an_integer(self, seed):
+        # a fractional seed would derive the truncated seed's streams while
+        # the spec records the value given
+        message = f"^seed must be an integer, got {re.escape(repr(seed))}$"
+        with pytest.raises(ValueError, match=message):
+            small_spec(seed=seed)
+        assert small_spec(seed=np.int64(3)).seed == 3
+        assert small_spec(seed=-1).seed == -1
 
     def test_separable_spec_defaults_are_the_dataclass_defaults(self):
         assert separable_spec() == SyntheticSpec(
@@ -412,6 +447,20 @@ class TestCsvIo:
                 root_path=str(tmp_path), layout="two_channel_csv", subjects=["S1"],
                 movements=movements, trials_per_movement=2, sample_rate_hz=2000.0,
                 filename_template="{subject}_{movement}_t{trial}.csv",
+            )
+
+    @pytest.mark.parametrize("key, names", [
+        ("movements", ["T", "I", "M", "T"]),
+        ("subjects", ["S1", "S2", "S2"]),
+    ])
+    def test_a_repeated_name_is_refused(self, tmp_path, key, names):
+        # a repeated name would load its recordings, and count them, twice
+        given = {"subjects": ["S1"], "movements": ["T"], key: names}
+        with pytest.raises(ValueError, match=f"^{key} lists '{names[-1]}' more than once$"):
+            DatasetManifest(
+                root_path=str(tmp_path), layout="two_channel_csv", trials_per_movement=2,
+                sample_rate_hz=2000.0, filename_template="{subject}_{movement}_t{trial}.csv",
+                **given,
             )
 
     @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -5.0, True])

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -31,7 +32,8 @@ from emgpr import (
     with_lmav_nsv,
 )
 from emgpr.dataset import NO_MIX
-from emgpr.errors import DimensionMismatch, EmptyMatrix, InsufficientGroups
+from emgpr.errors import (DimensionMismatch, EmptyMatrix, InsufficientGroups,
+                          ZeroPowerChannel)
 from emgpr import evaluate as evaluate_module
 from emgpr.evaluate import (
     CSV_HEADER,
@@ -768,6 +770,34 @@ class TestFeatureTable:
         # one extraction per AR fit order (6 and 4) and subject, not one per
         # lag or per recording
         assert len(calls) == 2 * len(table.subjects)
+
+    @pytest.mark.parametrize("seed", [2.7, 2.0, True, None])
+    def test_seed_must_be_an_integer_before_any_mixing(
+        self, amplitude_recordings, monkeypatch, seed
+    ):
+        # a fractional seed would mix seed 2's noise while the report
+        # records 2.7
+        calls = []
+        real = evaluate_module.mix_awgn
+        monkeypatch.setattr(evaluate_module, "mix_awgn",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        message = f"^seed must be an integer, got {re.escape(repr(seed))}$"
+        with pytest.raises(ValueError, match=message):
+            build_table(amplitude_recordings, [("RMS",)], snr_db=10.0, seed=seed)
+        with pytest.raises(ValueError, match=message):
+            crossvalidate(amplitude_recordings, feature_set("FS2"), ModelSpec(kind="qda"),
+                          snr_db=10.0, seed=seed)
+        assert calls == []
+
+    def test_zero_power_channel_names_its_recording(self, two_subject_recordings):
+        recs = list(two_subject_recordings)
+        assert (recs[4].subject_id, recs[4].movement, recs[4].trial) == ("S1", "I", 2)
+        channels = recs[4].channels.copy()
+        channels[1] = 0.0
+        recs[4] = recs[4].with_channels(channels)
+        with pytest.raises(ZeroPowerChannel,
+                           match="^recording S1/I/trial 2: channel 2 has zero power$"):
+            build_table(recs, [feature_set("FS2").features], snr_db=10.0)
 
     def test_flat_feature_list_rejected(self, amplitude_recordings):
         # one set is [features], not the ids themselves

@@ -13,6 +13,7 @@ from emgpr.features import (
     CATALOG,
     EPS,
     FEATURE_SET_NAMES,
+    FeatureSetSpec,
     Thresholds,
     extract,
     extract_matrix,
@@ -167,6 +168,16 @@ class TestFeatureSets:
     def test_unknown_set_name_rejected(self, name):
         with pytest.raises(UnknownFeature, match="unknown feature set"):
             feature_set(name)
+
+    @pytest.mark.parametrize("make", [
+        lambda: FeatureSetSpec("X", "MAV"),
+        lambda: feature_set("CUSTOM", "RMS"),
+    ], ids=["spec", "custom"])
+    def test_a_string_of_ids_is_refused(self, make):
+        # a string is iterable, and would read as one id per letter
+        with pytest.raises(ValueError, match="^features must be a list of feature ids, got '"):
+            make()
+        assert feature_set("CUSTOM", ["RMS"]) == FeatureSetSpec("CUSTOM", ("RMS",))
 
     def test_catalog_size(self):
         assert len(CATALOG) == 32

@@ -154,6 +154,12 @@ class TestForwardSelect:
             SelectionConfig(objective="recall")
         assert SelectionConfig(objective="macro_f1").objective == "f1"
 
+    def test_a_string_pool_is_refused(self):
+        # a string is iterable, and would read as one id per letter
+        with pytest.raises(ValueError, match="^pool must be a list of feature ids, got 'MAV'$"):
+            SelectionConfig(pool="MAV")
+        assert SelectionConfig(pool=["MAV", "WL"]).pool == ("MAV", "WL")
+
 
 class TestDuplicateColumnScores:
     def test_duplicated_feature_does_not_change_cv_score(self, amplitude_recordings):
