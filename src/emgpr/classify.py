@@ -15,9 +15,9 @@ factors.
 The SVM computes one kernel matrix over all training rows and runs the SMO
 problems of all class pairs in lockstep, one padded row of state per pair;
 each pair's result is bit-identical to solving it alone on its own kernel.
-Prediction evaluates one kernel against the union of the machines' support
-vectors and one product with a (support vectors, machines) coefficient
-matrix, then counts the pairwise votes.
+The training rows any machine uses form one support set with a (support
+vectors, machines) coefficient matrix; prediction takes one kernel against
+it and one product, then counts the pairwise votes.
 """
 
 from __future__ import annotations
@@ -276,38 +276,37 @@ def _smo(K: np.ndarray, rows, ys, c: float, tol: float, max_passes: int):
 
 
 class SvmModel:
-    """One-vs-one RBF machines, predicted against their union.
+    """One-vs-one RBF machines over one support set: `support` holds each
+    training row that some machine uses once, in training-row order, and
+    `coef` one column of alpha * y per class pair (i, j), i < j, in pair
+    order (+1 meaning class i, 0 where the machine does not use the row),
+    with the biases in `bias`."""
 
-    `machines` maps each class pair (i, j), i < j, to (sv, coef, b) with +1
-    meaning class i.  The distinct support vectors of all machines are
-    stacked once into `support`, with one column of dual coefficients per
-    machine in `coef` (zero where a machine does not use a vector) and the
-    biases in `bias`, so all decision values come from one kernel and one
-    product.
-    """
-
-    def __init__(self, classes, sigma, machines, converged, d_in):
+    def __init__(self, classes, sigma, support, coef, bias, converged):
         self.classes = classes
         self.sigma = sigma
-        self.machines = machines
+        self.support = support
+        self.coef = coef
+        self.bias = np.asarray(bias, dtype=float)
         self.converged = converged
-        self.d_in = d_in
-        pairs = np.array(list(machines), dtype=np.intp).reshape(-1, 2)
-        self._first, self._second = pairs[:, 0], pairs[:, 1]
-        svs = [sv for sv, _, _ in machines.values()]
-        self.support, where = np.unique(np.vstack(svs), axis=0, return_inverse=True)
-        self.coef = np.zeros((len(self.support), len(machines)))
-        column = np.repeat(np.arange(len(machines)), [len(sv) for sv in svs])
-        # a vector repeated within one machine adds up, as in a per-machine sum
-        np.add.at(self.coef, (where.reshape(-1), column),
-                  np.concatenate([coef for _, coef, _ in machines.values()]))
-        self.bias = np.array([b for _, _, b in machines.values()], dtype=float)
-        self._support_sq = _sq_norms(self.support)  # reused by every predict
+        self.d_in = support.shape[1]
+        self._first, self._second = np.triu_indices(len(classes), 1)
+        self._support_sq = _sq_norms(support)  # reused by every predict
         # votes = (f > 0) @ ballot + second_votes: each machine votes for its
         # first class where f > 0 and for its second class otherwise
         onehot = np.eye(len(classes), dtype=np.intp)
         self._ballot = onehot[self._first] - onehot[self._second]
         self._second_votes = onehot[self._second].sum(axis=0)
+
+    @property
+    def machines(self) -> dict:
+        """(i, j) -> (sv, coef, b): the support rows with a nonzero
+        coefficient in pair (i, j)'s column, those coefficients, its bias."""
+        machines = {}
+        for m, pair in enumerate(zip(self._first.tolist(), self._second.tolist())):
+            used = self.coef[:, m] != 0.0
+            machines[pair] = (self.support[used], self.coef[used, m], float(self.bias[m]))
+        return machines
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         """(rows, machines) decision values; > 0 votes for the pair's first class."""
@@ -342,20 +341,16 @@ def _train_svm(spec: ModelSpec, X, encoded: ClassCodes) -> SvmModel:
     rows = [np.flatnonzero((codes == i) | (codes == j)) for i, j in pairs]
     ys = [np.where(codes[r] == i, 1.0, -1.0) for r, (i, _) in zip(rows, pairs)]
     K = rbf_kernel(X, X, spec.svm_sigma)  # each pair's kernel is a gather of it
-    machines = {}
-    converged = True
     solutions = _smo(K, rows, ys, spec.svm_c, SVM_TOL, SVM_MAX_PASSES)
-    for pair, r, yp, (alpha, b, ok) in zip(pairs, rows, ys, solutions):
-        converged = converged and ok
+    # one column of alpha * y per machine over all training rows; a row
+    # supports some machine exactly where its coefficient row is nonzero
+    coef = np.zeros((len(X), len(pairs)))
+    for m, (r, yp, (alpha, _, _)) in enumerate(zip(rows, ys, solutions)):
         keep = alpha > 1e-12
-        machines[pair] = (X[r[keep]], alpha[keep] * yp[keep], b)
-    return SvmModel(
-        classes=classes,
-        sigma=spec.svm_sigma,
-        machines=machines,
-        converged=converged,
-        d_in=X.shape[1],
-    )
+        coef[r[keep], m] = alpha[keep] * yp[keep]
+    used = np.flatnonzero(coef.any(axis=1))
+    return SvmModel(classes, spec.svm_sigma, X[used], coef[used],
+                    [b for _, b, _ in solutions], all(ok for _, _, ok in solutions))
 
 
 # ---------------------------------------------------------------------------

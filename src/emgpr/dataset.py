@@ -43,8 +43,7 @@ class Recording:
     def __post_init__(self):
         if self.movement not in MOVEMENTS:
             raise ValueError(f"unknown movement label {self.movement!r}")
-        if self.trial < 1:
-            raise ValueError("trial index starts at 1")
+        check_number("trial", self.trial, 1, integer=True)
         check_number("sample_rate_hz", self.sample_rate_hz, 0, open_low=True)
         object.__setattr__(self, "channels", self._checked(self.channels))
 
@@ -302,10 +301,14 @@ class SyntheticSpec:
             object.__setattr__(self, "class_tilt_matrix", tilt)
 
     def _matrix(self, name: str, rows) -> tuple:
-        """`rows` as float tuples, or ValueError unless n_movements x n_channels."""
+        """`rows` as float tuples, or ValueError unless n_movements x n_channels
+        of finite numbers; the error names the first entry that is not finite."""
         rows = tuple(tuple(float(v) for v in row) for row in rows)
         if len(rows) != self.n_movements or any(len(r) != self.n_channels for r in rows):
             raise ValueError(f"{name} must be n_movements x n_channels")
+        for m, row in enumerate(rows):
+            for c, v in enumerate(row):
+                check_number(f"{name}[{m}][{c}]", v)
         return rows
 
     @property

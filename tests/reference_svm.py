@@ -2,8 +2,8 @@
 
 One SMO problem per class pair, solved one pair at a time on that pair's
 own kernel matrix, and predicted one machine at a time.  The package trains
-every pair in lockstep over one shared kernel and predicts against the union
-of support vectors; its training output must equal this one bit for bit.
+every pair in lockstep over one shared kernel and predicts against one
+support set; the machines it derives must equal these bit for bit.
 """
 
 import numpy as np
@@ -60,23 +60,38 @@ def ref_smo(K, y, c, tol, max_passes):
     return alpha, b, converged
 
 
+def ref_pair_solutions(X, y, classes, sigma=1.0, c=1.0, max_passes=SVM_MAX_PASSES):
+    """Per class pair (i, j), in pair order: (i, j, the pair's training-row
+    indices, its labels in {+1, -1}, alpha, b, converged)."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y)
+    for i in range(len(classes)):
+        for j in range(i + 1, len(classes)):
+            rows = np.flatnonzero((y == classes[i]) | (y == classes[j]))
+            yp = np.where(y[rows] == classes[i], 1.0, -1.0)
+            K = rbf_kernel(X[rows], X[rows], sigma)
+            alpha, b, ok = ref_smo(K, yp, c, SVM_TOL, max_passes)
+            yield i, j, rows, yp, alpha, b, ok
+
+
 def ref_train_svm(X, y, classes, sigma=1.0, c=1.0, max_passes=SVM_MAX_PASSES):
     """Per-pair training: ({(i, j): (sv, coef, b)}, converged)."""
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
     machines = {}
     converged = True
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            mask = (y == classes[i]) | (y == classes[j])
-            Xp = X[mask]
-            yp = np.where(y[mask] == classes[i], 1.0, -1.0)
-            K = rbf_kernel(Xp, Xp, sigma)
-            alpha, b, ok = ref_smo(K, yp, c, SVM_TOL, max_passes)
-            converged = converged and ok
-            keep = alpha > 1e-12
-            machines[(i, j)] = (Xp[keep], alpha[keep] * yp[keep], b)
+    for i, j, rows, yp, alpha, b, ok in ref_pair_solutions(X, y, classes, sigma, c,
+                                                            max_passes):
+        converged = converged and ok
+        keep = alpha > 1e-12
+        machines[(i, j)] = (X[rows[keep]], alpha[keep] * yp[keep], b)
     return machines, converged
+
+
+def ref_support_rows(X, y, classes, sigma=1.0, c=1.0):
+    """The sorted training-row indices that at least one machine keeps."""
+    kept = [rows[alpha > 1e-12]
+            for _, _, rows, _, alpha, _, _ in ref_pair_solutions(X, y, classes, sigma, c)]
+    return np.unique(np.concatenate(kept))
 
 
 def ref_predict_svm(machines, classes, sigma, X):

@@ -10,7 +10,7 @@ from emgpr.reduce import class_codes, fit_ulda, project
 
 from reference_knn import ref_predict_knn
 from reference_qda import ref_decision_values, ref_train_qda
-from reference_svm import ref_predict_svm, ref_train_svm
+from reference_svm import ref_predict_svm, ref_support_rows, ref_train_svm
 
 
 def blobs(rng, centers, sigma=0.2, n=60):
@@ -377,6 +377,27 @@ class TestSvmMatchesReference:
         assert not model.converged
         assert_trains_like_reference(model, X, y, spec)
 
+    @pytest.mark.parametrize("across", [False, True], ids=["within-class", "across-classes"])
+    def test_repeated_training_rows(self, across):
+        # rows repeated bit for bit, with the same label or another class's:
+        # each copy is a training row of its own in every machine it is in
+        rng = np.random.default_rng(22)
+        X, y = blobs(rng, CENTERS3, sigma=1.2, n=20)
+        copies = np.arange(0, 60, 4)
+        labels = np.roll(y[copies], 5) if across else y[copies]
+        assert np.all((labels != y[copies]) == across)
+        X, y = np.vstack([X, X[copies]]), np.concatenate([y, labels])
+        spec = ModelSpec(kind="svm")
+        model = train(spec, X, y)
+        assert_trains_like_reference(model, X, y, spec)
+        used = ref_support_rows(X, y, model.classes, spec.svm_sigma, spec.svm_c)
+        assert np.array_equal(model.support, X[used])
+        assert len(np.unique(model.support, axis=0)) < len(model.support)
+        queries = rng.uniform(-3.0, 7.0, (300, 2))
+        assert np.array_equal(
+            model.predict(queries),
+            ref_predict_svm(model.machines, model.classes, model.sigma, queries))
+
     @pytest.mark.parametrize("set_name", ["FS2", "PROPOSED"])
     def test_every_fold_of_the_sanity_data(self, separable_recordings, set_name):
         fs = feature_set(set_name)
@@ -402,11 +423,9 @@ class TestSvmMatchesReference:
 
 def hand_model(names, biases):
     """A model over the classes in `names` whose decision values are its
-    biases: every machine has one support vector with a zero coefficient."""
+    biases: its one support vector has a zero coefficient in every machine."""
     classes = np.array(list(names))
-    pairs = [(i, j) for i in range(len(names)) for j in range(i + 1, len(names))]
-    machines = {pair: (np.zeros((1, 2)), np.zeros(1), b) for pair, b in zip(pairs, biases)}
-    return SvmModel(classes, 1.0, machines, True, 2)
+    return SvmModel(classes, 1.0, np.zeros((1, 2)), np.zeros((1, len(biases))), biases, True)
 
 
 class TestSvmUnionPredict:
@@ -442,17 +461,20 @@ class TestSvmUnionPredict:
     def test_vote_ties_match_reference_on_any_row_input(self):
         # one support vector per machine, so the decision values vary by row
         # and about a quarter of the rows vote a, b and c once each
+        support = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        model = SvmModel(np.array(list("abc")), 1.0, support, np.diag([1.0, -1.0, 1.0]),
+                         [-0.5, 0.5, -0.5], True)
         machines = {(0, 1): (np.array([[1.0, 0.0]]), np.array([1.0]), -0.5),
                     (0, 2): (np.array([[0.0, 1.0]]), np.array([-1.0]), 0.5),
                     (1, 2): (np.array([[1.0, 1.0]]), np.array([1.0]), -0.5)}
-        model = SvmModel(np.array(list("abc")), 1.0, machines, True, 2)
+        assert same_state(model.machines, machines)
         queries = np.random.default_rng(31).uniform(-1.0, 2.0, (300, 2))
         first = (model.decision_values(queries) > 0).astype(int)
         votes = np.stack([first[:, 0] + first[:, 1], 1 - first[:, 0] + first[:, 2],
                           2 - first[:, 1] - first[:, 2]], axis=1)
         tied = (votes == 1).all(axis=1)
         assert tied.any() and not tied.all()
-        expected = ref_predict_svm(machines, model.classes, 1.0, queries)
+        expected = ref_predict_svm(model.machines, model.classes, 1.0, queries)
         for rows in (queries, queries.tolist(), np.asfortranarray(queries)):
             assert np.array_equal(model.predict(rows), expected)
         assert [model.predict(q) for q in queries[tied]] == list(expected[tied])

@@ -72,6 +72,14 @@ class TestSynth:
         assert code == 2
         assert err.startswith(f"error: {named} must be ") and "Traceback" not in err
 
+    def test_gain_that_is_not_finite_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text('{"n_movements": 2, "class_gain_matrix": [[1.0, 1.0], [2.0, NaN]]}')
+        code = run_cli("synth", "--config", path, "--out-dir", tmp_path / "out")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: class_gain_matrix[1][1] must be a finite number, got nan\n"
+
     def test_relative_out_dir_loads_from_any_directory(
         self, tmp_path, monkeypatch, small_dataset
     ):

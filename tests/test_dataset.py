@@ -198,6 +198,16 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             small_spec(class_gain_matrix=((1.0, 1.0), (1.0, 1.0), (2.0, 1.0)))
 
+    @pytest.mark.parametrize("matrix, rows", [
+        ("class_gain_matrix", ((1.0, 1.0), (2.0, 1.0), (4.0, 1.0))),
+        ("class_tilt_matrix", ((0.5, 0.5),) * 3)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_entry_that_is_not_finite_is_named(self, matrix, rows, value):
+        rows = rows[:1] + ((rows[1][0], value),) + rows[2:]
+        message = f"^{matrix}\\[1\\]\\[1\\] must be a finite number, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
+            small_spec(**{matrix: rows})
+
     def test_tilt_validation(self):
         with pytest.raises(ValueError):
             small_spec(class_tilt_matrix=((0.5, 1.5), (0.1, 0.2), (0.3, 0.4)))
@@ -488,6 +498,14 @@ class TestRecording:
             Recording("S1", "T", 1, -1.0, np.zeros((1, 10)))
         with pytest.raises(ValueError):
             Recording("S1", "T", 1, 2000.0, np.zeros(10))
+
+    @pytest.mark.parametrize("trial", [1.5, 2.0, True, "1", 0, -1])
+    def test_trial_must_be_an_integer_from_one(self, trial):
+        # a fractional trial would be a leave-one-trial-out fold of its own
+        message = f"^trial must be an integer >= 1, got {re.escape(repr(trial))}$"
+        with pytest.raises(ValueError, match=message):
+            Recording("S1", "T", trial, 2000.0, np.zeros((1, 10)))
+        assert Recording("S1", "T", np.int64(3), 2000.0, np.zeros((1, 10))).trial == 3
 
     def test_with_channels_keeps_labels_and_checks_channels(self):
         rec = Recording("S2", "TM", 3, 1000.0, np.ones((2, 30)))
