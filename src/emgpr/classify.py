@@ -23,11 +23,11 @@ it and one product, then counts the pairwise votes.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularCovariance, check_number
+from .errors import DimensionMismatch, SingularCovariance, check_number, field_values
 from .reduce import ClassCodes, check_class_sizes, class_codes, group_rows
 
 #: SMO stopping rule: KKT tolerance, and the work cap in sweeps of n pair updates.
@@ -59,7 +59,7 @@ class ModelSpec:
             raise ValueError(f"knn_k must be odd, got {self.knn_k!r}")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return field_values(self)
 
 
 def _query_rows(X, d_in: int):
@@ -357,6 +357,11 @@ def _train_svm(spec: ModelSpec, X, encoded: ClassCodes) -> SvmModel:
 # KNN
 
 
+#: Bytes of the (query rows, training rows, d) differences KNN holds at once,
+#: small enough to stay in cache
+KNN_BLOCK_BYTES = 1 << 18
+
+
 class KnnModel:
     """The training rows `X` with their class `codes` into `classes`."""
 
@@ -372,14 +377,21 @@ class KnnModel:
 
     def predict(self, X: np.ndarray):
         X, one = _query_rows(X, self.d_in)
-        best = np.empty(X.shape[0], dtype=np.intp)
-        for row, x in enumerate(X):
-            dists = np.sum(np.abs(self.X - x), axis=1)
-            nearest = self.codes[np.argsort(dists, kind="stable")[: self.k]]
-            votes = np.bincount(nearest, minlength=len(self.classes))
-            leaders = np.flatnonzero(votes == votes.max())
-            # vote tie: fall back to the single nearest neighbor
-            best[row] = leaders[0] if len(leaders) == 1 else nearest[0]
+        # cityblock distances of a block of query rows at once; each row's
+        # sum is the one np.sum(np.abs(self.X - x), axis=1) gives it
+        step = max(1, KNN_BLOCK_BYTES // (8 * self.X.size))
+        order = np.empty((len(X), min(self.k, len(self.X))), dtype=np.intp)
+        for start in range(0, len(X), step):
+            diffs = X[start:start + step, None] - self.X
+            dists = np.add.reduce(np.abs(diffs, out=diffs), axis=2)
+            order[start:start + step] = np.argsort(dists, axis=1, kind="stable")[:, :self.k]
+        nearest = self.codes[order]  # (rows, neighbors), nearest first
+        rows, n_classes = nearest.shape[0], len(self.classes)
+        votes = np.bincount((np.arange(rows)[:, None] * n_classes + nearest).ravel(),
+                            minlength=rows * n_classes).reshape(rows, n_classes)
+        tied = (votes == votes.max(axis=1, keepdims=True)).sum(axis=1) > 1
+        # vote tie: fall back to the single nearest neighbor
+        best = np.where(tied, nearest[:, 0], np.argmax(votes, axis=1))
         labels = self.classes[best]
         return labels[0] if one else labels
 

@@ -245,8 +245,8 @@ class SyntheticSpec:
     """Seeded generator config for separable synthetic recordings.
 
     Every channel is band-limited Gaussian noise with unit RMS scaled by
-    class_gain_matrix[movement][channel], so movements are at least
-    amplitude-coded and the expected downstream behavior is known by
+    class_gain_matrix[movement][channel], a gain >= 0, so movements are at
+    least amplitude-coded and the expected downstream behavior is known by
     construction.  With class_tilt_matrix set, each channel is additionally a
     class-specific mixture of a low and a high sub-band (weight = tilt), so
     classes also differ spectrally, the way distinct movements recruit
@@ -287,6 +287,12 @@ class SyntheticSpec:
         if gains is None:
             gains = separable_gain_grid(self.n_movements, self.n_channels)
         gains = self._matrix("class_gain_matrix", gains)
+        # a channel scaled by -g is distributed as one scaled by g, so a
+        # negative gain would code a class no feature can tell apart
+        for m, row in enumerate(gains):
+            for c, v in enumerate(row):
+                if v < 0:
+                    raise ValueError(f"class_gain_matrix[{m}][{c}] must be >= 0, got {v!r}")
         if len(set(gains)) != len(gains):
             raise ValueError("class_gain_matrix rows must be distinct")
         object.__setattr__(self, "class_gain_matrix", gains)

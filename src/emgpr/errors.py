@@ -1,8 +1,9 @@
-"""Exception types raised across the toolkit, and the check that every
-numeric setting passes."""
+"""Exception types raised across the toolkit, the check that every numeric
+setting passes, and the plain dict of a settings dataclass."""
 
 import math
 import numbers
+from dataclasses import fields
 
 
 def check_number(name: str, value, low=None, high=None, *,
@@ -22,6 +23,13 @@ def check_number(name: str, value, low=None, high=None, *,
         if bounds:
             what += " " + " and ".join(bounds)
         raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+def field_values(spec) -> dict:
+    """Field name -> value of a dataclass whose values are scalars or tuples
+    of scalars: what `dataclasses.asdict` returns for it, without its deep
+    copy."""
+    return {f.name: getattr(spec, f.name) for f in fields(spec)}
 
 
 class EmgprError(Exception):

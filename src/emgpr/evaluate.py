@@ -13,10 +13,12 @@ min-max scaled over every table column, which works column by column, and
 the held-out labels as movement indices) is computed once per table, at the
 first set scored on it.  Each set slices its columns of the scaled rows and
 fits ULDA and the classifier on them with the fold's class codes as labels,
-the two calls fit_pipeline makes after its own scaling.  Each fold is scored
+the two calls fit_pipeline makes after its own scaling.  Each fold is counted
 in movement indices: the model's predictions are mapped back to them and
 counted in one bincount, the counting ConfusionMatrix.from_predictions does
-after encoding its labels.
+after encoding its labels.  After the loop, the counts of every scored fold
+are scored together, in one pass over their (folds, K, K) stack; `metrics`
+is the one-fold case of that pass.
 """
 
 from __future__ import annotations
@@ -147,7 +149,7 @@ class Metrics:
     average of per-class accuracies is reported separately as `ovr_accuracy`
     since the two conventions differ a lot on many-class problems.  0/0 cells
     are defined as 0 and listed in `undefined` as (metric, class_index) pairs.
-    The macro averages are computed once, at construction.
+    `metrics` computes the macro averages with the per-class scores.
     """
 
     accuracy: float
@@ -156,18 +158,12 @@ class Metrics:
     specificity: np.ndarray
     precision: np.ndarray
     f1: np.ndarray
+    ovr_accuracy: float
+    macro_sensitivity: float
+    macro_specificity: float
+    macro_precision: float
+    macro_f1: float
     undefined: tuple = ()
-    ovr_accuracy: float = field(init=False)
-    macro_sensitivity: float = field(init=False)
-    macro_specificity: float = field(init=False)
-    macro_precision: float = field(init=False)
-    macro_f1: float = field(init=False)
-
-    def __post_init__(self):
-        per_class = np.stack([getattr(self, attr) for _, attr, _ in _SCORES])
-        # each row's mean equals the 1-D per_class.mean() bit for bit
-        for (_, _, macro), mean in zip(_SCORES, per_class.mean(axis=1).tolist()):
-            object.__setattr__(self, macro, mean)
 
     def scalar(self, name: str) -> float:
         """The score reported under a METRIC_NAMES name."""
@@ -175,35 +171,47 @@ class Metrics:
 
 
 def _ratios(num: np.ndarray, den: np.ndarray):
-    """num / den per class, with 0 where den == 0, and that mask."""
+    """num / den, with 0 where den == 0, and that mask."""
     zero = den == 0
-    return np.divide(num, den, out=np.zeros(len(num)), where=~zero), zero
+    return np.divide(num, den, out=np.zeros(num.shape), where=~zero), zero
 
 
-def metrics(cm: ConfusionMatrix) -> Metrics:
-    """Reduce a confusion matrix to the five scores, per class and macro."""
-    if cm.total == 0:
+def _score(counts: np.ndarray) -> list:
+    """The Metrics of each (K, K) matrix of a (folds, K, K) stack of counts,
+    in one pass over the stack; EmptyMatrix when one has no observation."""
+    total = counts.sum(axis=(1, 2))
+    if not total.all():
         raise EmptyMatrix("confusion matrix has no observations")
-    counts, total = cm.counts, cm.total
-    tp = np.diagonal(counts)
-    fn = counts.sum(axis=1) - tp
-    fp = counts.sum(axis=0) - tp
-    tn = total - tp - fn - fp
+    tp = np.diagonal(counts, axis1=1, axis2=2)
+    fn = counts.sum(axis=2) - tp
+    fp = counts.sum(axis=1) - tp
+    tn = total[:, None] - tp - fn - fp
     sens, no_sens = _ratios(tp, tp + fn)
     spec, no_spec = _ratios(tn, tn + fp)
     prec, no_prec = _ratios(tp, tp + fp)
     f1, no_f1 = _ratios(2.0 * prec * sens, prec + sens)
-    # per class, in the order of the ratio rows of _SCORES
-    flagged = np.stack([no_sens, no_spec, no_prec, no_f1], axis=1)
-    return Metrics(
-        accuracy=float(np.trace(counts)) / total,
-        per_class_accuracy=(tp + tn) / total,
-        sensitivity=sens,
-        specificity=spec,
-        precision=prec,
-        f1=f1,
-        undefined=tuple((_SCORES[1 + j][0], int(i)) for i, j in zip(*np.nonzero(flagged))),
-    )
+    # (folds, score, class) in the order of _SCORES; each row's mean equals
+    # the 1-D mean of that score bit for bit
+    per_class = np.stack([(tp + tn) / total[:, None], sens, spec, prec, f1], axis=1)
+    # per fold, then class, in the order of the ratio rows of _SCORES
+    flagged = np.stack([no_sens, no_spec, no_prec, no_f1], axis=2)
+    undefined = [[] for _ in counts]
+    for fold, i, j in zip(*(axis.tolist() for axis in np.nonzero(flagged))):
+        undefined[fold].append((_SCORES[1 + j][0], i))
+    hit_rates = tp.sum(axis=1) / total
+    return [
+        # Metrics lists its per-class fields, then its macro ones, in the
+        # order of _SCORES
+        Metrics(accuracy, *scores, *means, undefined=tuple(flags))
+        for accuracy, scores, means, flags in zip(
+            hit_rates.tolist(), per_class, per_class.mean(axis=2).tolist(), undefined)
+    ]
+
+
+def metrics(cm: ConfusionMatrix) -> Metrics:
+    """Reduce a confusion matrix to the five scores, per class and macro: the
+    one-fold case of the pass that scores a report's folds together."""
+    return _score(cm.counts[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -273,15 +281,20 @@ class EvalReport:
     def ok(self) -> bool:
         return not self.failures
 
+    def _values(self, name: str) -> np.ndarray:
+        return np.asarray([f.scores.scalar(name) for f in self.folds])
+
+    def mean(self, name: str) -> float:
+        """Mean of a METRIC_NAMES score across every (subject, fold) cell;
+        NaN when no fold was scored."""
+        return float(self._values(name).mean()) if self.folds else math.nan
+
     def summary(self) -> dict:
         """metric -> (mean, std) across every (subject, fold) cell."""
         if not self.folds:
             return {name: (math.nan, math.nan) for name in METRIC_NAMES}
-        out = {}
-        for name in METRIC_NAMES:
-            vals = np.asarray([f.scores.scalar(name) for f in self.folds])
-            out[name] = (float(vals.mean()), float(vals.std()))
-        return out
+        return {name: (self.mean(name), float(self._values(name).std()))
+                for name in METRIC_NAMES}
 
     def per_subject_means(self, metric: str) -> dict:
         """subject -> mean of a macro metric over its folds."""
@@ -616,7 +629,8 @@ def crossvalidate(
     rows come from `FeatureTable.folds`, sliced to the set's columns, so a
     table computes them once for every set.  A fold's predictions are mapped
     to movement indices and counted against the held-out codes in one
-    bincount, as `ConfusionMatrix.from_predictions` counts labels.
+    bincount, as `ConfusionMatrix.from_predictions` counts labels; the
+    counts of all scored folds are scored in one stacked pass after the loop.
     """
     if isinstance(recordings, FeatureTable):
         if settings:
@@ -631,7 +645,7 @@ def crossvalidate(
     # classes are the movements sorted: class i is movement movement_of[i]
     movement_of = np.argsort(np.asarray(labels))
 
-    folds, failures = [], []
+    scored, failures = [], []  # scored: (subject, held-out trial, counts)
     for subject in table.subjects:
         columns = table.flat_positions(subject, feature_set.features)
         for fold in table.folds(subject):
@@ -647,18 +661,21 @@ def crossvalidate(
                     # Pipeline.predict after its scaling, on rows the fold scaled
                     predicted = model.predict(project(
                         projection, np.take(fold.test_scaled, columns, axis=1)))
-                    counts = _pair_counts(
+                    scored.append((subject, fold.held_out, _pair_counts(
                         fold.test_codes,
                         movement_of[np.searchsorted(model.classes, predicted)],
-                        len(labels))
-                    cm = ConfusionMatrix(counts=counts, labels=labels)
-                    folds.append(FoldEval(subject=subject, fold_trial=fold.held_out,
-                                          confusion=cm, scores=metrics(cm)))
+                        len(labels))))
                 except EmgprError as exc:
                     error = _describe(exc)
             if error is not None:
                 failures.append(FoldFailure(subject=subject, fold_trial=fold.held_out,
                                             error=error))
+    scores = _score(np.stack([counts for _, _, counts in scored])) if scored else []
+    folds = tuple(
+        FoldEval(subject=subject, fold_trial=held_out,
+                 confusion=ConfusionMatrix(counts=counts, labels=labels), scores=fold_scores)
+        for (subject, held_out, counts), fold_scores in zip(scored, scores)
+    )
 
     scalars = {name: getattr(table, name)
                for name in ("window_ms", "overlap_ms", "snr_db", "seed")}
@@ -673,7 +690,7 @@ def crossvalidate(
             "filter": table.filter_spec.to_dict(),
             **scalars,
         },
-        folds=tuple(folds),
+        folds=folds,
         failures=tuple(failures),
     )
 

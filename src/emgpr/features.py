@@ -15,12 +15,12 @@ finite on any input, including all-zero windows.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import UnknownFeature, WindowTooShort, check_number
+from .errors import UnknownFeature, WindowTooShort, check_number, field_values
 
 EPS = 1e-12
 
@@ -42,7 +42,7 @@ class Thresholds:
             check_number(f"threshold {f.name}", getattr(self, f.name), 0)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return field_values(self)
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class FeatureSetSpec:
         return len(self.features)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return field_values(self)
 
 
 _REGISTRY = {

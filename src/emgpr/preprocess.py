@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal
 from scipy.signal._sosfilt import _sosfilt
 
 from .dataset import Recording
-from .errors import DimensionMismatch, NyquistViolation, WindowLongerThanTrial, check_number
+from .errors import (DimensionMismatch, NyquistViolation, WindowLongerThanTrial, check_number,
+                     field_values)
 
 MIN_WINDOW_SAMPLES = 8
 
@@ -41,7 +42,7 @@ class FilterSpec:
             raise ValueError("notch_hz must lie within the passband")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return field_values(self)
 
 
 @functools.lru_cache(maxsize=64)

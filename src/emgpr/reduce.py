@@ -114,7 +114,7 @@ def fit_ulda(X: np.ndarray, y) -> UldaProjection:
     check_class_sizes(classes, counts)
 
     n = X.shape[0]
-    mean = X.mean(axis=0)
+    mean = np.add.reduce(X, 0) / n  # what X.mean(axis=0) computes
     Xc = X - mean
 
     # whiten the total scatter St = Xc'Xc / n
@@ -135,10 +135,8 @@ def fit_ulda(X: np.ndarray, y) -> UldaProjection:
         raise DegenerateClasses("class means coincide; nothing to discriminate")
 
     matrix = whiten @ P[:, :d_out]
-    for j in range(d_out):
-        col = matrix[:, j]
-        if col[np.argmax(np.abs(col))] < 0:
-            matrix[:, j] = -col
+    largest = matrix[np.argmax(np.abs(matrix), axis=0), np.arange(d_out)]
+    np.negative(matrix, out=matrix, where=largest < 0)
     return UldaProjection(mean=mean, matrix=matrix, d_out=d_out)
 
 

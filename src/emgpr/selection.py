@@ -123,7 +123,7 @@ def forward_select(recordings, cfg: SelectionConfig) -> SelectionTrace:
                 continue
             spec = FeatureSetSpec("CUSTOM", (*selected, fid))
             report = crossvalidate(table, spec, cfg.model_spec)
-            score = 100.0 * report.summary()[cfg.objective][0]
+            score = 100.0 * report.mean(cfg.objective)
             if not math.isnan(score):
                 scored.append((score, -i, fid))
         if not scored:  # no candidate is left, or none can be scored

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from emgpr import classify
 from emgpr.classify import ModelSpec, SvmModel, predict, rbf_kernel, train
 from emgpr.errors import DegenerateClasses, DimensionMismatch, SingularCovariance
 from emgpr.evaluate import build_table, fit_pipeline
@@ -522,3 +523,30 @@ class TestKnn:
             assert tied.any()
         model = train(ModelSpec(kind="knn", knn_k=k), X, y)
         assert np.array_equal(predict(model, queries), expected)
+
+    @pytest.mark.parametrize("d", [2, 9, 12])
+    @pytest.mark.parametrize("block_rows", [1, 7, None])
+    def test_blocks_of_query_rows_match_reference(self, d, block_rows, monkeypatch):
+        # tenths are inexact in binary, so rows whose distances differ only
+        # in summation order tie or swap unless each sum is the reference's
+        rng = np.random.default_rng(16 + d)
+        X = rng.integers(0, 4, (50, d)) * 0.1
+        y = np.array(["d", "b", "a", "c"])[rng.integers(0, 4, 50)]
+        queries = rng.integers(0, 4, (45, d)) * 0.1
+        if block_rows is not None:
+            monkeypatch.setattr(classify, "KNN_BLOCK_BYTES", 8 * X.size * block_rows)
+        for k in (1, 3, 5):
+            expected, _ = ref_predict_knn(X, y, k, queries)
+            model = train(ModelSpec(kind="knn", knn_k=k), X, y)
+            assert np.array_equal(predict(model, queries), expected)
+            assert predict(model, queries[3]) == expected[3]
+        assert predict(model, queries[:0]).shape == (0,)
+
+    def test_k_beyond_the_training_rows_votes_over_all(self):
+        X = np.array([[0.0], [1.0], [3.0]])
+        y = np.array(["b", "a", "a"])
+        model = train(ModelSpec(kind="knn", knn_k=5), X, y)
+        queries = np.array([[0.0], [2.9]])
+        expected, _ = ref_predict_knn(X, y, 5, queries)
+        assert np.array_equal(predict(model, queries), expected)
+        assert list(expected) == ["a", "a"]

@@ -80,6 +80,16 @@ class TestSynth:
         assert code == 2
         assert err == "error: class_gain_matrix[1][1] must be a finite number, got nan\n"
 
+    def test_negative_gain_exits_2(self, tmp_path, capsys):
+        # -1.0 scales channel 0 of movement 1 to the distribution of +1.0,
+        # which would make the two movements the same class
+        path = tmp_path / "c.json"
+        path.write_text('{"n_movements": 2, "class_gain_matrix": [[1.0, 1.0], [-1.0, 1.0]]}')
+        code = run_cli("synth", "--config", path, "--out-dir", tmp_path / "out")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: class_gain_matrix[1][0] must be >= 0, got -1.0\n"
+
     def test_relative_out_dir_loads_from_any_directory(
         self, tmp_path, monkeypatch, small_dataset
     ):

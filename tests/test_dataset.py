@@ -208,6 +208,19 @@ class TestSynthetic:
         with pytest.raises(ValueError, match=message):
             small_spec(**{matrix: rows})
 
+    @pytest.mark.parametrize("rows, message", [
+        (((1.0, 1.0), (-1.0, 1.0), (2.0, 1.0)), r"class_gain_matrix\[1\]\[0\] .* -1\.0$"),
+        (((1.0, 1.0), (2.0, 1.0), (4.0, -0.5)), r"class_gain_matrix\[2\]\[1\] .* -0\.5$")])
+    def test_negative_gain_is_named(self, rows, message):
+        # a channel scaled by -g has the distribution of one scaled by g, so
+        # the first case codes two movements no feature can tell apart
+        with pytest.raises(ValueError, match=f"^{message}"):
+            small_spec(class_gain_matrix=rows)
+
+    def test_zero_gain_is_accepted(self):
+        spec = small_spec(class_gain_matrix=((0.0, -0.0), (1.0, 1.0), (2.0, 1.0)))
+        assert spec.class_gain_matrix[0] == (0.0, 0.0)
+
     def test_tilt_validation(self):
         with pytest.raises(ValueError):
             small_spec(class_tilt_matrix=((0.5, 1.5), (0.1, 0.2), (0.3, 0.4)))

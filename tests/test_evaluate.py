@@ -2,7 +2,7 @@ import functools
 import json
 import math
 import re
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -37,8 +37,10 @@ from emgpr.errors import (DimensionMismatch, EmptyMatrix, InsufficientGroups,
 from emgpr import evaluate as evaluate_module
 from emgpr.evaluate import (
     CSV_HEADER,
+    METRIC_NAMES,
     ConfusionMatrix,
     FeatureTable,
+    Metrics,
     compare_groups,
     fit_pipeline,
 )
@@ -144,6 +146,88 @@ class TestMetrics:
                 assert m.scalar(name) == float(values.mean())
             assert m.scalar("accuracy") == m.accuracy
             assert m.scalar("f1") == m.macro_f1
+
+
+def assert_same_scores(got: Metrics, want: Metrics):
+    """Every field of two Metrics equal bit for bit, types included."""
+    for f in fields(Metrics):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert type(a) is type(b), f.name
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+        else:
+            assert repr(a) == repr(b), f.name
+
+
+class TestStackedScores:
+    """crossvalidate scores a report's folds in one pass over their stacked
+    counts; each fold's scores are the ones metrics gives its matrix alone."""
+
+    def test_stack_equals_each_matrix_alone(self):
+        rng = np.random.default_rng(3)
+        for k in (2, 3, 10, 11):
+            stack = rng.integers(0, 5, size=(7, k, k)) * (rng.random((7, k, k)) < 0.5)
+            stack[:, 0, 0] += 1
+            stack[1, :, 1] = 0  # class 1 is never predicted: precision 0/0
+            stack[2, 1, :] = stack[2, :, 1] = 0  # never true nor predicted
+            stack[3] = 0
+            stack[3, 0, 0] = 4  # one class only: a 0/0 score in every class
+            scores = evaluate_module._score(stack)
+            assert len(scores) == len(stack)
+            for counts, got in zip(stack, scores):
+                assert_same_scores(got, metrics(ConfusionMatrix(counts, tuple(range(k)))))
+            assert ("precision", 1) in scores[1].undefined
+            assert ("sensitivity", 1) in scores[2].undefined
+            assert {i for _, i in scores[3].undefined} == set(range(k))
+
+    def test_undefined_cells_stay_with_their_fold(self):
+        stack = np.array([[[5, 0, 0], [0, 0, 0], [3, 0, 0]],
+                          [[2, 1, 0], [0, 2, 1], [1, 0, 3]],
+                          [[4, 0, 0], [0, 3, 0], [0, 2, 0]]])
+        first, second, third = evaluate_module._score(stack)
+        assert first.undefined == (("sensitivity", 1), ("precision", 1), ("f1", 1),
+                                   ("precision", 2), ("f1", 2))
+        assert second.undefined == ()
+        assert third.undefined == (("precision", 2), ("f1", 2))
+        assert all(type(i) is int for s in (first, third) for _, i in s.undefined)
+
+    def test_a_matrix_without_observations_is_refused(self):
+        stack = np.ones((3, 2, 2), dtype=int)
+        stack[1] = 0
+        with pytest.raises(EmptyMatrix):
+            evaluate_module._score(stack)
+
+    def test_crossvalidate_folds_equal_metrics_around_a_failed_fold(self):
+        # movement I is recorded in trial 2 only, so fold 2 fails between
+        # the scored folds 1 and 3; trial 3 holds no R, so its held-out
+        # matrix has a class that is never true
+        recs = [r for r in quick_dataset()
+                if (r.movement != "I" or r.trial == 2) and (r.movement, r.trial) != ("R", 3)]
+        for kind in ("qda", "knn"):
+            report = crossvalidate(recs, feature_set("FS2"), ModelSpec(kind=kind))
+            assert [f.fold_trial for f in report.folds] == [1, 3]
+            assert [f.fold_trial for f in report.failures] == [2]
+            for fold in report.folds:
+                assert_same_scores(fold.scores, metrics(fold.confusion))
+            assert any(report.folds[1].scores.undefined)
+
+    def test_mean_is_the_summary_mean(self, amplitude_recordings):
+        for kind in ("qda", "knn"):
+            report = crossvalidate(amplitude_recordings, feature_set("FS2"),
+                                   ModelSpec(kind=kind))
+            summary = report.summary()
+            for name in METRIC_NAMES:
+                assert repr(report.mean(name)) == repr(summary[name][0]), name
+                assert report.mean(name) == float(np.mean(
+                    [f.scores.scalar(name) for f in report.folds]))
+
+    def test_mean_of_a_report_without_folds_is_nan(self):
+        table = build_table(quick_dataset(), [DEAD], thresholds=DEAD_TH)
+        report = crossvalidate(table, feature_set("CUSTOM", DEAD), ModelSpec(kind="qda"))
+        assert not report.folds and report.failures
+        for name in METRIC_NAMES:
+            assert math.isnan(report.mean(name))
+            assert math.isnan(report.summary()[name][0])
 
 
 class TestConfusionMatrix:
