@@ -47,20 +47,22 @@ class Recording:
         check_number("sample_rate_hz", self.sample_rate_hz, 0, open_low=True)
         object.__setattr__(self, "channels", self._checked(self.channels))
 
+    def _where(self) -> str:
+        return f"recording {self.subject_id}/{self.movement}/trial {self.trial}"
+
     def _checked(self, channels) -> np.ndarray:
-        """`channels` as a finite (n_channels, n_samples) float matrix, or a
-        ValueError that locates the first sample that is not finite."""
+        """`channels` as a finite (n_channels, n_samples) float matrix of at
+        least one of each, or a ValueError naming the recording and then the
+        shape it got or the first sample that is not finite."""
         ch = np.asarray(channels, dtype=float)
-        if ch.ndim != 2 or ch.shape[1] < 1:
-            raise ValueError("channels must be a (n_channels, n_samples) matrix")
+        if ch.ndim != 2 or 0 in ch.shape:
+            raise ValueError(f"{self._where()}: channels must be a (n_channels, n_samples) "
+                             f"matrix with at least one of each, got shape {ch.shape}")
         finite = np.isfinite(ch)
         if not finite.all():
             channel, sample = np.argwhere(~finite)[0]
-            raise ValueError(
-                f"recording {self.subject_id}/{self.movement}/trial {self.trial}: "
-                f"channel {channel + 1}, sample index {sample} is "
-                f"{float(ch[channel, sample])}, not a finite number"
-            )
+            raise ValueError(f"{self._where()}: channel {channel + 1}, sample index {sample} "
+                             f"is {float(ch[channel, sample])}, not a finite number")
         return ch
 
     @property
@@ -462,10 +464,7 @@ def mix_awgn(rec: Recording, snr_db: float, seed: int) -> Recording:
     power = np.mean(x * x, axis=1)
     silent = np.flatnonzero(power <= 0.0)
     if len(silent):
-        raise ZeroPowerChannel(
-            f"recording {rec.subject_id}/{rec.movement}/trial {rec.trial}: "
-            f"channel {silent[0] + 1} has zero power"
-        )
+        raise ZeroPowerChannel(f"{rec._where()}: channel {silent[0] + 1} has zero power")
     scale = np.sqrt(power / 10.0 ** (snr_db / 10.0))
     # one draw in channel order: the same numbers as one rng.normal per channel
     noise = np.random.default_rng(seed).standard_normal(x.shape)
@@ -476,7 +475,10 @@ def mix_awgn(rec: Recording, snr_db: float, seed: int) -> Recording:
 
 
 def estimate_snr(active_rms: float, noise_rms: float) -> float:
-    """SNR in dB by power subtraction of the rest-state noise floor."""
+    """SNR in dB by power subtraction of the rest-state noise floor; both
+    RMS values must be finite numbers."""
+    check_number("active_rms", active_rms)
+    check_number("noise_rms", noise_rms)
     if noise_rms <= 0:
         raise SignalBelowNoise("noise_rms must be positive")
     if active_rms <= noise_rms:

@@ -1,10 +1,11 @@
 """Trial-wise cross-validation, confusion metrics, sweeps and ANOVA.
 
 crossvalidate runs in two stages: build_table mixes noise, filters, segments
-and extracts every recording once into a FeatureTable, and the fold loop
-fits on a column slice of that table, so several feature sets can be scored
-against one table; sweep builds one such table per grid value and scores
-every set on it.  Each fold holds one trial of every movement out and
+and extracts every recording once into a FeatureTable, one extract_matrix
+result per AR fit order side by side, and the fold loop fits on a column
+slice of that table, so several feature sets can be scored against one
+table; sweep builds one such table per grid value and scores every set on
+it.  Each fold holds one trial of every movement out and
 fits the chain fit_pipeline fits (min-max bounds, the ULDA projection and
 the classifier) on the training folds only, so no test information leaks
 into it.  The part of a fold that no set changes (the missing-movement
@@ -386,23 +387,21 @@ def _set_columns(features) -> tuple:
     return tuple((fid, order if ar_lag(fid) else None) for fid in features)
 
 
-def _extraction_groups(columns) -> list:
-    """(spec, column positions) per AR fit order, one `extract_matrix` each.
-
-    Plain features ride with the largest order, so a single set is extracted
-    in one pass.
+def _extraction_plan(feature_sets) -> list:
+    """One FeatureSetSpec per AR fit order of these feature-id lists, lowest
+    first, each with the distinct columns of that order as the lists first
+    name them.  Plain features ride with the largest order, so a single list
+    is extracted in one pass.  A spec's own fit order is its group's, so its
+    `_set_columns` are its columns of the table.
     """
-    orders = sorted({order for _, order in columns if order is not None})
-    top = orders[-1] if orders else None
-    groups = []
-    for group in orders or [None]:
-        positions = [
-            i for i, (_, order) in enumerate(columns)
-            if order == group or (order is None and group == top)
-        ]
-        spec = FeatureSetSpec("CUSTOM", tuple(columns[i][0] for i in positions))
-        groups.append((spec, positions))
-    return groups
+    keys = dict.fromkeys(key for features in feature_sets for key in _set_columns(features))
+    orders = sorted({order for _, order in keys if order is not None}) or [None]
+    top = orders[-1]
+    return [
+        FeatureSetSpec("CUSTOM", tuple(fid for fid, order in keys
+                                       if order == group or (order is None and group == top)))
+        for group in orders
+    ]
 
 
 def _describe(exc: EmgprError) -> str:
@@ -530,14 +529,16 @@ def build_table(
     """Mix noise, filter, segment and extract every recording once.
 
     `feature_sets` are the feature-id lists the table must serve; each list
-    reads its AR lags off one fit at its largest lag, as `extract` does, so
-    the table holds one extraction per AR fit order.  When snr_db is given
-    and not inf, calibrated white noise is mixed into the raw recordings
-    (seeded per subject/movement/trial) before filtering.
+    reads its AR lags off one fit at its largest lag, as `extract` does.  The
+    table is laid out as its `_extraction_plan`, one spec per AR fit order,
+    lowest first: `columns` are the specs' column keys side by side, and sets
+    slice them by key.  When snr_db is given and not inf, calibrated white
+    noise is mixed into the raw recordings (seeded per subject/movement/trial)
+    before filtering.
 
-    A subject's windows are segmented into one array and each AR fit order
-    is one `extract_matrix` call over it, so one subject's filtered windows
-    are held in memory at a time.  Rows run in recording order, then window
+    A subject's windows are segmented into one array and its block joins one
+    `extract_matrix` result per spec, so one subject's filtered windows are
+    held in memory at a time.  Rows run in recording order, then window
     order.  Every recording of a subject must give the first one's channel
     count and window length in samples; ValueError names the one that does
     not, before any recording is mixed or filtered.
@@ -546,10 +547,7 @@ def build_table(
         raise ValueError("feature_sets must hold feature-id lists, e.g. [spec.features]")
     check_number("seed", seed, integer=True)
     snr_db = _mixing_snr(snr_db)
-    columns = tuple(dict.fromkeys(
-        key for features in feature_sets for key in _set_columns(features)
-    ))
-    groups = _extraction_groups(columns)
+    plan = _extraction_plan(feature_sets)
 
     by_subject = {}
     for rec in recordings:
@@ -583,12 +581,10 @@ def build_table(
             segment(rec, window_ms, overlap_ms, out=windows[row : row + count])
             row += count
 
-        block = np.empty(windows.shape[:2] + (len(columns),))
-        for spec, positions in groups:
-            block[:, :, positions] = extract_matrix(spec, windows, thresholds).reshape(
-                windows.shape[:2] + (len(positions),)
-            )
-        values[subject] = block
+        values[subject] = np.concatenate([
+            extract_matrix(spec, windows, thresholds).reshape(windows.shape[:2] + (len(spec),))
+            for spec in plan
+        ], axis=2)
         labels[subject] = np.repeat([rec.movement for rec in recs], counts)
         trials[subject] = np.repeat([rec.trial for rec in recs], counts)
 
@@ -597,7 +593,7 @@ def build_table(
         labels=labels,
         trials=trials,
         movements=_movement_order(recordings),
-        columns=columns,
+        columns=tuple(key for spec in plan for key in _set_columns(spec.features)),
         thresholds=thresholds,
         window_ms=float(window_ms),
         overlap_ms=float(overlap_ms),
@@ -721,13 +717,18 @@ def compare_groups(groups, n_comparisons: int = 1) -> dict:
     """One-way ANOVA across score groups with a Bonferroni-corrected p.
 
     Returns f_stat, p_value and bonferroni_p (p times the declared number of
-    comparisons, capped at 1).
+    comparisons, capped at 1).  ValueError names the group and index of a
+    score that is not a finite number.
     """
     groups = [np.asarray(g, dtype=float) for g in groups]
     if len(groups) < 2:
         raise InsufficientGroups("need at least two groups")
     if any(len(g) == 0 for g in groups):
         raise InsufficientGroups("groups must be non-empty")
+    for i, g in enumerate(groups):
+        if not np.isfinite(g).all():
+            j = int(np.argmin(np.isfinite(g)))
+            raise ValueError(f"group {i} score {j} is {g[j].item()!r}, not a finite number")
     check_number("n_comparisons", n_comparisons, 1, integer=True)
     sizes = np.asarray([len(g) for g in groups])
     total_n = int(sizes.sum())
@@ -744,10 +745,7 @@ def compare_groups(groups, n_comparisons: int = 1) -> dict:
         f_stat = 0.0 if ss_between <= 1e-300 else math.inf
     else:
         f_stat = (ss_between / df_between) / (ss_within / df_within)
-    if math.isinf(f_stat):
-        p_value = 0.0
-    else:
-        p_value = float(special.fdtrc(df_between, df_within, f_stat))
+    p_value = float(special.fdtrc(df_between, df_within, f_stat))  # 0.0 at inf
     return {
         "f_stat": f_stat,
         "p_value": p_value,

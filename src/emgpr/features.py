@@ -454,11 +454,16 @@ def extract_matrix(set_spec: FeatureSetSpec, windows,
     list of same-shape windows, as an (n_windows, d) matrix.
 
     The windows are evaluated in blocks of about `_CHUNK_SAMPLES` samples;
-    every row equals `extract` of its window alone.
+    every row equals `extract` of its window alone.  A stack without windows
+    or channels gives an empty (count, channels * d) matrix, and windows of
+    too few samples raise what `extract` of one raises.
     """
     windows = np.ascontiguousarray(windows, dtype=float)
     count, channels, n = windows.shape
-    rows = windows.reshape(-1, n)
+    rows = windows.reshape(count * channels, n)
+    if not rows.size:  # nothing to block: the empty block still checks n
+        return _evaluate(set_spec.features, thresholds, rows).reshape(
+            count, channels * len(set_spec))
     step = channels * max(1, _CHUNK_SAMPLES // (channels * n))
     values = [
         _evaluate(set_spec.features, thresholds, rows[start : start + step])

@@ -193,18 +193,26 @@ def res_index_general(reduced: np.ndarray, y) -> float:
     return ed_bar / sigma
 
 
-def res_index(reduced2: np.ndarray, y) -> float:
-    """RES index on exactly the first two reduced dimensions."""
+def _two_columns(reduced2, y) -> np.ndarray:
+    """`reduced2` as a float matrix; ValueError naming its shape unless it
+    has exactly two columns, or unless `y` gives one label per row."""
     reduced2 = np.asarray(reduced2, dtype=float)
     if reduced2.ndim != 2 or reduced2.shape[1] != 2:
-        raise ValueError("res_index expects exactly two feature columns")
-    return res_index_general(reduced2, y)
+        raise ValueError(f"expected exactly two feature columns, got shape {reduced2.shape}")
+    if len(y) != len(reduced2):
+        raise ValueError(f"{len(reduced2)} rows but {len(y)} labels")
+    return reduced2
+
+
+def res_index(reduced2: np.ndarray, y) -> float:
+    """RES index on exactly the first two reduced dimensions."""
+    return res_index_general(_two_columns(reduced2, y), y)
 
 
 def scatter_export(reduced2: np.ndarray, y, path) -> None:
-    """Write `label,f1,f2` rows with both columns min-max scaled to [0, 1]
-    by `normalize_features`, so a constant column reads 0."""
-    reduced2 = np.asarray(reduced2, dtype=float).reshape(-1, 2)
+    """Write a `label,f1,f2` row per row of a two-column matrix, both columns
+    min-max scaled to [0, 1] by `normalize_features` (a constant one reads 0)."""
+    reduced2 = _two_columns(reduced2, y)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = ["label,f1,f2"]

@@ -782,6 +782,21 @@ class TestResAndScatter:
         assert lines[0] == "label,f1,f2"
         assert len(lines) - 1 == 9 * 4  # windows per subject
 
+    @pytest.mark.parametrize("command", ["res", "scatter"])
+    def test_one_dimensional_projection_exits_2(self, command, tmp_path, capsys):
+        # two movements project onto one ULDA dimension: 16 windows of one
+        # column, which scatter once folded into 8 rows of two
+        assert run_cli("synth", "--out-dir", tmp_path / "d", "--n-movements", 2,
+                       "--n-trials", 2, "--duration-s", 1) == 0
+        capsys.readouterr()
+        out = tmp_path / command
+        code = run_cli(command, "--manifest", tmp_path / "d" / "dataset" / "manifest.json",
+                       "--out-dir", out)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: expected exactly two feature columns, got shape (16, 1)\n")
+        assert not list(out.glob("*.csv")) and not (out / "res.json").exists()
+
 
 class TestCompare:
     def test_identical_groups_give_p_one(self, tmp_path, capsys):

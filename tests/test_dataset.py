@@ -56,6 +56,18 @@ class TestEstimateSnr:
         with pytest.raises(SignalBelowNoise):
             estimate_snr(3.0, 0.0)
 
+    @pytest.mark.parametrize("name, args", [
+        ("active_rms", (math.nan, 1.0)), ("active_rms", (math.inf, 1.0)),
+        ("noise_rms", (5.0, math.nan)), ("noise_rms", (5.0, -math.inf)),
+        ("active_rms", (True, 1.0)), ("noise_rms", (5.0, "1")),
+    ])
+    def test_rms_values_must_be_finite_numbers(self, name, args):
+        # a NaN or infinite RMS once came back as a NaN or infinite SNR
+        bad = args[0] if name == "active_rms" else args[1]
+        with pytest.raises(ValueError, match=rf"^{name} must be a finite number, "
+                                             rf"got {re.escape(repr(bad))}$"):
+            estimate_snr(*args)
+
 
 class TestMixAwgn:
     def _rec(self, n=10000, fs=2000.0):
@@ -530,6 +542,18 @@ class TestRecording:
         for bad in (np.zeros(10), np.zeros((2, 0)), np.zeros((1, 2, 3))):
             with pytest.raises(ValueError, match="channels must be"):
                 rec.with_channels(bad)
+
+    @pytest.mark.parametrize("shape", [(0, 2000), (0, 0), (2, 0), (2000,), (1, 2, 3)])
+    def test_shape_without_a_channel_or_sample_is_located(self, shape):
+        # a channel-less recording once reached extraction and died there
+        # with a ZeroDivisionError
+        message = (r"^recording S1/T/trial 1: channels must be a \(n_channels, n_samples\) "
+                   rf"matrix with at least one of each, got shape {re.escape(str(shape))}$")
+        with pytest.raises(ValueError, match=message):
+            Recording("S1", "T", 1, 2000.0, np.zeros(shape))
+        rec = Recording("S1", "T", 1, 2000.0, np.zeros((2, 10)))
+        with pytest.raises(ValueError, match=message):
+            rec.with_channels(np.zeros(shape))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample_is_located(self, value):

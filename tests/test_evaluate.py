@@ -41,9 +41,12 @@ from emgpr.evaluate import (
     ConfusionMatrix,
     FeatureTable,
     Metrics,
+    _extraction_plan,
+    _set_columns,
     compare_groups,
     fit_pipeline,
 )
+from emgpr.features import CATALOG, ar_fit_order
 from emgpr.preprocess import normalize_features
 
 
@@ -337,6 +340,16 @@ class TestAnova:
         result = compare_groups([[1.0, 1.0], [2.0, 2.0]])
         assert math.isinf(result["f_stat"])
         assert result["p_value"] == 0.0
+
+    @pytest.mark.parametrize("groups, where, value", [
+        ([[1.0, math.nan], [2.0, 3.0]], "group 0 score 1", "nan"),
+        ([[1.0, 2.0], [2.0, 3.0, math.inf]], "group 1 score 2", "inf"),
+        ([[1.0, 2.0], [2.0, 3.0], [-math.inf, math.nan]], "group 2 score 0", "-inf"),
+    ])
+    def test_score_that_is_not_finite_is_named(self, groups, where, value):
+        # a NaN score once gave p NaN and a Bonferroni p of 1.0
+        with pytest.raises(ValueError, match=f"^{where} is {value}, not a finite number$"):
+            compare_groups(groups)
 
 
 def quick_dataset(seed=9, n_movements=5, n_trials=3, duration_s=2.0, ratio=2.0):
@@ -725,6 +738,15 @@ def two_subject_recordings():
 REGISTRY_SETS = ("FS1", "FS2", "FS3", "FS4", "PROPOSED")
 
 
+@functools.lru_cache(maxsize=None)
+def plan_recordings() -> tuple:
+    """Two subjects, 2 movements x 2 trials of 0.5 s: 8 windows each."""
+    return tuple(generate_synthetic(SyntheticSpec(
+        n_subjects=2, n_channels=2, n_movements=2, n_trials=2, duration_s=0.5,
+        sample_rate_hz=2000.0, seed=6,
+    )))
+
+
 class TestFeatureTable:
     def test_slice_equals_direct_extraction(self, two_subject_recordings):
         spec = feature_set("PROPOSED")
@@ -854,6 +876,38 @@ class TestFeatureTable:
         # one extraction per AR fit order (6 and 4) and subject, not one per
         # lag or per recording
         assert len(calls) == 2 * len(table.subjects)
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(lists=st.lists(st.lists(st.sampled_from(CATALOG), min_size=1, max_size=6),
+                          min_size=1, max_size=4))
+    def test_table_is_laid_out_as_its_extraction_plan(self, lists):
+        recs = plan_recordings()
+        calls = []
+
+        def counted(spec, windows, thresholds):
+            calls.append(spec)
+            return extract_matrix(spec, windows, thresholds)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evaluate_module, "extract_matrix", counted)
+            table = build_table(recs, lists)
+        # each distinct column key of the lists, once
+        keys = {key for features in lists for key in _set_columns(features)}
+        assert len(table.columns) == len(keys) and set(table.columns) == keys
+        # one extraction per subject and distinct AR fit order, or one
+        # without an AR lag, lowest order first; the columns are the
+        # extracted specs' keys side by side
+        orders = sorted({ar_fit_order(features) for features in lists} - {0})
+        plan = _extraction_plan(lists)
+        assert [ar_fit_order(spec.features) for spec in plan] == (orders or [0])
+        assert calls == plan * len(table.subjects)
+        assert table.columns == tuple(key for spec in plan for key in _set_columns(spec.features))
+        # and each list reads what a table of that list alone holds
+        for features in lists:
+            alone = build_table(recs, [features])
+            for subject in table.subjects:
+                assert (table.matrix(subject, features).tobytes()
+                        == alone.matrix(subject, features).tobytes())
 
     @pytest.mark.parametrize("seed", [2.7, 2.0, True, None])
     def test_seed_must_be_an_integer_before_any_mixing(

@@ -1,4 +1,5 @@
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -298,6 +299,24 @@ class TestBlockIndependence:
                         want = (ar_fit(x, order)[int(fid[2:]) - 1]
                                 if fid.startswith("AR") else channel_feature(fid, x, th))
                         assert value == want, (spec.features, fid)
+
+    @pytest.mark.parametrize("count, channels, n", [
+        (3, 0, 500), (0, 2, 500), (0, 0, 500), (3, 0, 4), (0, 2, 4), (3, 2, 0), (0, 0, 0),
+    ])
+    def test_stack_without_windows_channels_or_samples(self, count, channels, n):
+        # once a ZeroDivisionError (no channel or sample) or a failed
+        # concatenate (no window): the matrix has a row per window and a
+        # column per channel and feature, and a window too short for the set
+        # raises what `extract` of one raises
+        for spec in self.SETS:
+            try:
+                row = extract(spec, np.zeros((channels, n))).values
+            except WindowTooShort as exc:
+                with pytest.raises(WindowTooShort, match=f"^{re.escape(str(exc))}$"):
+                    extract_matrix(spec, np.zeros((count, channels, n)))
+            else:
+                matrix = extract_matrix(spec, np.zeros((count, channels, n)))
+                assert matrix.shape == (count, len(row)) == (count, channels * len(spec))
 
 
 def levinson_exit(x, order):

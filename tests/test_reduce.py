@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -275,3 +276,35 @@ class TestScatterExport:
         path = tmp_path / "scatter.csv"
         scatter_export(np.empty((0, 2)), [], path)
         assert path.read_text() == "label,f1,f2\n"
+
+
+class TestTwoColumnContract:
+    """res_index and scatter_export take one label per row of a matrix of
+    exactly two columns, and name the shape they got otherwise; scatter
+    writes no file then."""
+
+    @staticmethod
+    def call(name, pts, y, tmp_path):
+        if name == "res_index":
+            return res_index(pts, y)
+        return scatter_export(pts, y, tmp_path / "scatter.csv")
+
+    @pytest.mark.parametrize("name", ["res_index", "scatter_export"])
+    @pytest.mark.parametrize("shape", [(16, 1), (6, 3), (12,), (2, 2, 2)])
+    def test_other_widths_are_refused(self, name, shape, tmp_path):
+        # a (16, 1) projection was once read as 8 rows of two
+        pts = np.arange(float(np.prod(shape))).reshape(shape)
+        y = np.repeat(["a", "b"], len(pts) // 2)
+        with pytest.raises(ValueError, match=rf"^expected exactly two feature columns, "
+                                             rf"got shape {re.escape(str(shape))}$"):
+            self.call(name, pts, y, tmp_path)
+        assert not (tmp_path / "scatter.csv").exists()
+
+    @pytest.mark.parametrize("name", ["res_index", "scatter_export"])
+    @pytest.mark.parametrize("labels", [5, 7])
+    def test_one_label_per_row(self, name, labels, tmp_path):
+        pts = np.random.default_rng(3).normal(size=(6, 2))
+        y = ["a", "b"] * 3 + ["c"]
+        with pytest.raises(ValueError, match=f"^6 rows but {labels} labels$"):
+            self.call(name, pts, y[:labels], tmp_path)
+        assert not (tmp_path / "scatter.csv").exists()
