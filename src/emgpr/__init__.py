@@ -1,10 +1,10 @@
 """emgpr: two-channel surface-EMG movement recognition toolkit.
 
 Pipeline pieces, usable separately or through `emgpr.evaluate.crossvalidate`
-(whose feature table, `build_table`, can be shared by several feature sets,
-as `sweep` does, and whose folds each fit ULDA and the classifier as
-`fit_pipeline` does, on a split, class coding and min-max scaling the table
-makes once):
+(whose feature table, `build_table` with the settings of one `TableSpec`, can
+be shared by several feature sets, as `sweep` does, and whose folds each fit
+ULDA and the classifier as `fit_pipeline` does, on a split, class coding and
+min-max scaling the table makes once):
 recordings (load/synthesize/mix noise) -> causal bandpass+notch -> disjoint
 windows -> time-domain features (incl. the log-compressed LMAV/NSV pair) ->
 min-max scaling -> uncorrelated LDA -> QDA / RBF-SVM / KNN -> trial-wise
@@ -60,6 +60,7 @@ from .evaluate import (
     FeatureTable,
     Metrics,
     Pipeline,
+    TableSpec,
     build_table,
     compare_groups,
     crossvalidate,

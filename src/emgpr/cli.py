@@ -39,6 +39,7 @@ from .evaluate import (
     DEFAULT_SNR_GRID,
     DEFAULT_WINDOW_SIZES,
     METRIC_NAMES,
+    TableSpec,
     build_table,
     compare_groups,
     crossvalidate,
@@ -76,7 +77,7 @@ _SEED = {"seed": _opt("--seed", 0, "master seed; every random stage derives from
 
 _PIPELINE = {
     "manifest": _opt("--manifest", None, "path to a dataset manifest.json"),
-    "overlap_ms": _opt("--overlap-ms", SelectionConfig.overlap_ms,
+    "overlap_ms": _opt("--overlap-ms", TableSpec.overlap_ms,
                        "window overlap in ms; 0 gives disjoint windows", type=float),
     "band": _opt("--band", [FilterSpec.band_low_hz, FilterSpec.band_high_hz],
                  "bandpass edges in Hz", type=float, nargs=2, metavar=("LOW", "HIGH")),
@@ -87,7 +88,7 @@ _PIPELINE = {
     "thresholds": _opt(None, None),
 }
 
-_WINDOW = {"window_ms": _opt("--window-ms", SelectionConfig.window_ms,
+_WINDOW = {"window_ms": _opt("--window-ms", TableSpec.window_ms,
                              "analysis window length in ms", type=float)}
 
 _SET = {
@@ -274,8 +275,8 @@ def _feature_spec(cfg: dict) -> FeatureSetSpec:
 
 
 def _table_settings(cfg: dict) -> dict:
-    """`build_table`'s keywords: the run's thresholds and filter, and whichever
-    of window, overlap, SNR and seed the subcommand's options hold."""
+    """`TableSpec`'s fields as keywords: the run's thresholds and filter, and
+    whichever of window, overlap, SNR and seed the subcommand's options hold."""
     held = {key: cfg[key] for key in ("window_ms", "overlap_ms", "snr_db", "seed")
             if key in cfg}
     return {"thresholds": _thresholds(cfg), "filter_spec": _filter_spec(cfg), **held}
@@ -384,7 +385,7 @@ def _cmd_select(cfg: dict, out: Path) -> int:
         improvement_threshold=cfg["threshold"],
         objective=cfg["objective"],
         model_spec=_model_spec(cfg),
-        **_table_settings(cfg),
+        table=TableSpec(**_table_settings(cfg)),
     )
     trace = forward_select(recordings, sel_cfg)
     _write_json(out / "selection.json", trace.to_dict())

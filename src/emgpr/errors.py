@@ -26,9 +26,9 @@ def check_number(name: str, value, low=None, high=None, *,
 
 
 def field_values(spec) -> dict:
-    """Field name -> value of a dataclass whose values are scalars or tuples
-    of scalars: what `dataclasses.asdict` returns for it, without its deep
-    copy."""
+    """Field name -> value of a dataclass, one level deep: for scalars and
+    tuples of scalars, what `dataclasses.asdict` returns, without its deep
+    copy; a nested dataclass stays itself, as its keyword argument."""
     return {f.name: getattr(spec, f.name) for f in fields(spec)}
 
 

@@ -5,14 +5,16 @@ and extracts every recording once into a FeatureTable, one extract_matrix
 result per AR fit order side by side, and the fold loop fits on a column
 slice of that table, so several feature sets can be scored against one
 table; sweep builds one such table per grid value and scores every set on
-it.  Each fold holds one trial of every movement out and
-fits the chain fit_pipeline fits (min-max bounds, the ULDA projection and
-the classifier) on the training folds only, so no test information leaks
-into it.  The part of a fold that no set changes (the missing-movement
-check, the class codes and their grouping, the training and held-out rows
-min-max scaled over every table column, which works column by column, and
-the held-out labels as movement indices) is computed once per table, at the
-first set scored on it.  Each set slices its columns of the scaled rows and
+it.  A table's settings (thresholds, window, overlap, SNR, filter and seed)
+are one frozen TableSpec, which build_table builds from its keywords, the
+table keeps and every report reads.  Each fold holds one trial of every
+movement out and fits the chain fit_pipeline fits (min-max bounds, the ULDA
+projection and the classifier) on the training folds only, so no test
+information leaks into it.  The part of a fold that no set changes (the
+missing-movement check, the class codes and their grouping, the training
+and held-out rows min-max scaled over every table column, which works column
+by column, and the held-out labels as movement indices) is computed once per
+table, at the first set scored on it.  Each set slices its columns of the scaled rows and
 fits ULDA and the classifier on them with the fold's class codes as labels,
 the two calls fit_pipeline makes after its own scaling.  Each fold is counted
 in movement indices: the model's predictions are mapped back to them and
@@ -61,9 +63,6 @@ _SCORES = (
 _SCALAR_FIELDS = {"accuracy": "accuracy", "ovr_accuracy": "ovr_accuracy",
                   **{name: macro for name, _, macro in _SCORES[1:]}}
 METRIC_NAMES = tuple(_SCALAR_FIELDS)
-
-#: Analysis window length in ms wherever a caller does not name one.
-DEFAULT_WINDOW_MS = 250.0
 
 
 def _label_codes(values, labels) -> np.ndarray:
@@ -369,13 +368,6 @@ def _movement_order(recordings) -> tuple:
     return tuple(m for m in MOVEMENTS if m in present)
 
 
-def _mixing_snr(snr_db):
-    """The no-mix sentinel (inf) and None both mean: mix no noise."""
-    if snr_db is None or snr_db == NO_MIX:
-        return None
-    return float(snr_db)
-
-
 # ---------------------------------------------------------------------------
 # feature table
 
@@ -433,6 +425,34 @@ class TableFold:
     test_scaled: np.ndarray = None
 
 
+@dataclass(frozen=True)
+class TableSpec:
+    """The settings a feature table is built with, each declared here once.
+
+    `window_ms` and `overlap_ms` are stored as floats; `snr_db` is None when
+    no noise is mixed, which both None and the no-mix sentinel (inf) ask for,
+    and a float otherwise.  `seed` is the master seed of the noise draws.
+    ValueError names a window or overlap that is not a finite number of its
+    range, or a seed that is not an integer.
+    """
+
+    thresholds: Thresholds = Thresholds()
+    window_ms: float = 250.0
+    overlap_ms: float = 0.0
+    snr_db: float = None
+    filter_spec: FilterSpec = FilterSpec()
+    seed: int = 0
+
+    def __post_init__(self):
+        check_number("window_ms", self.window_ms, 0, open_low=True)
+        check_number("overlap_ms", self.overlap_ms, 0)
+        check_number("seed", self.seed, integer=True)
+        snr_db = None if self.snr_db is None or self.snr_db == NO_MIX else float(self.snr_db)
+        object.__setattr__(self, "window_ms", float(self.window_ms))
+        object.__setattr__(self, "overlap_ms", float(self.overlap_ms))
+        object.__setattr__(self, "snr_db", snr_db)
+
+
 @dataclass(frozen=True, eq=False)
 class FeatureTable:
     """Per-window features of a dataset, computed once and sliced per set.
@@ -440,8 +460,8 @@ class FeatureTable:
     For each subject, `values[subject]` is a (windows, channels, columns)
     block whose last axis is keyed by `columns`, with `labels[subject]` and
     `trials[subject]` per window.  `movements` is the class order over all
-    subjects; the remaining fields are the settings the table was built with.
-    `folds` splits a subject once and keeps the split for every set.
+    subjects, and `spec` the settings the table was built with.  `folds`
+    splits a subject once and keeps the split for every set.
     """
 
     values: dict
@@ -449,12 +469,7 @@ class FeatureTable:
     trials: dict
     movements: tuple
     columns: tuple
-    thresholds: Thresholds
-    window_ms: float
-    overlap_ms: float
-    snr_db: float  # None when no noise was mixed
-    filter_spec: FilterSpec
-    seed: int
+    spec: TableSpec
     _folds: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -516,25 +531,18 @@ class FeatureTable:
                             test_codes=codes[test], test_scaled=test_scaled)
 
 
-def build_table(
-    recordings,
-    feature_sets,
-    thresholds: Thresholds = Thresholds(),
-    window_ms: float = DEFAULT_WINDOW_MS,
-    overlap_ms: float = 0.0,
-    snr_db: float = None,
-    filter_spec: FilterSpec = FilterSpec(),
-    seed: int = 0,
-) -> FeatureTable:
+def build_table(recordings, feature_sets, **settings) -> FeatureTable:
     """Mix noise, filter, segment and extract every recording once.
 
-    `feature_sets` are the feature-id lists the table must serve; each list
-    reads its AR lags off one fit at its largest lag, as `extract` does.  The
-    table is laid out as its `_extraction_plan`, one spec per AR fit order,
-    lowest first: `columns` are the specs' column keys side by side, and sets
-    slice them by key.  When snr_db is given and not inf, calibrated white
-    noise is mixed into the raw recordings (seeded per subject/movement/trial)
-    before filtering.
+    `settings` are `TableSpec`'s fields, checked as one `TableSpec` before
+    anything else, so an unknown one is a TypeError.  `feature_sets` are the
+    feature-id lists the table must serve; each list reads its AR lags off
+    one fit at its largest lag, as `extract` does.  The table is laid out as
+    its `_extraction_plan`, one spec per AR fit order, lowest first:
+    `columns` are the specs' column keys side by side, and sets slice them by
+    key.  When the spec's snr_db is not None, calibrated white noise is mixed
+    into the raw recordings (seeded per subject/movement/trial) before
+    filtering.
 
     A subject's windows are segmented into one array and its block joins one
     `extract_matrix` result per spec, so one subject's filtered windows are
@@ -543,10 +551,9 @@ def build_table(
     count and window length in samples; ValueError names the one that does
     not, before any recording is mixed or filtered.
     """
+    spec = TableSpec(**settings)
     if any(isinstance(features, str) for features in feature_sets):
         raise ValueError("feature_sets must hold feature-id lists, e.g. [spec.features]")
-    check_number("seed", seed, integer=True)
-    snr_db = _mixing_snr(snr_db)
     plan = _extraction_plan(feature_sets)
 
     by_subject = {}
@@ -556,8 +563,8 @@ def build_table(
     values, labels, trials = {}, {}, {}
     for subject in sorted(by_subject):
         recs = by_subject[subject]
-        grids = [window_grid(rec.n_samples, rec.sample_rate_hz, window_ms, overlap_ms)
-                 for rec in recs]
+        grids = [window_grid(rec.n_samples, rec.sample_rate_hz, spec.window_ms,
+                             spec.overlap_ms) for rec in recs]
         first, shape = recs[0], (recs[0].n_channels, grids[0][1])
         for rec, (_, n, _) in zip(recs, grids):
             if (rec.n_channels, n) != shape:
@@ -570,20 +577,21 @@ def build_table(
         # hold the subject's windows twice
         windows, row = np.empty((sum(counts),) + shape), 0
         for rec, count in zip(recs, counts):
-            if snr_db is not None:
+            if spec.snr_db is not None:
                 rec = mix_awgn(
                     rec,
-                    snr_db,
-                    derive_seed(seed, "awgn", subject, rec.movement,
-                                rec.trial, snr_db),
+                    spec.snr_db,
+                    derive_seed(spec.seed, "awgn", subject, rec.movement,
+                                rec.trial, spec.snr_db),
                 )
-            rec = apply_filters(rec, filter_spec)
-            segment(rec, window_ms, overlap_ms, out=windows[row : row + count])
+            rec = apply_filters(rec, spec.filter_spec)
+            segment(rec, spec.window_ms, spec.overlap_ms, out=windows[row : row + count])
             row += count
 
         values[subject] = np.concatenate([
-            extract_matrix(spec, windows, thresholds).reshape(windows.shape[:2] + (len(spec),))
-            for spec in plan
+            extract_matrix(group, windows, spec.thresholds).reshape(
+                windows.shape[:2] + (len(group),))
+            for group in plan
         ], axis=2)
         labels[subject] = np.repeat([rec.movement for rec in recs], counts)
         trials[subject] = np.repeat([rec.trial for rec in recs], counts)
@@ -593,13 +601,8 @@ def build_table(
         labels=labels,
         trials=trials,
         movements=_movement_order(recordings),
-        columns=tuple(key for spec in plan for key in _set_columns(spec.features)),
-        thresholds=thresholds,
-        window_ms=float(window_ms),
-        overlap_ms=float(overlap_ms),
-        snr_db=snr_db,
-        filter_spec=filter_spec,
-        seed=seed,
+        columns=tuple(key for group in plan for key in _set_columns(group.features)),
+        spec=spec,
     )
 
 
@@ -612,11 +615,13 @@ def crossvalidate(
     """Leave-one-trial-out evaluation over every subject in the dataset.
 
     `recordings` is either the recordings, from which a table of this set's
-    columns is built with `settings` (`build_table`'s keywords), or a
-    `FeatureTable`, which brings its own settings: any setting passed with a
-    table raises TypeError, and a table lacking a column the set reads raises
-    ValueError.  The no-mix sentinel (inf) is normalized to None so the
-    emitted report is identical to a plain run.
+    columns is built with `settings` (`TableSpec`'s fields, as `build_table`
+    takes them), or a `FeatureTable`, which brings its own `spec`: any
+    setting passed with a table raises TypeError, and a table lacking a
+    column the set reads raises ValueError.  ValueError too when there is no
+    subject to cross-validate.  The report's window, overlap, SNR and seed,
+    and its config's thresholds and filter, are the table spec's, whose SNR
+    is None for the no-mix sentinel (inf), so a report equals a plain run's.
 
     Only this loop knows the table's movement order: a fold whose training
     trials lack a movement fails with DegenerateClasses, and every fold is
@@ -636,6 +641,8 @@ def crossvalidate(
         table.positions(feature_set.features)  # fail before the first fold
     else:
         table = build_table(recordings, [feature_set.features], **settings)
+    if not table.subjects:
+        raise ValueError("there is no subject to cross-validate")
     labels = table.movements
     # every movement trains in a fold that is scored, so a fitted model's
     # classes are the movements sorted: class i is movement movement_of[i]
@@ -673,7 +680,8 @@ def crossvalidate(
         for (subject, held_out, counts), fold_scores in zip(scored, scores)
     )
 
-    scalars = {name: getattr(table, name)
+    spec = table.spec
+    scalars = {name: getattr(spec, name)
                for name in ("window_ms", "overlap_ms", "snr_db", "seed")}
     return EvalReport(
         feature_set=feature_set.name,
@@ -681,9 +689,9 @@ def crossvalidate(
         **scalars,
         config={
             "feature_set": {**feature_set.to_dict(),
-                            "thresholds": table.thresholds.to_dict()},
+                            "thresholds": spec.thresholds.to_dict()},
             "model": model_spec.to_dict(),
-            "filter": table.filter_spec.to_dict(),
+            "filter": spec.filter_spec.to_dict(),
             **scalars,
         },
         folds=folds,
@@ -699,8 +707,8 @@ DEFAULT_SNR_GRID = tuple(range(0, 21))
 def sweep(recordings, feature_sets, model_spec: ModelSpec, setting: str, values,
           **settings) -> list:
     """One report per (value, set), value by value: at each value of the
-    `build_table` keyword `setting` ("window_ms", "snr_db", ...), one table
-    built with `settings` serves every set, each scored by `crossvalidate`."""
+    `TableSpec` field `setting` ("window_ms", "snr_db", ...), one table built
+    with `settings` serves every set, each scored by `crossvalidate`."""
     reports = []
     for value in values:
         table = build_table(recordings, [s.features for s in feature_sets],

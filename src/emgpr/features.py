@@ -451,14 +451,19 @@ def extract(set_spec: FeatureSetSpec, window: np.ndarray,
 def extract_matrix(set_spec: FeatureSetSpec, windows,
                    thresholds: Thresholds = Thresholds()) -> np.ndarray:
     """`extract` of every window of a (windows, channels, n) array, or of a
-    list of same-shape windows, as an (n_windows, d) matrix.
+    non-empty list of same-shape windows, as an (n_windows, d) matrix.
 
     The windows are evaluated in blocks of about `_CHUNK_SAMPLES` samples;
     every row equals `extract` of its window alone.  A stack without windows
     or channels gives an empty (count, channels * d) matrix, and windows of
-    too few samples raise what `extract` of one raises.
+    too few samples raise what `extract` of one raises.  Input that is not
+    3-D (an empty list, one window, a 4-D array) is a ValueError naming its
+    shape.
     """
     windows = np.ascontiguousarray(windows, dtype=float)
+    if windows.ndim != 3:
+        raise ValueError("windows must be a (windows, channels, n) array, got shape "
+                         f"{windows.shape}")
     count, channels, n = windows.shape
     rows = windows.reshape(count * channels, n)
     if not rows.size:  # nothing to block: the empty block still checks n

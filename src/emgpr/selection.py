@@ -7,7 +7,8 @@ every candidate on a column slice of that table, keeps the best-scoring
 addition, and accepts it only when it improves the objective by at least the
 configured number of percentage points.  Ties go to the earlier pool
 position, so a run is deterministic given dataset and config: selection
-mixes no noise and draws no random number.
+mixes no noise and draws no random number, so its table spec has no SNR and
+seed 0.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ import math
 from dataclasses import asdict, dataclass
 
 from .classify import ModelSpec
-from .errors import EmgprError, check_number
-from .evaluate import DEFAULT_WINDOW_MS, build_table, crossvalidate
-from .features import CATALOG, FeatureSetSpec, Thresholds, ar_lag
-from .preprocess import FilterSpec
+from .errors import EmgprError, check_number, field_values
+from .evaluate import TableSpec, build_table, crossvalidate
+from .features import CATALOG, FeatureSetSpec, ar_lag
 
 
 #: every objective SelectionConfig accepts; macro_f1 is another name for f1
@@ -32,10 +32,7 @@ class SelectionConfig:
     improvement_threshold: float = 0.25  # percentage points of the objective
     objective: str = "f1"  # macro F1; one of OBJECTIVES
     model_spec: ModelSpec = ModelSpec()
-    window_ms: float = DEFAULT_WINDOW_MS
-    overlap_ms: float = 0.0
-    thresholds: Thresholds = Thresholds()
-    filter_spec: FilterSpec = FilterSpec()
+    table: TableSpec = TableSpec()  # snr_db None and seed 0
 
     def __post_init__(self):
         # a string is iterable too, and would read as one id per letter
@@ -49,6 +46,10 @@ class SelectionConfig:
             raise ValueError(f"unsupported objective {self.objective!r}")
         objective = {"macro_f1": "f1"}.get(self.objective, self.objective)
         object.__setattr__(self, "objective", objective)
+        if self.table.snr_db is not None or self.table.seed != 0:
+            raise ValueError("selection mixes no noise, so its table must have snr_db "
+                             f"None and seed 0, got snr_db={self.table.snr_db!r}, "
+                             f"seed={self.table.seed!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -56,10 +57,10 @@ class SelectionConfig:
             "improvement_threshold": self.improvement_threshold,
             "objective": self.objective,
             "model": self.model_spec.to_dict(),
-            "window_ms": self.window_ms,
-            "overlap_ms": self.overlap_ms,
-            "thresholds": self.thresholds.to_dict(),
-            "filter": self.filter_spec.to_dict(),
+            "window_ms": self.table.window_ms,
+            "overlap_ms": self.table.overlap_ms,
+            "thresholds": self.table.thresholds.to_dict(),
+            "filter": self.table.filter_spec.to_dict(),
         }
 
 
@@ -111,9 +112,7 @@ def forward_select(recordings, cfg: SelectionConfig) -> SelectionTrace:
     # lags off a fit at its largest one, which ends one of these prefixes
     ar = sorted({fid for fid in pool if ar_lag(fid)}, key=ar_lag)
     serves = [pool] + [ar[: i + 1] for i in range(len(ar))]
-    table = build_table(recordings, serves, thresholds=cfg.thresholds,
-                        window_ms=cfg.window_ms, overlap_ms=cfg.overlap_ms,
-                        filter_spec=cfg.filter_spec)
+    table = build_table(recordings, serves, **field_values(cfg.table))
 
     steps, selected, current = [], [], 0.0
     while True:

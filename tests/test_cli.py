@@ -164,6 +164,29 @@ class TestExtract:
         assert (out / "features.csv").read_text() == "subject,movement,trial,window\n"
 
 
+class TestEmptyManifest:
+    @pytest.mark.parametrize("subcommand", ["evaluate", "sweep-snr", "sweep-window",
+                                            "select"])
+    def test_no_subject_to_cross_validate_exits_2(self, subcommand, tmp_path,
+                                                             capsys):
+        manifest = {
+            "root_path": str(tmp_path),
+            "layout": "two_channel_csv",
+            "subjects": [],
+            "movements": ["T"],
+            "trials_per_movement": 2,
+            "sample_rate_hz": 2000.0,
+            "filename_template": "{subject}_{movement}_t{trial}.csv",
+        }
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        assert run_cli(subcommand, "--manifest", mpath, "--out-dir", out) == 2
+        assert capsys.readouterr().err == "error: there is no subject to cross-validate\n"
+        run = json.loads((out / "run.json").read_text())
+        assert run["error"] == "there is no subject to cross-validate"
+
+
 class TestEvaluate:
     @pytest.mark.parametrize("edit, message", [
         (lambda saved: saved.update(trials_per_movement="3"), "trials_per_movement"),

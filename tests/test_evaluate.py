@@ -13,6 +13,7 @@ from emgpr import (
     FilterSpec,
     ModelSpec,
     SyntheticSpec,
+    TableSpec,
     Thresholds,
     apply_filters,
     build_table,
@@ -231,6 +232,41 @@ class TestStackedScores:
         for name in METRIC_NAMES:
             assert math.isnan(report.mean(name))
             assert math.isnan(report.summary()[name][0])
+
+
+class TestScoreIdentities:
+    """What a matrix's macro scores add to its hit rate: one-vs-rest accuracy
+    follows from it for every matrix; macro sensitivity and specificity only
+    when every class has as many true rows."""
+
+    @staticmethod
+    def deviations(counts) -> tuple:
+        """How far `_score` of one (K, K) matrix is from each identity."""
+        k = len(counts)
+        m = evaluate_module._score(counts[None])[0]
+        return (m.ovr_accuracy - (1 - 2 * (1 - m.accuracy) / k),
+                m.macro_sensitivity - m.accuracy,
+                m.macro_specificity - (1 - (1 - m.accuracy) / (k - 1)))
+
+    def test_identities_on_random_matrices(self):
+        rng = np.random.default_rng(16)
+        for _ in range(300):
+            k = int(rng.integers(2, 12))
+            counts = rng.integers(0, 20, size=(k, k))
+            counts[0, 0] += 1
+            ovr, _, _ = self.deviations(counts)
+            assert abs(ovr) < 1e-12, counts
+            # every row sums to the same count n
+            n = int(rng.integers(1, 40))
+            balanced = np.stack([rng.multinomial(n, rng.dirichlet(np.ones(k)))
+                                 for _ in range(k)])
+            assert max(map(abs, self.deviations(balanced))) < 1e-12, balanced
+
+    def test_unequal_rows_break_the_sensitivity_and_specificity_identities(self):
+        ovr, sensitivity, specificity = self.deviations(
+            np.array([[9, 1, 0], [0, 1, 0], [0, 0, 5]]))
+        assert abs(ovr) < 1e-12
+        assert abs(sensitivity) > 1e-3 and abs(specificity) > 1e-3
 
 
 class TestConfusionMatrix:
@@ -964,11 +1000,63 @@ class TestFeatureTable:
         with pytest.raises(TypeError if call else ValueError, match=message):
             crossvalidate(table, spec, ModelSpec(kind="qda"), **call)
 
+    def test_no_subject_is_refused(self):
+        # once a report with ok True, no fold and NaN means
+        message = "^there is no subject to cross-validate$"
+        qda = ModelSpec(kind="qda")
+        for recordings in ([], build_table([], [feature_set("FS2").features])):
+            with pytest.raises(ValueError, match=message):
+                crossvalidate(recordings, feature_set("FS2"), qda)
+        with pytest.raises(ValueError, match=message):
+            sweep([], [feature_set("FS2")], qda, "snr_db", [10.0])
+
     def test_matching_table_accepted(self, amplitude_recordings):
         table = build_table(amplitude_recordings, [("RMS", "WL", "AR1")], snr_db=NO_MIX)
         report = crossvalidate(table, feature_set("CUSTOM", ["RMS", "AR1"]),
                                ModelSpec(kind="qda"))
         assert report.ok and report.snr_db is None
+
+
+class TestTableSpec:
+    """Each table setting is declared once, in TableSpec, and checked there."""
+
+    def test_normalised_values(self):
+        spec = TableSpec(window_ms=200, overlap_ms=50, snr_db=10)
+        assert (spec.window_ms, spec.overlap_ms, spec.snr_db) == (200.0, 50.0, 10.0)
+        assert all(type(v) is float for v in (spec.window_ms, spec.overlap_ms, spec.snr_db))
+        # None and the no-mix sentinel both mean: mix no noise
+        assert TableSpec(snr_db=NO_MIX).snr_db is None
+        assert TableSpec(snr_db=NO_MIX) == TableSpec(snr_db=None) == TableSpec()
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"window_ms": 0}, "window_ms must be a finite number > 0, got 0"),
+        ({"window_ms": math.nan}, "window_ms must be a finite number > 0, got nan"),
+        ({"window_ms": "250"}, "window_ms must be a finite number > 0, got '250'"),
+        ({"overlap_ms": -1.0}, "overlap_ms must be a finite number >= 0, got -1.0"),
+        ({"overlap_ms": True}, "overlap_ms must be a finite number >= 0, got True"),
+        ({"seed": 2.5}, "seed must be an integer, got 2.5"),
+    ])
+    def test_located_errors(self, settings, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TableSpec(**settings)
+        # build_table checks its settings before it reads any recording
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_table([], [("RMS",)], **settings)
+
+    def test_unknown_setting_is_a_type_error(self):
+        with pytest.raises(TypeError, match="window"):
+            build_table([], [("RMS",)], window=250.0)
+
+    def test_table_and_report_read_the_spec(self, amplitude_recordings):
+        table = build_table(amplitude_recordings, [("RMS", "WL")], window_ms=200,
+                            snr_db=NO_MIX, seed=3)
+        assert table.spec == TableSpec(window_ms=200.0, seed=3)
+        report = crossvalidate(table, feature_set("CUSTOM", ["RMS", "WL"]),
+                               ModelSpec(kind="qda"))
+        assert (report.window_ms, report.overlap_ms, report.snr_db, report.seed) == (
+            200.0, 0.0, None, 3)
+        assert report.config["filter"] == FilterSpec().to_dict()
+        assert report.config["feature_set"]["thresholds"] == Thresholds().to_dict()
 
 
 #: CUSTOM sets scored on one table; DEAD reads only WAMP, which DEAD_TH gates
@@ -1092,8 +1180,7 @@ class TestSharedFolds:
         table = FeatureTable(
             values={"S1": block}, labels={"S1": labels}, trials={"S1": trials},
             movements=("T", "I"), columns=(("RMS", None), ("WL", None), ("MAV", None)),
-            thresholds=Thresholds(), window_ms=250.0, overlap_ms=0.0, snr_db=None,
-            filter_spec=FilterSpec(), seed=0)
+            spec=TableSpec())
         rows = block.reshape(12, -1)
         folds = table.folds("S1")
         third, training = folds[2], rows[trials != 3]

@@ -318,6 +318,17 @@ class TestBlockIndependence:
                 matrix = extract_matrix(spec, np.zeros((count, channels, n)))
                 assert matrix.shape == (count, len(row)) == (count, channels * len(spec))
 
+    @pytest.mark.parametrize("windows, shape", [
+        ([], (0,)),  # an empty list cannot say its channels or length
+        (np.zeros((2, 500)), (2, 500)),  # one window, not a stack of them
+        (np.zeros((1, 3, 2, 500)), (1, 3, 2, 500)),
+    ])
+    def test_input_that_is_not_3d_names_its_shape(self, windows, shape):
+        message = (r"^windows must be a \(windows, channels, n\) array, got shape "
+                   + re.escape(str(shape)) + "$")
+        with pytest.raises(ValueError, match=message):
+            extract_matrix(feature_set("FS2"), windows)
+
 
 def levinson_exit(x, order):
     """The step at which the Levinson-Durbin recursion of one channel stops,

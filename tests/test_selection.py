@@ -8,6 +8,7 @@ import emgpr.selection
 from emgpr import (
     ModelSpec,
     SelectionConfig,
+    TableSpec,
     crossvalidate,
     feature_set,
     forward_select,
@@ -27,7 +28,7 @@ def config(pool, threshold=0.25, **overrides):
         pool=tuple(pool),
         improvement_threshold=threshold,
         model_spec=ModelSpec(kind="qda"),
-        window_ms=250.0,
+        table=TableSpec(window_ms=250.0),
     )
     defaults.update(overrides)
     return SelectionConfig(**defaults)
@@ -154,6 +155,26 @@ class TestForwardSelect:
             SelectionConfig(objective="recall")
         assert SelectionConfig(objective="macro_f1").objective == "f1"
 
+    @pytest.mark.parametrize("table", [TableSpec(snr_db=10.0), TableSpec(seed=1)])
+    def test_a_table_that_mixes_noise_is_refused(self, table):
+        # selection mixes no noise: an SNR or a seed would only be recorded
+        with pytest.raises(ValueError, match="^selection mixes no noise"):
+            SelectionConfig(table=table)
+        assert SelectionConfig(table=TableSpec(snr_db=float("inf"))).table == TableSpec()
+
+    def test_to_dict_keeps_the_table_settings_flat(self):
+        table = TableSpec(window_ms=200, overlap_ms=50.0)
+        d = SelectionConfig(table=table).to_dict()
+        assert (d["window_ms"], d["overlap_ms"]) == (200.0, 50.0)
+        assert d["thresholds"] == table.thresholds.to_dict()
+        assert d["filter"] == table.filter_spec.to_dict()
+        assert set(d) == {"pool", "improvement_threshold", "objective", "model",
+                          "window_ms", "overlap_ms", "thresholds", "filter"}
+
+    def test_no_subject_is_refused(self):
+        with pytest.raises(ValueError, match="^there is no subject to cross-validate$"):
+            forward_select([], config(("RMS", "WL")))
+
     def test_a_string_pool_is_refused(self):
         # a string is iterable, and would read as one id per letter
         with pytest.raises(ValueError, match="^pool must be a list of feature ids, got 'MAV'$"):
@@ -208,10 +229,10 @@ def reference_select(recordings, cfg):
             recordings,
             feature_set("CUSTOM", feature_ids),
             cfg.model_spec,
-            window_ms=cfg.window_ms,
-            overlap_ms=cfg.overlap_ms,
-            thresholds=cfg.thresholds,
-            filter_spec=cfg.filter_spec,
+            window_ms=cfg.table.window_ms,
+            overlap_ms=cfg.table.overlap_ms,
+            thresholds=cfg.table.thresholds,
+            filter_spec=cfg.table.filter_spec,
         )
         return 100.0 * report.summary()[cfg.objective][0]
 
