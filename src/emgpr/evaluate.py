@@ -433,7 +433,8 @@ class TableSpec:
     no noise is mixed, which both None and the no-mix sentinel (inf) ask for,
     and a float otherwise.  `seed` is the master seed of the noise draws.
     ValueError names a window or overlap that is not a finite number of its
-    range, or a seed that is not an integer.
+    range, an SNR other than None or inf that is not a finite number (a
+    string or a bool is neither), or a seed that is not an integer.
     """
 
     thresholds: Thresholds = Thresholds()
@@ -447,10 +448,12 @@ class TableSpec:
         check_number("window_ms", self.window_ms, 0, open_low=True)
         check_number("overlap_ms", self.overlap_ms, 0)
         check_number("seed", self.seed, integer=True)
-        snr_db = None if self.snr_db is None or self.snr_db == NO_MIX else float(self.snr_db)
+        mixes = self.snr_db is not None and self.snr_db != NO_MIX
+        if mixes:
+            check_number("snr_db", self.snr_db)
         object.__setattr__(self, "window_ms", float(self.window_ms))
         object.__setattr__(self, "overlap_ms", float(self.overlap_ms))
-        object.__setattr__(self, "snr_db", snr_db)
+        object.__setattr__(self, "snr_db", float(self.snr_db) if mixes else None)
 
 
 @dataclass(frozen=True, eq=False)

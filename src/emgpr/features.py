@@ -162,6 +162,14 @@ def _mobility(var: np.ndarray, var_diff: np.ndarray) -> np.ndarray:
     return np.where(flat, 0.0, np.sqrt(var_diff / np.where(flat, 1.0, var)))
 
 
+#: The most rows a block may have for `_levinson` to run its recursion one
+#: row at a time.  On 250- to 2000-sample rows at AR orders 4 and 6 (x86-64,
+#: OpenBLAS SkylakeX kernel), the per-row recursion was faster than the
+#: vectorised one up to three rows, about level at four and slower from
+#: five.  A one-window block has a row per channel.
+_ROW_RECURSION_MAX_ROWS = 3
+
+
 def _levinson(x: np.ndarray, order: int) -> np.ndarray:
     """Yule-Walker AR coefficients a_1..a_p of every row via Levinson-Durbin.
 
@@ -169,12 +177,24 @@ def _levinson(x: np.ndarray, order: int) -> np.ndarray:
     with r_0 <= EPS gets all zeros; a row whose prediction error falls to EPS
     leaves the recursion with the coefficients found so far and zeros beyond.
 
-    Every dot product is a (1, m) @ (m, 1) product per row over contiguous
-    rows, which goes to the same BLAS dot as np.dot of the two 1-D rows, so
-    a row's coefficients never depend on the other rows of its block.  The
-    recursion runs in `out` itself until a row leaves; only then are the
-    rows still in it tracked by index and copied out.
+    A block of at most `_ROW_RECURSION_MAX_ROWS` rows goes to
+    `_levinson_rows`, which runs the recursion one row at a time; a larger
+    block runs it below on all its rows at once.  The vectorised recursion
+    makes about ten numpy calls per step however few rows it has, and on a
+    small block their fixed cost is most of its time.
+
+    Both paths give the same bits, so a row's coefficients never depend on
+    the other rows of its block.  Every dot product is the BLAS dot of two
+    contiguous 1-D slices of one row: the (1, m) @ (m, 1) matmul per row
+    below and `ndarray.dot` in `_levinson_rows` both call it.  Every other
+    step is the same IEEE double operation in the same order, whether a
+    ufunc does it on a column or Python on a float.
+
+    The vectorised recursion runs in `out` itself until a row leaves; only
+    then are the rows still in it tracked by index and copied out.
     """
+    if len(x) <= _ROW_RECURSION_MAX_ROWS:
+        return _levinson_rows(x, order)
     rows, n = x.shape
     r = np.empty((rows, order + 1))
     for lag in range(order + 1):
@@ -205,6 +225,35 @@ def _levinson(x: np.ndarray, order: int) -> np.ndarray:
         err *= 1.0 - kappa * kappa
     if live is not None:
         out[live] = a
+    return out
+
+
+def _levinson_rows(x: np.ndarray, order: int) -> np.ndarray:
+    """`_levinson` of a small block, one row at a time.
+
+    The lags and the recursion's inner products are `ndarray.dot` of the
+    row's own slices.  Kappa, the coefficients and the prediction error are
+    Python floats; each step writes the coefficients to the row's `out`,
+    where the next step's dot reads them.  A NaN error never leaves the
+    recursion, as in the vectorised path.
+    """
+    rows, n = x.shape
+    out = np.zeros((rows, order))
+    for a, row in zip(out, x):
+        r = [float(row[: n - lag].dot(row[lag:])) / n for lag in range(order + 1)]
+        r_desc = np.array(r[:0:-1])  # r_p, ..., r_1: its last k are r_k, ..., r_1
+        coef, err = [], r[0]
+        for k in range(order):
+            if err <= EPS:
+                break
+            kappa = r[k + 1]
+            if k:
+                kappa -= float(a[:k].dot(r_desc[order - k :]))
+            kappa /= err
+            coef = [c - kappa * d for c, d in zip(coef, reversed(coef))]
+            coef.append(kappa)
+            a[: k + 1] = coef
+            err *= 1.0 - kappa * kappa
     return out
 
 

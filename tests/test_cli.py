@@ -312,6 +312,7 @@ class TestEvaluate:
         ("evaluate", ["--filter-order", "0"], {}, "order"),
         ("evaluate", [], {"seed": 2.5}, "seed"),
         ("sweep-snr", [], {"seed": True}, "seed"),
+        ("evaluate", [], {"snr_db": "inf"}, "snr_db"),
     ])
     def test_bad_number_exits_2(self, subcommand, flags, config, named,
                                 small_dataset, tmp_path, capsys):

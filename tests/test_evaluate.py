@@ -1035,6 +1035,12 @@ class TestTableSpec:
         ({"overlap_ms": -1.0}, "overlap_ms must be a finite number >= 0, got -1.0"),
         ({"overlap_ms": True}, "overlap_ms must be a finite number >= 0, got True"),
         ({"seed": 2.5}, "seed must be an integer, got 2.5"),
+        # an SNR is None, inf or a finite number: never a string or a bool
+        ({"snr_db": "inf"}, "snr_db must be a finite number, got 'inf'"),
+        ({"snr_db": "10"}, "snr_db must be a finite number, got '10'"),
+        ({"snr_db": True}, "snr_db must be a finite number, got True"),
+        ({"snr_db": math.nan}, "snr_db must be a finite number, got nan"),
+        ({"snr_db": -math.inf}, "snr_db must be a finite number, got -inf"),
     ])
     def test_located_errors(self, settings, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

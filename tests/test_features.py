@@ -244,23 +244,23 @@ class TestFeatureSets:
             feature_set("CUSTOM")
 
 
-def branch_windows(count, n=256):
+def branch_windows(count, n=256, channels=2):
     """Random windows of mixed scale with the kernels' branch cases at
     positions 1-3: all zeros, a constant (var < EPS, so SKW, MOB and COM give
     0) and, on channel 1, a slow ramp whose Levinson recursion stops after its
-    first step, next to a random channel 2."""
+    first step, next to random channels."""
     rng = np.random.default_rng(11)
     ramp = 1e-6 * np.linspace(1.0, 2.0, n)
     special = {
-        1: np.zeros((2, n)),
-        2: np.full((2, n), 0.5),
-        3: np.vstack([ramp, rng.standard_normal(n)]),
+        1: np.zeros((channels, n)),
+        2: np.full((channels, n), 0.5),
+        3: np.vstack([ramp, rng.standard_normal((channels - 1, n))]),
     }
     windows = []
     for i in range(count):
         samples = special.get(i)
         if samples is None:
-            samples = 10.0 ** rng.uniform(-3, 1) * rng.standard_normal((2, n))
+            samples = 10.0 ** rng.uniform(-3, 1) * rng.standard_normal((channels, n))
         windows.append(make_window(samples))
     return windows
 
@@ -280,19 +280,33 @@ class TestBlockIndependence:
         for fid in ("SKW", "MOB", "COM"):
             assert channel_feature(fid, windows[2][0]) == 0.0
 
-    @pytest.mark.parametrize("count", [1, 7, 300])
-    def test_rows_equal_single_window_and_cell_calls(self, count):
-        windows = branch_windows(count)
+    # A window is a block of one row per channel, and `extract_matrix` blocks
+    # hold count x channels rows: these straddle `_levinson`'s switch from the
+    # per-row to the vectorised recursion, which the cells, each a one-row
+    # block, are compared against.
+    @pytest.mark.parametrize("count, channels, n", [
+        pytest.param(1, 2, 256, id="1"),
+        pytest.param(7, 2, 256, id="7"),
+        pytest.param(300, 2, 256, id="300"),
+        pytest.param(2, 2, 255, id="2x2ch-255"),
+        pytest.param(4, 2, 256, id="4x2ch-256"),
+        pytest.param(4, 3, 255, id="4x3ch-255"),
+        pytest.param(4, 4, 256, id="4x4ch-256"),
+        pytest.param(4, 5, 255, id="4x5ch-255"),
+        pytest.param(4, 8, 256, id="4x8ch-256"),
+    ])
+    def test_rows_equal_single_window_and_cell_calls(self, count, channels, n):
+        windows = branch_windows(count, n, channels)
         for spec in self.SETS:
             th = Thresholds()
             order = max((int(f[2:]) for f in spec.features if f.startswith("AR")), default=0)
             matrix = extract_matrix(spec, windows)
-            assert matrix.shape == (count, 2 * len(spec))
-            # a stacked (count, 2, n) array, as `segment` returns, gives the same rows
+            assert matrix.shape == (count, channels * len(spec))
+            # a stacked (count, channels, n) array, as `segment` returns, gives the same rows
             assert np.array_equal(extract_matrix(spec, np.stack(windows)), matrix)
             for row, window in zip(matrix, windows):
                 assert np.array_equal(row, extract(spec, window).values), spec.features
-                cells = row.reshape(2, len(spec))
+                cells = row.reshape(channels, len(spec))
                 for ch, x in enumerate(window):
                     for value, fid in zip(cells[ch], spec.features):
                         # a set reads its AR lags off one fit at its largest lag
@@ -399,16 +413,21 @@ class TestLevinsonEarlyExit:
         # and a block with no rows at all: a window without channels
         assert extract(spec, early[:0]).values.shape == (0,)
 
-    def test_blocks_of_one_and_two_rows(self):
+    @pytest.mark.parametrize("rows, n", [(2, 256), (3, 255), (4, 256), (5, 255), (8, 256)])
+    def test_blocks_of_few_rows(self, rows, n):
         order = 6
-        spec, xs = self.ar_set(order), early_exit_channels()
-        # a one-channel window is a block of one row, a two-channel window a
-        # block of two: pair each channel with its neighbour and its mirror
+        spec, xs = self.ar_set(order), early_exit_channels(n)
+        # a window of c channels is a block of c rows, on either side of
+        # `_levinson`'s switch to the vectorised recursion: put each channel
+        # first in a window with the channels after it and with its mirror
+        # and the channels before that
+        after = np.arange(rows)
         for i in range(len(xs)):
             self.check_rows(spec, order, xs[i : i + 1], [extract(spec, xs[i][None]).values])
-            for j in {min(i + 1, len(xs) - 1), len(xs) - 1 - i}:
-                pair = extract(spec, xs[[i, j]]).values.reshape(2, order)
-                self.check_rows(spec, order, xs[[i, j]], pair)
+            mirror = len(xs) - 1 - i - after[:-1]
+            for picked in ((i + after) % len(xs), np.r_[i, mirror % len(xs)]):
+                block = extract(spec, xs[picked]).values.reshape(rows, order)
+                self.check_rows(spec, order, xs[picked], block)
 
 
 class TestPlanCache:
