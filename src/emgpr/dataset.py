@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy import signal
+from scipy.signal._sosfilt import _sosfilt
 
 from .errors import (
     ChannelCountMismatch,
@@ -279,6 +280,10 @@ class SyntheticSpec:
         if round(self.duration_s * self.sample_rate_hz) < 1:
             raise ValueError(f"duration_s must be at least one sample long at "
                              f"{self.sample_rate_hz:g} Hz, got {self.duration_s!r}")
+        if not isinstance(self.band, (tuple, list)) or len(self.band) != 2:
+            raise ValueError(f"band must be a (low, high) pair of numbers, got {self.band!r}")
+        for i, edge in enumerate(self.band):
+            check_number(f"band[{i}]", edge)
         object.__setattr__(self, "band", tuple(self.band))
         low, high = self.band
         if not 0 < low < high < self.sample_rate_hz / 2:
@@ -310,14 +315,15 @@ class SyntheticSpec:
 
     def _matrix(self, name: str, rows) -> tuple:
         """`rows` as float tuples, or ValueError unless n_movements x n_channels
-        of finite numbers; the error names the first entry that is not finite."""
-        rows = tuple(tuple(float(v) for v in row) for row in rows)
+        of finite real numbers; the error names the first entry that is not
+        one (a string or a bool is not, even where `float()` would take it)."""
+        rows = tuple(tuple(row) for row in rows)
         if len(rows) != self.n_movements or any(len(r) != self.n_channels for r in rows):
             raise ValueError(f"{name} must be n_movements x n_channels")
         for m, row in enumerate(rows):
             for c, v in enumerate(row):
                 check_number(f"{name}[{m}][{c}]", v)
-        return rows
+        return tuple(tuple(float(v) for v in row) for row in rows)
 
     @property
     def tilt_splits_hz(self) -> tuple:
@@ -383,14 +389,35 @@ def separable_spec(gain_ratio: float = 2.0, amplitude_only: bool = False,
     )
 
 
+def sosfilt_rows(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Filter each row of `x`, a C-contiguous float (rows, samples) array,
+    through the SOS cascade `sos` from rest, in place, and return `x`.
+
+    The result is exactly `signal.sosfilt(sos, x, axis=-1)`.  This is the one
+    caller of scipy's compiled cascade loop, `scipy.signal._sosfilt._sosfilt`,
+    the kernel that `sosfilt` runs, without `sosfilt`'s coefficient
+    validation, axis moves and array-namespace wrapping, which cost more than
+    the filtering on a short chunk or on one row of a batch.  The kernel is a
+    private scipy name; tests/test_preprocess.py pins this helper to
+    `signal.sosfilt` bit for bit.  An `x` that is not C-contiguous is a
+    ValueError from the kernel, not a silent copy.
+    """
+    # the kernel needs a writable cascade; a memoised one is read-only
+    _sosfilt(np.array(sos, dtype=float), x, np.zeros((x.shape[0], len(sos), 2)))
+    return x
+
+
 def generate_synthetic(spec: SyntheticSpec) -> list:
     """Deterministically synthesize recordings; same spec -> identical bits.
 
     Each trial is one (n_channels, n_samples) array, drawn in one call in
-    channel order from the trial's own seed, as `mix_awgn` draws.  Its rows
-    are band-filtered in one call (without tilt) or each mixed from its
-    channel's low and high sub-band (with tilt), scaled to unit RMS, a
-    silent row left as it is, and multiplied by the movement's gains.
+    channel order from the trial's own seed, as `mix_awgn` draws.  A
+    movement's trials form one (n_trials, n_channels, n_samples) batch: its
+    rows are band-filtered in one call (without tilt), or each channel is
+    mixed from its low and high sub-band, each filtered for all the trials
+    in one call (with tilt); then every row is scaled to unit RMS, a silent
+    row left as it is, and each trial is multiplied by the movement's gains
+    into an array of its own.
     """
     low, high = spec.band
     nyq = spec.sample_rate_hz / 2.0
@@ -398,47 +425,63 @@ def generate_synthetic(spec: SyntheticSpec) -> list:
     def bandpass(lo, hi):
         return signal.butter(4, [lo / nyq, hi / nyq], btype="bandpass", output="sos")
 
-    def unit_rms(x):
-        # in place, row by row; a silent row stays as it is
-        rms = np.sqrt(np.mean(x * x, axis=-1, keepdims=True))
-        x /= np.where(rms > 0, rms, 1.0)
-        return x
+    n = int(round(spec.duration_s * spec.sample_rate_hz))
+    # one movement's trials, reused by every movement: each recording gets an
+    # array of its own, so a kept trial keeps no batch alive
+    x = np.empty((spec.n_trials, spec.n_channels, n))
+
+    def unit_rms(rows, squares):
+        # in place, row by row; a silent row stays as it is.  `squares` is
+        # scratch of rows' shape; the sum over a row divided by its length is
+        # the arithmetic of np.mean
+        np.multiply(rows, rows, out=squares)
+        rms = np.sqrt(np.add.reduce(squares, -1, keepdims=True) / n)
+        rows /= np.where(rms > 0, rms, 1.0)
+        return rows
 
     if spec.class_tilt_matrix is None:
         sos_band = bandpass(low, high)
     else:
         sos_pairs = [(bandpass(low, split), bandpass(split, high))
                      for split in spec.tilt_splits_hz]
+        lows, highs, squares = (np.empty((spec.n_trials, n)) for _ in range(3))
 
-    n = int(round(spec.duration_s * spec.sample_rate_hz))
     recordings = []
     for s in range(spec.n_subjects):
         subject = f"S{s + 1}"
         for m in range(spec.n_movements):
             movement = MOVEMENTS[m]
-            gains = np.asarray(spec.class_gain_matrix[m])[:, None]
-            for t in range(1, spec.n_trials + 1):
+            for t in range(spec.n_trials):
                 rng = np.random.default_rng(
-                    derive_seed(spec.seed, "synth", subject, movement, t)
+                    derive_seed(spec.seed, "synth", subject, movement, t + 1)
                 )
-                x = rng.standard_normal((spec.n_channels, n))
-                if spec.class_tilt_matrix is None:
-                    x = signal.sosfilt(sos_band, x)
-                else:
-                    # each channel splits its sub-bands at its own frequency
-                    for c, (sos_low, sos_high) in enumerate(sos_pairs):
-                        tilt = spec.class_tilt_matrix[m][c]
-                        x[c] = (tilt * unit_rms(signal.sosfilt(sos_low, x[c]))
-                                + (1.0 - tilt) * unit_rms(signal.sosfilt(sos_high, x[c])))
-                unit_rms(x)
-                x *= gains
+                rng.standard_normal(out=x[t])
+            if spec.class_tilt_matrix is None:
+                sosfilt_rows(sos_band, x.reshape(-1, n))
+            else:
+                # each channel splits its sub-bands at its own frequency
+                for c, (sos_low, sos_high) in enumerate(sos_pairs):
+                    tilt = spec.class_tilt_matrix[m][c]
+                    np.copyto(lows, x[:, c])
+                    np.copyto(highs, x[:, c])
+                    unit_rms(sosfilt_rows(sos_low, lows), squares)
+                    unit_rms(sosfilt_rows(sos_high, highs), squares)
+                    lows *= tilt
+                    highs *= 1.0 - tilt
+                    np.add(lows, highs, out=x[:, c])
+            gains = np.asarray(spec.class_gain_matrix[m])[:, None]
+            for t in range(spec.n_trials):
+                # the recording's own array holds the squares, then the
+                # channels, so this step needs no batch-sized scratch
+                channels = np.empty((spec.n_channels, n))
+                np.multiply(unit_rms(x[t], channels), gains, out=channels)
                 recordings.append(
                     Recording(
                         subject_id=subject,
                         movement=movement,
-                        trial=t,
+                        trial=t + 1,
                         sample_rate_hz=spec.sample_rate_hz,
-                        channels=x,
+                        channels=channels,
                     )
                 )
     return recordings

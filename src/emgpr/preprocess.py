@@ -7,9 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal
-from scipy.signal._sosfilt import _sosfilt
 
-from .dataset import Recording
+from .dataset import Recording, sosfilt_rows
 from .errors import (DimensionMismatch, NyquistViolation, WindowLongerThanTrial, check_number,
                      field_values)
 
@@ -76,21 +75,17 @@ def apply_filters(rec: Recording, spec: FilterSpec = FilterSpec()) -> Recording:
     is preserved.
 
     The output is exactly `signal.sosfilt(design_filters(spec, fs).copy(),
-    rec.channels, axis=-1)`.  It calls scipy's compiled cascade loop,
-    `scipy.signal._sosfilt._sosfilt`, the kernel that `sosfilt` runs, on a
-    C-order float copy of the channels with zero initial state: on a
+    rec.channels, axis=-1)`.  It runs scipy's compiled cascade loop through
+    `dataset.sosfilt_rows` on a C-order float copy of the channels: on a
     one-window chunk most of `sosfilt`'s time is its coefficient validation,
-    axis moves and array-namespace wrapping, not the filtering.  The kernel
-    is a private scipy name; tests/test_preprocess.py pins its output to
-    `signal.sosfilt` bit for bit.  The cascade is checked where it is
-    designed (`NyquistViolation` from `design_filters`), and the filtered
-    channels as every `Recording`'s are (finite, `(channels, samples)`).
+    axis moves and array-namespace wrapping, not the filtering.  The
+    cascade is checked where it is designed (`NyquistViolation` from
+    `design_filters`), and the filtered channels as every `Recording`'s are
+    (finite, `(channels, samples)`).
     """
     sos = design_filters(spec, rec.sample_rate_hz)
     x = np.array(rec.channels, dtype=float, order="C")  # filtered in place
-    # the kernel needs a writable cascade; the memoised one is read-only
-    _sosfilt(sos.copy(), x, np.zeros((x.shape[0], sos.shape[0], 2)))
-    return rec.with_channels(x)
+    return rec.with_channels(sosfilt_rows(sos, x))
 
 
 def window_grid(n_samples: int, sample_rate_hz: float, window_ms: float,

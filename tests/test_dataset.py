@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from emgpr import dataset
 from emgpr.dataset import (
     MOVEMENTS,
     NO_MIX,
@@ -19,6 +20,7 @@ from emgpr.dataset import (
     separable_gain_grid,
     separable_spec,
     separable_tilt_matrix,
+    sosfilt_rows,
 )
 from emgpr.errors import (
     ChannelCountMismatch,
@@ -167,8 +169,16 @@ class TestSynthetic:
                        duration_s=0.2505, seed=5),
         SyntheticSpec(n_channels=1, n_movements=3, n_trials=2, duration_s=0.5, seed=2),
         small_spec(class_gain_matrix=((1.0, 0.0), (1.0, 1.0), (2.0, 1.0))),
+        separable_spec(n_movements=4, n_trials=1, duration_s=0.5, seed=8),
+        separable_spec(n_movements=3, n_trials=3, duration_s=0.0005, seed=9),
+        separable_spec(n_movements=1, n_trials=3, duration_s=0.5, seed=10),
+        separable_spec(amplitude_only=True, n_channels=4, n_movements=3, n_trials=3,
+                       duration_s=0.5, seed=11),
+        separable_spec(n_channels=3, n_movements=3, n_trials=3, duration_s=0.25025,
+                       sample_rate_hz=4000.0, seed=12),
     ], ids=["tilt-4khz-4-subjects", "amplitude-only", "3-channels-odd-length",
-            "1-channel", "zero-gain-row"])
+            "1-channel", "zero-gain-row", "1-trial", "1-sample-trials", "1-movement",
+            "amplitude-only-4-channels", "tilt-3-channels-4khz-odd-length"])
     def test_equals_the_per_channel_generator_byte_for_byte(self, spec):
         recordings = generate_synthetic(spec)
         reference = ref_generate(spec)
@@ -179,6 +189,30 @@ class TestSynthetic:
             assert rec.channels.dtype == np.float64
             assert rec.channels.flags.c_contiguous
             assert rec.channels.tobytes() == channels.tobytes()
+        # each recording owns its array: one kept alone keeps no other alive
+        for i, rec in enumerate(recordings):
+            for other in recordings[i + 1:]:
+                assert not np.shares_memory(rec.channels, other.channels)
+
+    @pytest.mark.parametrize("amplitude_only", [False, True])
+    def test_filters_each_movement_in_one_batch(self, monkeypatch, amplitude_only):
+        # with tilt, one kernel call per (subject, movement, channel, sub-band)
+        # on all the movement's trials; without, one per (subject, movement)
+        spec = separable_spec(amplitude_only=amplitude_only, n_subjects=2, n_channels=3,
+                              n_movements=4, n_trials=5, duration_s=0.1, seed=4)
+        blocks = []
+
+        def counting(sos, x):
+            blocks.append(x.shape)
+            return sosfilt_rows(sos, x)
+
+        monkeypatch.setattr(dataset, "sosfilt_rows", counting)
+        generate_synthetic(spec)
+        n = 200
+        if amplitude_only:
+            assert blocks == [(5 * 3, n)] * (2 * 4)
+        else:
+            assert blocks == [(5, n)] * (2 * 4 * 3 * 2)
 
     def test_deterministic(self):
         spec = small_spec()
@@ -213,12 +247,25 @@ class TestSynthetic:
     @pytest.mark.parametrize("matrix, rows", [
         ("class_gain_matrix", ((1.0, 1.0), (2.0, 1.0), (4.0, 1.0))),
         ("class_tilt_matrix", ((0.5, 0.5),) * 3)])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "1", True])
     def test_entry_that_is_not_finite_is_named(self, matrix, rows, value):
+        # a string or a bool is refused as it is given, not read as float() reads it
         rows = rows[:1] + ((rows[1][0], value),) + rows[2:]
         message = f"^{matrix}\\[1\\]\\[1\\] must be a finite number, got {value!r}$"
         with pytest.raises(ValueError, match=message):
             small_spec(**{matrix: rows})
+
+    @pytest.mark.parametrize("band, message", [
+        (("20", "500"), r"band\[0\] must be a finite number, got '20'"),
+        ((20.0, True), r"band\[1\] must be a finite number, got True"),
+        ((20.0, math.nan), r"band\[1\] must be a finite number, got nan"),
+        ((20.0, 300.0, 500.0), r"band must be .*, got \(20\.0, 300\.0, 500\.0\)"),
+        ((20.0,), r"band must be .*, got \(20\.0,\)"),
+        (20.0, r"band must be a \(low, high\) pair of numbers, got 20\.0"),
+    ], ids=["strings", "bool", "nan", "three-edges", "one-edge", "scalar"])
+    def test_band_must_be_two_numbers(self, band, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            small_spec(band=band)
 
     @pytest.mark.parametrize("rows, message", [
         (((1.0, 1.0), (-1.0, 1.0), (2.0, 1.0)), r"class_gain_matrix\[1\]\[0\] .* -1\.0$"),

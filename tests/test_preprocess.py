@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal as sps
 
-from emgpr.dataset import Recording
+from emgpr.dataset import Recording, sosfilt_rows
 from emgpr.errors import DimensionMismatch, NyquistViolation, WindowLongerThanTrial
 from emgpr.preprocess import (
     FilterSpec,
@@ -97,6 +97,28 @@ class TestFilters:
         expected = sps.sosfilt(design_filters(FilterSpec(), fs).copy(), x, axis=-1)
         assert np.array_equal(apply_filters(rec).channels.view(np.int64),
                               expected.view(np.int64))
+
+    @pytest.mark.parametrize("n_rows", [1, 6, 12])
+    @pytest.mark.parametrize("band", [(20.0, 250.0), (250.0, 500.0)])
+    def test_kernel_helper_equals_sosfilt_on_batched_rows(self, n_rows, band):
+        # the generator filters a movement's trials as rows of one block
+        # through 4-section Butterworth sub-band cascades
+        fs, n = 4000.0, 1001
+        sos = sps.butter(4, [edge / (fs / 2) for edge in band], btype="bandpass", output="sos")
+        assert sos.shape == (4, 6)
+        x = np.random.default_rng(n_rows).standard_normal((n_rows, n))
+        expected = sps.sosfilt(sos, x, axis=-1)
+        rows = x.copy()
+        assert sosfilt_rows(sos, rows) is rows
+        assert np.array_equal(rows.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("layout", ["strided", "fortran"])
+    def test_kernel_helper_refuses_rows_that_are_not_c_contiguous(self, layout):
+        # filtering a copy in place would silently leave the caller's rows as they were
+        base = np.random.default_rng(5).standard_normal((3, 200))
+        x = {"strided": base[:, ::2], "fortran": np.asfortranarray(base)}[layout]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            sosfilt_rows(design_filters(FilterSpec(), 2000.0), x)
 
     def test_memoised_cascade_unchanged_by_filtering(self):
         spec = FilterSpec()
